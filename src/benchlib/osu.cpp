@@ -59,8 +59,11 @@ OsuLatency::OsuLatency(scenario::Testbed& tb, OsuLatencyConfig cfg)
       cfg_(cfg),
       a_(tb, 0, cfg.signal_period),
       b_(tb, 1, cfg.signal_period) {
+  // A rendezvous round trip lands three messages on each side (RTS, the
+  // CTS for its own send, FIN); an eager one lands one. Receives are a
+  // counter, so posting for the larger case costs the eager case nothing.
   const auto msgs =
-      static_cast<std::uint32_t>(cfg_.warmup + cfg_.iterations + 2);
+      static_cast<std::uint32_t>(3 * (cfg_.warmup + cfg_.iterations) + 2);
   tb_.node(0).nic.post_receives(msgs);
   tb_.node(1).nic.post_receives(msgs);
 }
@@ -92,7 +95,11 @@ sim::Task<void> OsuLatency::responder() {
   for (std::uint64_t i = 0; i < cfg_.warmup + cfg_.iterations; ++i) {
     hlp::Request* rr = b_.mpi().irecv(cfg_.bytes).value();
     co_await b_.mpi().wait(rr);
-    (void)co_await b_.mpi().isend(cfg_.bytes);
+    hlp::Request* sr = (co_await b_.mpi().isend(cfg_.bytes)).value();
+    // A rendezvous send advances only while its owner drives progress:
+    // unwaited, the last reply's RTS would never see its CTS answered.
+    // Eager sends are already complete and skip the wait.
+    if (!sr->complete) co_await b_.mpi().wait(sr);
     co_await core.flush();
   }
   core.set_speed_factor(1.0);

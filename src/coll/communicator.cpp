@@ -54,7 +54,7 @@ std::vector<double> Communicator::take_data(int peer) {
   return world_.take(rank_, peer);
 }
 
-sim::Task<std::uint32_t> Communicator::progress() {
+sim::Task<std::uint32_t> Communicator::progress(const llp::IdleLoop* idle) {
   // One UCP pass for the whole communicator: drive every peer's queued
   // work (busy-post retries, rendezvous control/data), then one shared
   // uct_worker_progress whose completions the mux fans back out, then
@@ -64,11 +64,41 @@ sim::Task<std::uint32_t> Communicator::progress() {
   for (auto& u : ucp_) {
     if (u && u->has_pending_work()) co_await u->progress_pending();
   }
-  const std::uint32_t n = co_await node_.worker.progress();
+  const std::uint32_t n = co_await node_.worker.progress(0, idle);
   for (auto& u : ucp_) {
     if (u && u->has_pending_work()) co_await u->progress_pending();
   }
   co_return n;
+}
+
+bool Communicator::has_pending_work() const {
+  for (const auto& u : ucp_) {
+    if (u && u->has_pending_work()) return true;
+  }
+  return false;
+}
+
+template <typename Done>
+sim::Task<common::Status> Communicator::progress_until(const Done& done) {
+  cpu::Core& c = core();
+  const double timeout_us = tuning().wait_timeout_us;
+  const TimePs deadline =
+      timeout_us > 0.0
+          ? c.virtual_now() + TimePs::from_ns(timeout_us * 1000.0)
+          : TimePs::max();
+  const auto pass = hlp::UcpWorker::empty_pass_costs(c);
+  const auto spinning = [&] { return !done() && !has_pending_work(); };
+  const llp::IdleLoop idle = llp::IdleLoop::of(pass, deadline, spinning);
+  while (!done()) {
+    if (c.virtual_now() > deadline) {
+      // Watchdog: diagnosable abort instead of a hang (the request stays
+      // incomplete; the transport underneath it is stuck or flushed).
+      co_await c.flush();
+      co_return common::Status::kTimedOut;
+    }
+    co_await progress(&idle);
+  }
+  co_return common::Status::kOk;
 }
 
 sim::Task<common::Status> Communicator::wait(hlp::Request* req) {
@@ -76,18 +106,9 @@ sim::Task<common::Status> Communicator::wait(hlp::Request* req) {
   // Same cost structure as the pt2pt MpiComm::wait; the progress engine
   // spans all peers.
   c.consume(c.costs().mpich_wait_fixed);
-  const double timeout_us = tuning().wait_timeout_us;
-  const TimePs deadline =
-      c.virtual_now() + TimePs::from_ns(timeout_us * 1000.0);
-  while (!req->complete) {
-    if (timeout_us > 0.0 && c.virtual_now() > deadline) {
-      // Watchdog: diagnosable abort instead of a hang (the request stays
-      // incomplete; the transport underneath it is stuck or flushed).
-      co_await c.flush();
-      co_return common::Status::kTimedOut;
-    }
-    co_await progress();
-  }
+  const common::Status st =
+      co_await progress_until([req] { return req->complete; });
+  if (st != common::Status::kOk) co_return st;
   c.consume(c.costs().mpich_after_progress);
   ++waits_;
   co_await c.flush();
@@ -100,24 +121,13 @@ sim::Task<common::Status> Communicator::waitall(
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     c.consume(c.costs().hlp_tx_prog);
   }
-  const double timeout_us = tuning().wait_timeout_us;
-  const TimePs deadline =
-      c.virtual_now() + TimePs::from_ns(timeout_us * 1000.0);
-  for (;;) {
-    bool all = true;
+  const common::Status st = co_await progress_until([&reqs] {
     for (hlp::Request* r : reqs) {
-      if (!r->complete) {
-        all = false;
-        break;
-      }
+      if (!r->complete) return false;
     }
-    if (all) break;
-    if (timeout_us > 0.0 && c.virtual_now() > deadline) {
-      co_await c.flush();
-      co_return common::Status::kTimedOut;
-    }
-    co_await progress();
-  }
+    return true;
+  });
+  if (st != common::Status::kOk) co_return st;
   co_await c.flush();
   for (hlp::Request* r : reqs) {
     if (r->status != common::Status::kOk) co_return r->status;

@@ -54,8 +54,9 @@ class Communicator {
   /// MPI_Waitall over a window.
   sim::Task<common::Status> waitall(const std::vector<hlp::Request*>& reqs);
 
-  /// One progress pass over every peer stack.
-  sim::Task<std::uint32_t> progress();
+  /// One progress pass over every peer stack; `idle` as for
+  /// hlp::UcpWorker::progress.
+  sim::Task<std::uint32_t> progress(const llp::IdleLoop* idle = nullptr);
 
   std::uint64_t isends() const { return isends_; }
   std::uint64_t waits() const { return waits_; }
@@ -64,6 +65,10 @@ class Communicator {
   friend class World;
   Communicator(World& world, scenario::Cluster& cl, int rank,
                std::uint32_t signal_period, std::uint32_t rndv_threshold);
+  bool has_pending_work() const;
+  /// Blocks in the progress engine until `done()` or the watchdog.
+  template <typename Done>
+  sim::Task<common::Status> progress_until(const Done& done);
 
   World& world_;
   scenario::Testbed::Node& node_;

@@ -30,9 +30,11 @@ struct CollTuning {
   /// microseconds: a request still incomplete after this long aborts the
   /// wait with common::Status::kTimedOut instead of hanging -- the
   /// lossy-fabric insurance of docs/TRANSPORT.md (e.g. a peer's QP died
-  /// and its ops were flushed). Checked inside the existing progress
-  /// loop, so no timer events are scheduled and error-free timing is
-  /// untouched. 0 disables. The default is orders of magnitude above any
+  /// and its ops were flushed). Checked at the start of each progress
+  /// pass; a wait parked on empty passes (docs/SIM_ENGINE.md "Parked
+  /// waiters") arms a cancellable timer at the deadline, which leaves no
+  /// event behind once cancelled, so error-free timing is untouched.
+  /// 0 disables. The default is orders of magnitude above any
   /// healthy collective wait in the bench suite (whole 8-rank allreduce
   /// runs finish in ~25 ms simulated).
   double wait_timeout_us = 50000.0;

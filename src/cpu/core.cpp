@@ -12,15 +12,26 @@ Core::Core(sim::Simulator& simulator, CpuCostModel model, std::string name)
 
 void Core::consume(TimePs d) {
   BB_ASSERT_MSG(d >= TimePs::zero(), "CPU work cannot be negative");
+  wake_parked();
   pending_ += d;
   busy_ += d;
 }
 
 TimePs Core::consume(const CostSpec& spec) {
-  TimePs d = spec.sample(rng_);
-  if (speed_factor_ != 1.0) d = d.scaled(speed_factor_);
+  wake_parked();
+  const TimePs d = sample(spec);
   consume(d);
   return d;
+}
+
+TimePs Core::replay(std::span<const CostSpec* const> costs) {
+  TimePs total = TimePs::zero();
+  for (const CostSpec* spec : costs) {
+    const TimePs d = sample(*spec);
+    busy_ += d;
+    total += d;
+  }
+  return total;
 }
 
 sim::Task<void> Core::flush() {

@@ -12,7 +12,9 @@
 // cntvct_el0 timer reads.
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -39,11 +41,30 @@ class Core {
   /// returns the accrued duration.
   TimePs consume(const CostSpec& spec);
 
+  /// Arithmetic replay of one skipped idle pass (docs/SIM_ENGINE.md
+  /// "Parked waiters"): draws every cost in `costs`, in order, exactly as
+  /// consume() would -- same RNG stream, speed factor and busy-time
+  /// accounting -- and returns their sum instead of accruing it.
+  TimePs replay(std::span<const CostSpec* const> costs);
+  /// Hands over the pending work without a delay: what a parked loop
+  /// does in place of the flush() that would end its pass.
+  TimePs take_pending() { return std::exchange(pending_, TimePs::zero()); }
+
+  /// The progress loop parked on this core, if any. Its skipped passes
+  /// draw from this core's RNG and would flush its pending work, so any
+  /// other use of the core (consume, set_speed_factor) wakes it first:
+  /// two processes sharing a core keep their interleaved draw order.
+  void set_parked(sim::Parked* p) { parked_ = p; }
+  sim::Parked* parked() const { return parked_; }
+
   /// Scales sampled costs. Models the gap between profiled means
   /// (instrumented, cold-path) and hot-loop execution (warm icache and
   /// branch predictors) that makes analyzer-observed loop times fall a few
   /// percent below the sum of profiled component means (§4.2).
-  void set_speed_factor(double f) { speed_factor_ = f; }
+  void set_speed_factor(double f) {
+    wake_parked();
+    speed_factor_ = f;
+  }
   double speed_factor() const { return speed_factor_; }
 
   /// Converts all pending work into simulated delay. Must be awaited before
@@ -54,9 +75,21 @@ class Core {
   TimePs virtual_now() const;
 
   /// Total CPU time this core has consumed (for utilisation accounting).
+  /// A parked loop's skipped passes join it when the loop wakes.
   TimePs busy_time() const { return busy_; }
 
  private:
+  void wake_parked() {
+    if (parked_ != nullptr) [[unlikely]] {
+      parked_->wake();
+    }
+  }
+  TimePs sample(const CostSpec& spec) {
+    TimePs d = spec.sample(rng_);
+    if (speed_factor_ != 1.0) d = d.scaled(speed_factor_);
+    return d;
+  }
+
   sim::Simulator& sim_;
   CpuCostModel model_;
   std::string name_;
@@ -64,6 +97,7 @@ class Core {
   TimePs pending_ = TimePs::zero();
   TimePs busy_ = TimePs::zero();
   double speed_factor_ = 1.0;
+  sim::Parked* parked_ = nullptr;
 };
 
 }  // namespace bb::cpu

@@ -44,6 +44,16 @@ common::Expected<Request*> MpiComm::irecv(std::uint32_t bytes) {
   return ucp_.tag_recv_nb(bytes);
 }
 
+template <typename Done>
+sim::Task<void> MpiComm::progress_until(const Done& done) {
+  // An empty pass may park the loop (docs/SIM_ENGINE.md "Parked
+  // waiters") while it would keep spinning: not done, no queued work.
+  const auto pass = UcpWorker::empty_pass_costs(core());
+  const auto spinning = [&] { return !done() && !ucp_.has_pending_work(); };
+  const llp::IdleLoop idle = llp::IdleLoop::of(pass, TimePs::max(), spinning);
+  while (!done()) co_await ucp_.progress(&idle);
+}
+
 sim::Task<common::Status> MpiComm::wait(Request* req) {
   cpu::Core& c = core();
   prof::Profiler* prof = ucp_.profiler();
@@ -54,9 +64,7 @@ sim::Task<common::Status> MpiComm::wait(Request* req) {
   c.consume(c.costs().mpich_wait_fixed);
 
   // The progress engine: loop on ucp_worker_progress until complete.
-  while (!req->complete) {
-    co_await ucp_.progress();
-  }
+  co_await progress_until([req] { return req->complete; });
 
   // MPICH work after the successful ucp_worker_progress returns.
   prof::Profiler::Region r_after;
@@ -79,17 +87,12 @@ sim::Task<common::Status> MpiComm::waitall(const std::vector<Request*>& reqs) {
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     c.consume(c.costs().hlp_tx_prog);
   }
-  for (;;) {
-    bool all = true;
+  co_await progress_until([&reqs] {
     for (Request* r : reqs) {
-      if (!r->complete) {
-        all = false;
-        break;
-      }
+      if (!r->complete) return false;
     }
-    if (all) break;
-    co_await ucp_.progress();
-  }
+    return true;
+  });
   co_await c.flush();
   for (Request* r : reqs) {
     if (r->status != common::Status::kOk) co_return r->status;

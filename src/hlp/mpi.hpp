@@ -45,6 +45,10 @@ class MpiComm {
   std::uint64_t waits() const { return waits_; }
 
  private:
+  /// The blocking progress engine: ucp_worker_progress until `done()`.
+  template <typename Done>
+  sim::Task<void> progress_until(const Done& done);
+
   UcpWorker& ucp_;
   std::string wrap_;
   std::uint64_t isends_ = 0;

@@ -190,12 +190,13 @@ sim::Task<void> UcpWorker::progress_pending() {
   }
 }
 
-sim::Task<std::uint32_t> UcpWorker::progress() {
+sim::Task<std::uint32_t> UcpWorker::progress(const llp::IdleLoop* idle) {
   cpu::Core& c = core();
   prof::Profiler* prof = uct_worker_.profiler();
   prof::Profiler::Region r;
   if (prof && wrap_ == "ucp_worker_progress") {
     r = prof->begin("ucp_worker_progress");
+    idle = nullptr;  // the region's closing overhead is not a pass cost
   }
 
   c.consume(c.costs().ucp_progress_iter);
@@ -207,7 +208,7 @@ sim::Task<std::uint32_t> UcpWorker::progress() {
     pending_sends_.pop_front();
   }
 
-  const std::uint32_t n = co_await uct_worker_.progress();
+  const std::uint32_t n = co_await uct_worker_.progress(0, idle);
 
   // Drive rendezvous state machines unblocked by the completions above.
   if (!pending_ctrl_.empty() || !rndv_tx_ready_.empty()) {

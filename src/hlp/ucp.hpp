@@ -13,6 +13,7 @@
 //    registered upper-layer (MPICH) callback -- both before
 //    uct_worker_progress returns (§5).
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -73,8 +74,16 @@ class UcpWorker {
 
   /// ucp_worker_progress: one pass. Retries pending sends, then drives
   /// uct_worker_progress; completion callbacks run inside. Returns the
-  /// number of UCT completions processed.
-  sim::Task<std::uint32_t> progress();
+  /// number of UCT completions processed. `idle` (a blocking wait loop's
+  /// description) lets an empty pass park the loop; a pass wrapped in a
+  /// "ucp_worker_progress" profiler region never parks.
+  sim::Task<std::uint32_t> progress(const llp::IdleLoop* idle = nullptr);
+  /// What one empty progress pass costs, in draw order: the UCP pass
+  /// plus the empty UCT poll (the IdleLoop cost list of a wait loop).
+  static std::array<const cpu::CostSpec*, 2> empty_pass_costs(
+      const cpu::Core& c) {
+    return {&c.costs().ucp_progress_iter, &c.costs().llp_empty_progress};
+  }
 
   /// Drives this worker's queued work (busy-post retries, rendezvous
   /// control and data) WITHOUT a UCT pass and without charging the

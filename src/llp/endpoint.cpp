@@ -9,7 +9,11 @@ namespace bb::llp {
 
 Endpoint::Endpoint(Worker& worker, pcie::RootComplex& rc, EndpointConfig cfg,
                    nic::Nic* nic)
-    : worker_(worker), rc_(rc), cfg_(cfg), nic_(nic) {
+    : worker_(worker),
+      rc_(rc),
+      cfg_(cfg),
+      tx_cq_(worker.host().tx_cq(cfg.qp)),
+      nic_(nic) {
   // With moderation period > TxQ depth the queue can fill before any
   // descriptor is signalled, so no CQE is ever generated and every later
   // post busy-loops forever -- the same deadlock a real mlx5 queue pair

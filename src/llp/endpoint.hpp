@@ -58,8 +58,11 @@ class Endpoint {
   Endpoint(Worker& worker, pcie::RootComplex& rc, EndpointConfig cfg,
            nic::Nic* nic = nullptr);
 
+  /// The qp is fixed at construction (its TX CQ is cached).
   const EndpointConfig& config() const { return cfg_; }
   EndpointConfig& config() { return cfg_; }
+  /// This endpoint's TX CQ in host memory.
+  nic::CqRing& tx_cq() { return tx_cq_; }
 
   /// RDMA write (UCX put_short; the put_bw test).
   sim::Task<Status> put_short(std::uint32_t bytes);
@@ -120,6 +123,7 @@ class Endpoint {
   Worker& worker_;
   pcie::RootComplex& rc_;
   EndpointConfig cfg_;
+  nic::CqRing& tx_cq_;
   nic::Nic* nic_ = nullptr;
   std::uint32_t outstanding_ = 0;
   std::uint64_t posted_ = 0;

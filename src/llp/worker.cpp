@@ -1,21 +1,35 @@
 #include "llp/worker.hpp"
 
+#include <utility>
+
 #include "llp/endpoint.hpp"
 
 namespace bb::llp {
 
 Worker::Worker(cpu::Core& core, nic::HostMemory& host, WorkerConfig cfg)
-    : core_(core), host_(host), cfg_(cfg) {}
+    : core_(core),
+      host_(host),
+      cfg_(cfg),
+      deadline_(core.simulator(),
+                [](void* w) { static_cast<Worker*>(w)->wake(); }, this) {}
 
-sim::Task<std::uint32_t> Worker::progress(std::uint32_t max_completions) {
+Worker::~Worker() {
+  if (parked_) {
+    host_.unpark(this);
+    core_.set_parked(nullptr);
+    core_.simulator().note_unparked();
+  }
+}
+
+sim::Task<std::uint32_t> Worker::progress(std::uint32_t max_completions,
+                                          const IdleLoop* idle) {
   const std::uint32_t limit =
       max_completions == 0 ? cfg_.batch_limit : max_completions;
   const cpu::CpuCostModel& costs = core_.costs();
 
+  const bool wrap_pass = profiler_ && wrap_ == "uct_worker_progress";
   prof::Profiler::Region r_pass;
-  if (profiler_ && wrap_ == "uct_worker_progress") {
-    r_pass = profiler_->begin("uct_worker_progress");
-  }
+  if (wrap_pass) r_pass = profiler_->begin("uct_worker_progress");
   const bool wrap_prog = profiler_ && wrap_ == "LLP_prog";
 
   std::uint32_t n = 0;
@@ -38,9 +52,11 @@ sim::Task<std::uint32_t> Worker::progress(std::uint32_t max_completions) {
       if (rx_handler_) rx_handler_(*cqe);
       continue;
     }
-    // Then each endpoint's TX CQ.
+    // Then each endpoint's TX CQ (skipped outright while every TX CQ of
+    // the node is empty, which polls nothing either way).
+    if (host_.tx_cqes_present() == 0) break;
     for (Endpoint* ep : endpoints_) {
-      if (auto cqe = host_.tx_cq(ep->config().qp).poll(now)) {
+      if (auto cqe = ep->tx_cq().poll(now)) {
         prof::Profiler::Region r;
         if (wrap_prog) r = profiler_->begin("LLP_prog");
         core_.consume(costs.llp_prog);
@@ -60,13 +76,59 @@ sim::Task<std::uint32_t> Worker::progress(std::uint32_t max_completions) {
   if (n == 0) {
     // An empty pass still pays the load barrier and the CQ read miss.
     core_.consume(costs.llp_empty_progress);
+    if (idle != nullptr && !wrap_pass && can_park(*idle)) {
+      // Resumes with this pass's time already flushed: the loop carries
+      // on exactly where the flush below would have left it.
+      co_await Park{*this, *idle};
+      co_return 0;
+    }
   }
 
-  if (profiler_ && wrap_ == "uct_worker_progress") profiler_->end(r_pass);
+  if (wrap_pass) profiler_->end(r_pass);
 
   // Materialize the consumed time so subsequent polls observe later CQEs.
   co_await core_.flush();
   co_return n;
+}
+
+// Parking is exact only while the next pass is bound to come up empty
+// and to cost exactly `pass_costs`: no completion is present or on its
+// way into the node, the loop itself would spin on, and it would not
+// time out before that pass.
+bool Worker::can_park(const IdleLoop& loop) const {
+  return host_.writes_in_flight() == 0 && host_.rx_cq().depth() == 0 &&
+         host_.tx_cqes_present() == 0 &&
+         core_.virtual_now() <= loop.deadline && loop.spinning(loop.ctx);
+}
+
+void Worker::park(std::coroutine_handle<> h, const IdleLoop& loop) {
+  BB_ASSERT_MSG(core_.parked() == nullptr, "a loop is already parked here");
+  sim::Simulator& sim = core_.simulator();
+  parked_ = h;
+  loop_ = &loop;
+  // The flush this pass skips: the next pass starts once its time is up.
+  next_pass_ = sim.now() + core_.take_pending();
+  host_.park(this);
+  core_.set_parked(this);
+  if (loop.deadline != TimePs::max()) deadline_.arm(loop.deadline);
+  sim.note_parked();
+  ++parks_;
+}
+
+void Worker::wake() {
+  sim::Simulator& sim = core_.simulator();
+  // A pass that starts at or before the wake is empty: a write noticed
+  // now commits RC-to-MEM later, and a deadline stops only passes that
+  // start after it. Replay those passes; resume at the first one after.
+  while (next_pass_ <= sim.now()) {
+    next_pass_ += core_.replay(loop_->pass_costs);
+    ++replayed_passes_;
+  }
+  deadline_.cancel();
+  host_.unpark(this);
+  core_.set_parked(nullptr);
+  sim.note_unparked();
+  sim.schedule_at(next_pass_, std::exchange(parked_, {}));
 }
 
 }  // namespace bb::llp

@@ -9,9 +9,17 @@
 // accounting, registered upper-layer callbacks) runs before the pass
 // returns, exactly as UCT executes callbacks before uct_worker_progress
 // returns (§5).
+//
+// A blocking wait loop may pass an IdleLoop to progress(): an empty pass
+// then parks the loop instead of scheduling its next poll, and the
+// skipped passes are replayed arithmetically when a write into the node
+// (or the loop's deadline) wakes it -- docs/SIM_ENGINE.md "Parked
+// waiters".
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,9 +38,36 @@ struct WorkerConfig {
   std::uint32_t batch_limit = 16;
 };
 
-class Worker {
+/// A blocking wait loop's description of its empty pass, which lets
+/// progress() park the loop (docs/SIM_ENGINE.md "Parked waiters").
+struct IdleLoop {
+  /// Everything one empty pass of the loop consumes, in draw order.
+  std::span<const cpu::CostSpec* const> pass_costs;
+  /// The loop's watchdog: it exits at the first pass that starts after
+  /// this time. TimePs::max() when it has none.
+  TimePs deadline = TimePs::max();
+  /// True while the loop would keep spinning: its own exit condition is
+  /// false and no upper-layer work is queued. Only writes into the node
+  /// and work on the loop's core may change it.
+  bool (*spinning)(const void* ctx) = nullptr;
+  const void* ctx = nullptr;
+
+  /// Binds `spinning` to a callable that must outlive the loop.
+  template <typename F>
+  static IdleLoop of(std::span<const cpu::CostSpec* const> costs,
+                     TimePs deadline, const F& spinning) {
+    return IdleLoop{costs, deadline,
+                    [](const void* f) { return (*static_cast<const F*>(f))(); },
+                    &spinning};
+  }
+};
+
+class Worker final : private sim::Parked {
  public:
   Worker(cpu::Core& core, nic::HostMemory& host, WorkerConfig cfg = {});
+  ~Worker();
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
 
   cpu::Core& core() { return core_; }
   nic::HostMemory& host() { return host_; }
@@ -57,8 +92,16 @@ class Worker {
   void register_endpoint(Endpoint* ep) { endpoints_.push_back(ep); }
 
   /// One uct_worker_progress pass; returns completions processed (TX ops
-  /// retired count as the number of CQEs dequeued, not ops).
-  sim::Task<std::uint32_t> progress(std::uint32_t max_completions = 0);
+  /// retired count as the number of CQEs dequeued, not ops). With `idle`,
+  /// an empty pass may park the calling loop until something it could
+  /// observe happens; it then returns 0 at the start of the first pass
+  /// after the wake, as the unparked loop would have.
+  sim::Task<std::uint32_t> progress(std::uint32_t max_completions = 0,
+                                    const IdleLoop* idle = nullptr);
+
+  /// Times an idle loop parked, and the empty passes replayed for it.
+  std::uint64_t parks() const { return parks_; }
+  std::uint64_t replayed_passes() const { return replayed_passes_; }
 
   std::uint64_t tx_cqes_polled() const { return tx_cqes_polled_; }
   std::uint64_t tx_ops_retired() const { return tx_ops_retired_; }
@@ -77,6 +120,19 @@ class Worker {
   }
 
  private:
+  struct Park {
+    Worker& w;
+    const IdleLoop& loop;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) { w.park(h, loop); }
+    void await_resume() const noexcept {}
+  };
+  bool can_park(const IdleLoop& loop) const;
+  void park(std::coroutine_handle<> h, const IdleLoop& loop);
+  /// sim::Parked: a write was scheduled into the node, another process
+  /// used the core, or the deadline passed.
+  void wake() override;
+
   cpu::Core& core_;
   nic::HostMemory& host_;
   WorkerConfig cfg_;
@@ -90,6 +146,14 @@ class Worker {
   std::uint64_t error_completions_ = 0;
   std::uint64_t flushed_completions_ = 0;
   fault::FaultStats* fault_stats_ = nullptr;
+  // Parking state: the suspended pass, its loop, and the start of the
+  // first pass not yet replayed.
+  std::coroutine_handle<> parked_;
+  const IdleLoop* loop_ = nullptr;
+  TimePs next_pass_;
+  sim::Timer deadline_;
+  std::uint64_t parks_ = 0;
+  std::uint64_t replayed_passes_ = 0;
 };
 
 }  // namespace bb::llp

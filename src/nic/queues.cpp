@@ -10,6 +10,7 @@ std::optional<Cqe> CqRing::poll(TimePs now) {
   }
   Cqe e = entries_.front();
   entries_.pop_front();
+  if (present_ != nullptr) --*present_;
   return e;
 }
 
@@ -35,7 +36,31 @@ std::optional<pcie::WireMd> HostMemory::take_staged(std::uint32_t qp) {
   return md;
 }
 
+void HostMemory::note_write_scheduled() {
+  ++writes_in_flight_;
+  // Each wake() unparks its poller, which removes it from the list.
+  while (!parked_.empty()) {
+    const std::size_t before = parked_.size();
+    parked_.back()->wake();
+    BB_ASSERT_MSG(parked_.size() < before, "woken poller stayed parked");
+  }
+}
+
+void HostMemory::unpark(sim::Parked* p) {
+  for (auto& q : parked_) {
+    if (q == p) {
+      q = parked_.back();
+      parked_.pop_back();
+      return;
+    }
+  }
+  BB_UNREACHABLE("unpark of a poller that is not parked here");
+}
+
 void HostMemory::commit_write(const pcie::Tlp& tlp, TimePs visible_at) {
+  // Writes committed without a prior notice (direct use in unit tests)
+  // leave the in-flight count alone.
+  if (writes_in_flight_ > 0) --writes_in_flight_;
   // Error forwarding: a poisoned DMA write still lands (the RC commits
   // it), but any completion it carries is flagged as an error.
   const common::Status st =

@@ -14,11 +14,13 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "common/status.hpp"
 #include "common/units.hpp"
 #include "pcie/root_complex.hpp"
 #include "pcie/tlp.hpp"
+#include "sim/simulator.hpp"
 
 namespace bb::nic {
 
@@ -41,10 +43,17 @@ struct Cqe {
 /// A CQ ring in host memory.
 class CqRing {
  public:
-  void push(Cqe e) { entries_.push_back(e); ++total_pushed_; }
+  void push(Cqe e) {
+    entries_.push_back(e);
+    ++total_pushed_;
+    if (present_ != nullptr) ++*present_;
+  }
 
   /// Dequeues the oldest entry visible at `now`, if any.
   std::optional<Cqe> poll(TimePs now);
+  /// Keeps `*counter` equal to the sum of depth() over every ring that
+  /// shares it (HostMemory's TX-CQE count).
+  void count_into(std::size_t* counter) { present_ = counter; }
   /// Entries currently visible at `now` (without dequeuing).
   std::size_t visible_count(TimePs now) const;
   /// Entries present regardless of visibility.
@@ -54,6 +63,7 @@ class CqRing {
  private:
   std::deque<Cqe> entries_;
   std::uint64_t total_pushed_ = 0;
+  std::size_t* present_ = nullptr;
 };
 
 /// The host-memory image of one node: CQ rings, the staged-descriptor ring
@@ -61,8 +71,33 @@ class CqRing {
 /// the RC's memory sink and DMA-read provider.
 class HostMemory {
  public:
-  CqRing& tx_cq(std::uint32_t qp) { return tx_cqs_[qp]; }
+  HostMemory() { parked_.reserve(4); }
+  HostMemory(const HostMemory&) = delete;
+  HostMemory& operator=(const HostMemory&) = delete;
+
+  /// The TX CQ of `qp`, created on first use. The reference is stable
+  /// (map nodes never move), so endpoints cache it.
+  CqRing& tx_cq(std::uint32_t qp) {
+    auto [it, created] = tx_cqs_.try_emplace(qp);
+    if (created) it->second.count_into(&tx_cqes_present_);
+    return it->second;
+  }
   CqRing& rx_cq() { return rx_cq_; }
+  /// TX completion entries present across every TX CQ: zero lets a
+  /// progress pass skip its walk over the endpoints' rings.
+  std::size_t tx_cqes_present() const { return tx_cqes_present_; }
+
+  /// Root Complex notice, given when a DMA write into this memory is
+  /// scheduled (at TLP arrival, before its commit is queued). A scheduled
+  /// write is the only event that can change what an idle poller of this
+  /// memory finds, so every parked poller is woken here
+  /// (docs/SIM_ENGINE.md "Parked waiters").
+  void note_write_scheduled();
+  /// Writes noticed but not yet committed.
+  std::uint32_t writes_in_flight() const { return writes_in_flight_; }
+  /// Registers / removes a poller parked until the next write notice.
+  void park(sim::Parked* p) { parked_.push_back(p); }
+  void unpark(sim::Parked* p);
 
   /// Node-wide unique message ids (several workers/cores on one node
   /// share the NIC, whose in-flight tracking is keyed by msg_id).
@@ -97,7 +132,10 @@ class HostMemory {
 
  private:
   std::map<std::uint32_t, CqRing> tx_cqs_;
+  std::size_t tx_cqes_present_ = 0;
   CqRing rx_cq_;
+  std::uint32_t writes_in_flight_ = 0;
+  std::vector<sim::Parked*> parked_;
   std::map<std::uint32_t, std::deque<pcie::WireMd>> staged_;
   std::uint64_t next_msg_id_ = 1;
   std::function<void()> commit_hook_;

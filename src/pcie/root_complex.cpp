@@ -65,6 +65,9 @@ void RootComplex::on_upstream_tlp(const Tlp& tlp) {
       const TimePs visible = sim_.now() + params_.rc_to_mem(tlp.bytes);
       ++mem_writes_committed_;
       if (mem_sink_) {
+        // The notice precedes the commit's call_at, so a poller it wakes
+        // is queued ahead of the commit, as it was had it never parked.
+        if (write_notice_) write_notice_();
         sim_.call_at(visible,
                      [this, tlp, visible] { mem_sink_(tlp, visible); });
       }

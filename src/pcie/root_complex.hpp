@@ -54,6 +54,12 @@ class RootComplex {
   RootComplex& operator=(const RootComplex&) = delete;
 
   void set_memory_sink(MemorySink sink) { mem_sink_ = std::move(sink); }
+  /// Told when an inbound DMA write is scheduled -- at TLP arrival,
+  /// before its commit is queued -- so the memory can wake pollers
+  /// parked on it (docs/SIM_ENGINE.md "Parked waiters").
+  void set_write_notice(std::function<void()> notice) {
+    write_notice_ = std::move(notice);
+  }
   void set_read_provider(ReadProvider p) { read_provider_ = std::move(p); }
 
   /// Posted MMIO write from a CPU core (fire-and-forget: posted writes do
@@ -81,6 +87,7 @@ class RootComplex {
   sim::Channel<Tlp> ingress_;
   sim::Signal credit_avail_;
   MemorySink mem_sink_;
+  std::function<void()> write_notice_;
   ReadProvider read_provider_;
   std::uint64_t mmio_issued_ = 0;
   std::uint64_t mem_writes_committed_ = 0;

@@ -24,6 +24,7 @@ Testbed::Node::Node(sim::Simulator& sim, net::Fabric& fabric,
     worker.set_fault_stats(&injector.stats());
   }
   host.set_commit_hook([this] { cq_interrupt.fire(); });
+  rc.set_write_notice([this] { host.note_write_scheduled(); });
   rc.set_memory_sink([this](const pcie::Tlp& tlp, TimePs visible_at) {
     if (tlp.poisoned) ++injector.stats().poisoned_delivered;
     host.commit_write(tlp, visible_at);

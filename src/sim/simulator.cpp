@@ -17,6 +17,9 @@ void notify_root_error(void* simulator, std::uint32_t root_index,
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
 
 Simulator::~Simulator() {
+  // Timers still armed belong to components that may outlive us; detach
+  // them so their own cancel() has nothing left to do.
+  for (Timer* tm : timers_) tm->index_ = Timer::kNotQueued;
   // Destroy any still-suspended root frames. Nothing may be resumed after
   // this, so dangling waiter entries inside channels are harmless.
   for (auto& r : roots_) {
@@ -142,6 +145,7 @@ bool Simulator::pick_next(TimePs& t, detail::EventItem& item) {
 }
 
 bool Simulator::has_event_at_or_before(TimePs t) const {
+  if (!timers_.empty() && TimePs(timers_.front()->t_ps_) <= t) return true;
   if (!ring_.empty()) return now_ <= t;
   if (!run_.empty() && TimePs(run_.front_time()) <= t) return true;
   if (!heap_.empty() && heap_.top_time() <= t) return true;
@@ -149,11 +153,104 @@ bool Simulator::has_event_at_or_before(TimePs t) const {
 }
 
 bool Simulator::step_impl() {
+  if (!timers_.empty() && timer_runs_next()) [[unlikely]] {
+    fire_timer();
+    return true;
+  }
   TimePs t;
   detail::EventItem item;
   if (!pick_next(t, item)) return false;
   dispatch(t, item);
   return true;
+}
+
+// Whether the earliest timer precedes every queued event in (time, seq).
+bool Simulator::timer_runs_next() const {
+  const Timer& tm = *timers_.front();
+  const auto precedes = [&tm](std::int64_t t, std::uint64_t seq) {
+    return tm.t_ps_ != t ? tm.t_ps_ < t : tm.seq_ < seq;
+  };
+  if (!ring_.empty() && !precedes(now_.ps(), ring_.head().seq)) return false;
+  if (!run_.empty() && !precedes(run_.front_time(), run_.front_seq())) {
+    return false;
+  }
+  if (!heap_.empty() && !precedes(heap_.top_time().ps(), heap_.top_seq())) {
+    return false;
+  }
+  return true;
+}
+
+void Simulator::fire_timer() {
+  Timer* tm = timers_.front();
+  timer_remove(tm);
+  now_ = TimePs(tm->t_ps_);
+  ++events_processed_;
+  if (event_limit_ != 0 && events_processed_ > event_limit_) {
+    throw EventLimitError(event_limit_);
+  }
+  tm->fn_(tm->ctx_);
+  if (root_error_) [[unlikely]] {
+    rethrow_root_error();
+  }
+}
+
+void Simulator::timer_push(Timer* tm) {
+  tm->index_ = timers_.size();
+  timers_.push_back(tm);
+  timer_sift_up(tm->index_);
+}
+
+void Simulator::timer_remove(Timer* tm) {
+  const std::size_t i = tm->index_;
+  tm->index_ = Timer::kNotQueued;
+  Timer* last = timers_.back();
+  timers_.pop_back();
+  if (last == tm) return;
+  timers_[i] = last;
+  last->index_ = i;
+  timer_sift_up(i);
+  timer_sift_down(last->index_);
+}
+
+void Simulator::timer_sift_up(std::size_t i) {
+  Timer* tm = timers_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!tm->before(*timers_[parent])) break;
+    timers_[i] = timers_[parent];
+    timers_[i]->index_ = i;
+    i = parent;
+  }
+  timers_[i] = tm;
+  tm->index_ = i;
+}
+
+void Simulator::timer_sift_down(std::size_t i) {
+  Timer* tm = timers_[i];
+  const std::size_t n = timers_.size();
+  for (;;) {
+    std::size_t best = 2 * i + 1;
+    if (best >= n) break;
+    if (best + 1 < n && timers_[best + 1]->before(*timers_[best])) ++best;
+    if (!timers_[best]->before(*tm)) break;
+    timers_[i] = timers_[best];
+    timers_[i]->index_ = i;
+    i = best;
+  }
+  timers_[i] = tm;
+  tm->index_ = i;
+}
+
+void Timer::arm(TimePs t) {
+  BB_ASSERT_MSG(t >= sim_.now(), "cannot arm a timer in the past");
+  cancel();
+  t_ps_ = t.ps();
+  seq_ = sim_.next_seq_++;
+  sim_.timer_push(this);
+}
+
+void Timer::cancel() {
+  if (armed()) sim_.timer_remove(this);
 }
 
 void Simulator::run() {

@@ -52,6 +52,56 @@ class EventLimitError : public std::runtime_error {
   std::uint64_t limit_;
 };
 
+class Simulator;
+
+/// A process suspended on no queue by the component that parked it
+/// (docs/SIM_ENGINE.md "Parked waiters"). Whatever could change what the
+/// process does next calls wake(); the parker then replays the time the
+/// process skipped and schedules its real resume.
+class Parked {
+ public:
+  virtual void wake() = 0;
+
+ protected:
+  ~Parked() = default;
+};
+
+/// A cancellable one-shot wake-up. A `call_at` event cannot be withdrawn
+/// once queued; a Timer can: cancel() takes it off the queue outright, so
+/// a cancelled timer neither runs, counts as an event, nor moves now()
+/// when the queue drains. Timers keep their own small indexed heap inside
+/// the Simulator (they are few -- one per parked waiter with a deadline)
+/// and merge with the other queues by the same (time, seq) order.
+class Timer {
+ public:
+  using Fn = void (*)(void* ctx);
+  Timer(Simulator& sim, Fn fn, void* ctx) : sim_(sim), fn_(fn), ctx_(ctx) {}
+  ~Timer() { cancel(); }
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// (Re)schedules the wake-up at absolute time `t` (>= now).
+  void arm(TimePs t);
+  /// Withdraws a pending wake-up; no-op when not armed.
+  void cancel();
+  bool armed() const { return index_ != kNotQueued; }
+
+ private:
+  friend class Simulator;
+  static constexpr std::size_t kNotQueued = ~std::size_t{0};
+
+  bool before(const Timer& o) const {
+    return t_ps_ != o.t_ps_ ? t_ps_ < o.t_ps_ : seq_ < o.seq_;
+  }
+
+  Simulator& sim_;
+  Fn fn_;
+  void* ctx_;
+  std::int64_t t_ps_ = 0;
+  std::uint64_t seq_ = 0;
+  std::size_t index_ = kNotQueued;
+};
+
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed = 42);
@@ -136,7 +186,21 @@ class Simulator {
 
   std::uint64_t events_processed() const { return events_processed_; }
   bool idle() const {
-    return ring_.empty() && run_.empty() && heap_.empty();
+    return ring_.empty() && run_.empty() && heap_.empty() && timers_.empty();
+  }
+
+  /// Processes currently parked: suspended on no queue by a component
+  /// that replays their idle time arithmetically and reschedules them
+  /// when something they could observe happens (llp::Worker's idle
+  /// progress loops; docs/SIM_ENGINE.md "Parked waiters"). A process
+  /// still parked when the queue drains, with no deadline to wake it,
+  /// is deadlocked -- the event-free form of a spinning livelock.
+  std::size_t parked() const { return parked_; }
+  /// Bookkeeping for parked(), called by the parking component.
+  void note_parked() { ++parked_; }
+  void note_unparked() {
+    BB_ASSERT_MSG(parked_ > 0, "unpark without a parked process");
+    --parked_;
   }
 
   /// Safety valve against runaway process loops; 0 disables. Exceeding the
@@ -151,6 +215,7 @@ class Simulator {
                        std::exception_ptr error) noexcept;
 
  private:
+  friend class Timer;
   struct RootProcess {
     std::coroutine_handle<detail::Promise<void>> handle;
     std::string name;
@@ -171,6 +236,14 @@ class Simulator {
   bool pick_next(TimePs& t, detail::EventItem& item);
   bool has_event_at_or_before(TimePs t) const;
   void dispatch(TimePs t, detail::EventItem item);
+  // Timer heap (binary, indexed: each Timer knows its slot, so cancel
+  // is O(log n) removal rather than a tombstone left in the queue).
+  bool timer_runs_next() const;
+  void fire_timer();
+  void timer_push(Timer* tm);
+  void timer_remove(Timer* tm);
+  void timer_sift_up(std::size_t i);
+  void timer_sift_down(std::size_t i);
   [[noreturn]] void rethrow_root_error();
   void drop_pending() noexcept;
 
@@ -182,6 +255,8 @@ class Simulator {
   detail::ReadyRing ring_;
   detail::MonotoneRun run_;
   detail::TimerHeap heap_;
+  std::vector<Timer*> timers_;
+  std::size_t parked_ = 0;
   std::exception_ptr root_error_;
   std::uint32_t root_error_index_ = 0;
   std::vector<RootProcess> roots_;

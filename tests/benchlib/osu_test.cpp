@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/models.hpp"
+#include "scenario/mpi_stack.hpp"
 #include "scenario/testbed.hpp"
 
 namespace bb::bench {
@@ -114,6 +115,52 @@ TEST(OsuLatency, ReceiverWaitEntryOverlapsFlight) {
   const double without_entry = b2.run().adjusted_mean_ns;
 
   EXPECT_LT(with_entry - without_entry, 208.41 * 0.75);
+}
+
+TEST(OsuLatency, RendezvousSizesRecordEverySample) {
+  // At >= 1 KiB each reply is a rendezvous send; the responder must drive
+  // it to completion or the last RTS is never answered.
+  scenario::Testbed tb(scenario::presets::thunderx2_cx4());
+  OsuLatency bench(tb, {.iterations = 50, .warmup = 5, .bytes = 4096});
+  const LatencyResult res = bench.run();
+  EXPECT_EQ(res.half_rtt_raw.size(), 50u);
+  EXPECT_EQ(tb.sim().parked(), 0u);
+}
+
+// The responder as it was before it waited on its sends: the last reply's
+// RTS is never answered, so the initiator's final wait can never finish.
+// Its spinning loop parks instead, and the deadlock is visible as a
+// process left parked when the queue drains.
+TEST(OsuLatency, UnwaitedRendezvousReplyDeadlocksParked) {
+  scenario::Testbed tb(scenario::presets::thunderx2_cx4());
+  scenario::MpiStack a(tb, 0), b(tb, 1);
+  tb.node(0).nic.post_receives(64);
+  tb.node(1).nic.post_receives(64);
+  constexpr int kIters = 6;
+  int completed = 0;
+  tb.sim().spawn(
+      [](scenario::MpiStack& st, int& done) -> sim::Task<void> {
+        for (int i = 0; i < kIters; ++i) {
+          hlp::Request* rr = st.mpi().irecv(4096).value();
+          (void)co_await st.mpi().isend(4096);
+          co_await st.mpi().wait(rr);
+          ++done;
+        }
+      }(a, completed),
+      "initiator");
+  tb.sim().spawn(
+      [](scenario::MpiStack& st) -> sim::Task<void> {
+        for (int i = 0; i < kIters; ++i) {
+          hlp::Request* rr = st.mpi().irecv(4096).value();
+          co_await st.mpi().wait(rr);
+          (void)co_await st.mpi().isend(4096);
+        }
+      }(b),
+      "pre-fix responder");
+  tb.sim().set_event_limit(1'000'000);
+  tb.sim().run();  // drains instead of spinning into the event limit
+  EXPECT_EQ(completed, kIters - 1);
+  EXPECT_EQ(tb.sim().parked(), 1u);
 }
 
 }  // namespace

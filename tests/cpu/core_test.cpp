@@ -90,5 +90,63 @@ TEST(Core, EmptyFlushIsNoop) {
   EXPECT_EQ(sim.now(), TimePs::zero());
 }
 
+TEST(Core, ReplayDrawsExactlyAsConsume) {
+  // Same seed, same costs: replay returns what consume would accrue, and
+  // both leave the RNG stream and busy time in the same state.
+  sim::Simulator sim_a(11), sim_b(11);
+  Core a(sim_a, CpuCostModel{});
+  Core b(sim_b, CpuCostModel{});
+  a.set_speed_factor(0.93);
+  b.set_speed_factor(0.93);
+  const CostSpec* const pass[] = {&a.costs().ucp_progress_iter,
+                                  &a.costs().llp_empty_progress};
+  TimePs replayed = TimePs::zero();
+  for (int i = 0; i < 50; ++i) replayed += b.replay(pass);
+  for (int i = 0; i < 50; ++i) {
+    a.consume(a.costs().ucp_progress_iter);
+    a.consume(a.costs().llp_empty_progress);
+  }
+  EXPECT_EQ(a.virtual_now(), replayed);
+  EXPECT_EQ(a.busy_time(), b.busy_time());
+  EXPECT_EQ(b.virtual_now(), TimePs::zero());  // nothing accrued
+  EXPECT_EQ(a.consume(a.costs().md_setup), b.consume(b.costs().md_setup));
+}
+
+TEST(Core, TakePendingFlushesWithoutDelay) {
+  sim::Simulator sim;
+  Core core(sim, deterministic_model());
+  core.consume(70_ns);
+  EXPECT_EQ(core.take_pending(), 70_ns);
+  EXPECT_EQ(core.virtual_now(), TimePs::zero());
+  EXPECT_EQ(core.busy_time(), 70_ns);
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(Core, OtherUseOfTheCoreWakesTheParkedLoop) {
+  struct Loop final : sim::Parked {
+    Core* core = nullptr;
+    int wakes = 0;
+    void wake() override {
+      ++wakes;
+      core->set_parked(nullptr);
+    }
+  };
+  sim::Simulator sim;
+  Core core(sim, deterministic_model());
+  Loop loop;
+  loop.core = &core;
+  core.set_parked(&loop);
+  (void)core.virtual_now();  // reading the clock is not a use
+  EXPECT_EQ(loop.wakes, 0);
+  core.consume(core.costs().md_setup);
+  EXPECT_EQ(loop.wakes, 1);
+  core.set_parked(&loop);
+  core.consume(5_ns);
+  EXPECT_EQ(loop.wakes, 2);
+  core.set_parked(&loop);
+  core.set_speed_factor(0.9);
+  EXPECT_EQ(loop.wakes, 3);
+}
+
 }  // namespace
 }  // namespace bb::cpu

@@ -102,5 +102,49 @@ TEST(HostMemory, PayloadReadReturnsSize) {
   EXPECT_EQ(host.serve_read(req).bytes, 4096u);
 }
 
+TEST(HostMemory, CountsTxCqesPresentAcrossRings) {
+  HostMemory host;
+  EXPECT_EQ(host.tx_cqes_present(), 0u);
+  host.tx_cq(1).push(Cqe{1, 1, 0, 0, 10_ns});
+  host.tx_cq(2).push(Cqe{2, 1, 0, 0, 10_ns});
+  host.tx_cq(2).push(Cqe{3, 1, 0, 0, 20_ns});
+  host.rx_cq().push(Cqe{4, 1, 0, 0, 10_ns});  // RX entries are not counted
+  EXPECT_EQ(host.tx_cqes_present(), 3u);
+  EXPECT_FALSE(host.tx_cq(1).poll(5_ns).has_value());
+  EXPECT_EQ(host.tx_cqes_present(), 3u);
+  (void)host.tx_cq(2).poll(30_ns);
+  (void)host.tx_cq(1).poll(30_ns);
+  EXPECT_EQ(host.tx_cqes_present(), 1u);
+}
+
+TEST(HostMemory, WriteNoticeWakesEveryParkedPoller) {
+  struct Poller final : sim::Parked {
+    HostMemory* host = nullptr;
+    int wakes = 0;
+    void wake() override {
+      ++wakes;
+      host->unpark(this);
+    }
+  };
+  HostMemory host;
+  Poller a, b;
+  a.host = b.host = &host;
+  host.park(&a);
+  host.park(&b);
+  host.note_write_scheduled();
+  EXPECT_EQ(a.wakes, 1);
+  EXPECT_EQ(b.wakes, 1);
+  EXPECT_EQ(host.writes_in_flight(), 1u);
+  host.note_write_scheduled();  // nobody parked any more
+  EXPECT_EQ(a.wakes, 1);
+  EXPECT_EQ(host.writes_in_flight(), 2u);
+
+  pcie::Tlp tlp;
+  tlp.type = pcie::TlpType::kMemWrite;
+  tlp.content = pcie::CqeWrite{.qp = 3, .msg_id = 9, .completes = 1};
+  host.commit_write(tlp, 100_ns);
+  EXPECT_EQ(host.writes_in_flight(), 1u);
+}
+
 }  // namespace
 }  // namespace bb::nic

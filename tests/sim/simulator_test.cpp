@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/task.hpp"
@@ -201,6 +204,115 @@ TEST(Simulator, RngDeterministicPerSeed) {
   EXPECT_EQ(a.rng().next_u64(), b.rng().next_u64());
   Simulator d(8);
   EXPECT_EQ(c.rng().next_u64(), d.rng().next_u64());
+}
+
+TEST(Timer, FiresAtArmedTimeAsOneEvent) {
+  Simulator sim;
+  TimePs fired_at;
+  auto fn = [](void* ctx) {
+    auto* p = static_cast<std::pair<Simulator*, TimePs*>*>(ctx);
+    *p->second = p->first->now();
+  };
+  std::pair<Simulator*, TimePs*> ctx{&sim, &fired_at};
+  Timer t(sim, fn, &ctx);
+  t.arm(40_ns);
+  EXPECT_TRUE(t.armed());
+  EXPECT_FALSE(sim.idle());
+  sim.run();
+  EXPECT_EQ(fired_at, 40_ns);
+  EXPECT_FALSE(t.armed());
+  EXPECT_EQ(sim.events_processed(), 1u);
+}
+
+TEST(Timer, CancelLeavesNoEventBehind) {
+  // A cancelled timer must neither run, count, nor move now() when the
+  // queue drains -- the stale-event hazard a call_at would leave.
+  Simulator sim;
+  int fired = 0;
+  Timer t(sim, [](void* c) { ++*static_cast<int*>(c); }, &fired);
+  t.arm(1_us);
+  sim.call_at(10_ns, [&] { t.cancel(); });
+  sim.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.now(), 10_ns);
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(Timer, RearmMovesTheSingleWakeup) {
+  Simulator sim;
+  int fired = 0;
+  Timer t(sim, [](void* c) { ++*static_cast<int*>(c); }, &fired);
+  t.arm(100_ns);
+  t.arm(30_ns);
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 30_ns);
+}
+
+TEST(Timer, OrdersWithEventsByTimeThenScheduleOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  struct Ctx {
+    std::vector<int>* order;
+    int id;
+  };
+  auto fn = [](void* c) {
+    auto* x = static_cast<Ctx*>(c);
+    x->order->push_back(x->id);
+  };
+  Ctx c1{&order, 1}, c3{&order, 3}, c5{&order, 5};
+  Timer t1(sim, fn, &c1), t3(sim, fn, &c3), t5(sim, fn, &c5);
+  sim.call_at(20_ns, [&] { order.push_back(0); });  // scheduled first
+  t1.arm(20_ns);
+  sim.call_at(20_ns, [&] { order.push_back(2); });
+  t3.arm(20_ns);
+  t5.arm(5_ns);
+  sim.call_at(5_ns, [&] { order.push_back(6); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{5, 6, 0, 1, 2, 3}));
+}
+
+TEST(Timer, RunUntilStopsBeforeALaterTimer) {
+  Simulator sim;
+  int fired = 0;
+  Timer t(sim, [](void* c) { ++*static_cast<int*>(c); }, &fired);
+  t.arm(50_ns);
+  sim.run_until(49_ns);
+  EXPECT_EQ(fired, 0);
+  sim.run_until(50_ns);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Timer, ManyTimersFireInOrderAfterCancellations) {
+  Simulator sim;
+  std::vector<std::int64_t> fired;
+  struct Ctx {
+    Simulator* sim;
+    std::vector<std::int64_t>* fired;
+  } ctx{&sim, &fired};
+  auto fn = [](void* c) {
+    auto* x = static_cast<Ctx*>(c);
+    x->fired->push_back(x->sim->now().ps());
+  };
+  std::vector<std::unique_ptr<Timer>> timers;
+  for (int i = 0; i < 20; ++i) {
+    timers.push_back(std::make_unique<Timer>(sim, fn, &ctx));
+    timers.back()->arm(TimePs((i * 7919) % 101 + 1));
+  }
+  for (int i = 0; i < 20; i += 3) timers[static_cast<std::size_t>(i)]->cancel();
+  sim.run();
+  EXPECT_EQ(fired.size(), 13u);
+  EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+}
+
+TEST(Simulator, ParkedCountsProcessesOffTheQueue) {
+  Simulator sim;
+  EXPECT_EQ(sim.parked(), 0u);
+  sim.note_parked();
+  EXPECT_EQ(sim.parked(), 1u);
+  sim.note_unparked();
+  EXPECT_EQ(sim.parked(), 0u);
 }
 
 }  // namespace
