@@ -20,6 +20,7 @@
 #include "benchlib/osu_coll.hpp"
 #include "benchlib/put_bw.hpp"
 #include "exec/exec.hpp"
+#include "llp/worker.hpp"
 #include "scenario/cluster.hpp"
 #include "scenario/testbed.hpp"
 #include "sim/channel.hpp"
@@ -164,6 +165,80 @@ void BM_ChannelPingPongSteady(benchmark::State& state) {
       static_cast<double>(state.iterations() * n * 2);
 }
 BENCHMARK(BM_ChannelPingPongSteady)->Arg(10000);
+
+// A blocking wait parked on its empty passes (docs/SIM_ENGINE.md "Parked
+// waiters"): RDMA writes land in the node every 2 us, each committing
+// 6 us after its notice (a 16 KiB payload's RC-to-MEM), so up to three
+// are in flight at once. Every notice and every commit wakes the loop,
+// which replays the passes it skipped, runs one real pass and parks
+// again. Items = writes; parking, waking and replay must not allocate.
+struct ParkedWaitNode {
+  sim::Simulator sim;
+  cpu::Core core{sim, cpu::CpuCostModel{}};
+  nic::HostMemory host;
+  llp::Worker worker{core, host};
+  pcie::Tlp payload;
+  std::uint64_t target = 0;
+
+  ParkedWaitNode() {
+    payload.type = pcie::TlpType::kMemWrite;
+    payload.content =
+        pcie::PayloadWrite{.bytes = 16384, .op = pcie::WireOp::kRdmaWrite};
+  }
+  bool spinning() const { return host.payload_writes() < target; }
+
+  static sim::Task<void> wait(ParkedWaitNode& n) {
+    const cpu::CostSpec* const pass[] = {&n.core.costs().ucp_progress_iter,
+                                         &n.core.costs().llp_empty_progress};
+    const auto spinning = [&n] { return n.spinning(); };
+    const llp::IdleLoop idle = llp::IdleLoop::of(pass, TimePs::max(), spinning);
+    while (n.spinning()) {
+      n.core.consume(n.core.costs().ucp_progress_iter);
+      (void)co_await n.worker.progress(0, &idle);
+    }
+  }
+  static sim::Task<void> writes(ParkedWaitNode& n, std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      co_await n.sim.delay(2_us);
+      n.host.note_write_scheduled();
+      const TimePs visible = n.sim.now() + 6_us;
+      n.sim.call_at(visible, [&n, visible] {
+        n.host.commit_write(n.payload, visible);
+      });
+    }
+  }
+  void round(std::uint64_t count) {
+    target += count;
+    sim.spawn(wait(*this));
+    sim.spawn(writes(*this, count));
+  }
+};
+
+void BM_ParkedWaitSteady(benchmark::State& state) {
+  ParkedWaitNode n;
+  const auto count = static_cast<std::uint64_t>(state.range(0));
+  n.round(64);  // warm: frame pool, queues and the waiter list
+  n.sim.run();
+  std::uint64_t measured_allocs = 0;
+  for (auto _ : state) {
+    state.PauseTiming();  // spawn bookkeeping is not the hot path
+    n.round(count);
+    const std::uint64_t before = g_heap_allocs.load();
+    state.ResumeTiming();
+    n.sim.run();
+    measured_allocs += g_heap_allocs.load() - before;
+  }
+  benchmark::DoNotOptimize(n.worker.replayed_passes());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(count));
+  state.counters["allocs_per_item"] =
+      static_cast<double>(measured_allocs) /
+      static_cast<double>(state.iterations() * count);
+  state.counters["replayed_per_item"] =
+      static_cast<double>(n.worker.replayed_passes()) /
+      static_cast<double>(n.host.payload_writes());
+}
+BENCHMARK(BM_ParkedWaitSteady)->Arg(1000);
 
 void BM_PutBwSimulationThroughput(benchmark::State& state) {
   for (auto _ : state) {

@@ -21,11 +21,14 @@
 //   bbsim coll genz-switch 8 1024 allreduce
 //   bbsim sweep am_lat --jobs 4
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,6 +70,19 @@ int usage(const char* argv0) {
                "       %s sweep <put_bw|am_lat|osu_mr|osu_lat> [count]\n",
                argv0, argv0, argv0);
   return 2;
+}
+
+/// Parses a whole argument as a decimal number no larger than `max`:
+/// digits only, so a sign, spaces, trailing text or overflow is an error
+/// rather than a wrapped or default value.
+std::optional<std::uint64_t> parse_count(
+    const char* arg,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  const char* end = arg + std::strlen(arg);
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(arg, end, v);
+  if (ec != std::errc{} || ptr != end || v > max) return std::nullopt;
+  return v;
 }
 
 /// One row of `bbsim sweep`: observed + modelled value on one preset.
@@ -132,13 +148,14 @@ int main(int argc, char** argv) {
         metric != "osu_lat") {
       return usage(argv[0]);
     }
-    const std::uint64_t n = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 0;
+    const auto n = argc > 3 ? parse_count(argv[3]) : std::uint64_t{0};
+    if (!n) return usage(argv[0]);
     std::vector<std::string> names;
     for (const auto& [name, _] : reg) names.push_back(name);
     const auto res = exec::run_sweep(
         exec::sweep(names),
         [&](const std::string& name, exec::Job&) {
-          return run_metric(metric, reg.at(name)(), n);
+          return run_metric(metric, reg.at(name)(), *n);
         },
         opts);
     std::fprintf(stderr, "[exec] %s\n", res.summary().c_str());
@@ -167,8 +184,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   const auto cfg = it->second();
-  const std::uint64_t count =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 0;
+  const auto parsed_count = argc > 3 ? parse_count(argv[3]) : std::uint64_t{0};
+  if (!parsed_count) return usage(argv[0]);
+  const std::uint64_t count = *parsed_count;
 
   const auto table = core::ComponentTable::from_config(cfg);
   if (cmd == "put_bw") {
@@ -226,10 +244,16 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "coll") {
+    if (count > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      return usage(argv[0]);
+    }
     const int ranks = count ? static_cast<int>(count) : 8;
-    const std::uint32_t bytes =
-        argc > 4 ? static_cast<std::uint32_t>(std::strtoul(argv[4], nullptr, 10))
-                 : 1024;
+    constexpr std::uint64_t kMaxBytes =
+        std::numeric_limits<std::uint32_t>::max();
+    const auto parsed_bytes =
+        argc > 4 ? parse_count(argv[4], kMaxBytes) : std::uint64_t{1024};
+    if (!parsed_bytes) return usage(argv[0]);
+    const auto bytes = static_cast<std::uint32_t>(*parsed_bytes);
     const std::string which = argc > 5 ? argv[5] : "allreduce";
     bench::OsuColl::Kind kind;
     if (which == "barrier") {

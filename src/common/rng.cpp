@@ -73,12 +73,15 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-double Rng::lognormal_by_moments(double mean, double stddev) {
+Rng::LognormalParams Rng::lognormal_params(double mean, double stddev) {
   BB_ASSERT(mean > 0.0);
   const double cv2 = (stddev / mean) * (stddev / mean);
   const double sigma2 = std::log1p(cv2);
-  const double mu = std::log(mean) - 0.5 * sigma2;
-  return std::exp(mu + std::sqrt(sigma2) * normal());
+  return {std::log(mean) - 0.5 * sigma2, std::sqrt(sigma2)};
+}
+
+double Rng::lognormal(const LognormalParams& p) {
+  return std::exp(p.mu + p.sigma * normal());
 }
 
 double Rng::exponential(double mean) {

@@ -79,9 +79,21 @@ class Rng {
   /// Standard normal via Box-Muller (caches the second variate).
   double normal();
   double normal(double mean, double stddev);
+  /// Parameters of the underlying normal of a lognormal.
+  struct LognormalParams {
+    double mu = 0.0;
+    double sigma = 0.0;
+  };
+  /// The parameters whose lognormal has the given mean and standard
+  /// deviation (moment-matched). Callers drawing many samples of one
+  /// distribution derive them once and draw with lognormal(params).
+  static LognormalParams lognormal_params(double mean, double stddev);
+  double lognormal(const LognormalParams& p);
   /// Lognormal such that the *resulting* distribution has the given
   /// mean and standard deviation (moment-matched).
-  double lognormal_by_moments(double mean, double stddev);
+  double lognormal_by_moments(double mean, double stddev) {
+    return lognormal(lognormal_params(mean, stddev));
+  }
   double exponential(double mean);
   /// True with probability p.
   bool bernoulli(double p);

@@ -41,11 +41,15 @@ class Core {
   /// returns the accrued duration.
   TimePs consume(const CostSpec& spec);
 
-  /// Arithmetic replay of one skipped idle pass (docs/SIM_ENGINE.md
-  /// "Parked waiters"): draws every cost in `costs`, in order, exactly as
-  /// consume() would -- same RNG stream, speed factor and busy-time
-  /// accounting -- and returns their sum instead of accruing it.
-  TimePs replay(std::span<const CostSpec* const> costs);
+  /// Arithmetic replay of skipped idle passes (docs/SIM_ENGINE.md
+  /// "Parked waiters"). Passes start back to back at `start`; each draws
+  /// every cost in `costs` (at most four), in order, exactly as consume()
+  /// would -- same RNG stream, speed factor and busy-time accounting --
+  /// without accruing pending work. Replays every pass that starts
+  /// before `until` (at or before it if `inclusive`), adds their number
+  /// to `passes`, and returns the start of the first pass not replayed.
+  TimePs replay_until(std::span<const CostSpec* const> costs, TimePs start,
+                      TimePs until, bool inclusive, std::uint64_t& passes);
   /// Hands over the pending work without a delay: what a parked loop
   /// does in place of the flush() that would end its pass.
   TimePs take_pending() { return std::exchange(pending_, TimePs::zero()); }
@@ -81,7 +85,7 @@ class Core {
  private:
   void wake_parked() {
     if (parked_ != nullptr) [[unlikely]] {
-      parked_->wake();
+      parked_->wake(sim::Tie::kPassFirst);
     }
   }
   TimePs sample(const CostSpec& spec) {

@@ -11,7 +11,10 @@ Worker::Worker(cpu::Core& core, nic::HostMemory& host, WorkerConfig cfg)
       host_(host),
       cfg_(cfg),
       deadline_(core.simulator(),
-                [](void* w) { static_cast<Worker*>(w)->wake(); }, this) {}
+                [](void* w) {
+                  static_cast<Worker*>(w)->wake(sim::Tie::kPassFirst);
+                },
+                this) {}
 
 Worker::~Worker() {
   if (parked_) {
@@ -92,12 +95,11 @@ sim::Task<std::uint32_t> Worker::progress(std::uint32_t max_completions,
 }
 
 // Parking is exact only while the next pass is bound to come up empty
-// and to cost exactly `pass_costs`: no completion is present or on its
-// way into the node, the loop itself would spin on, and it would not
-// time out before that pass.
+// and to cost exactly `pass_costs`: no completion is present, the loop
+// itself would spin on, and it would not time out before that pass. A
+// write still in flight does not stop it: its commit wakes the loop.
 bool Worker::can_park(const IdleLoop& loop) const {
-  return host_.writes_in_flight() == 0 && host_.rx_cq().depth() == 0 &&
-         host_.tx_cqes_present() == 0 &&
+  return host_.rx_cq().depth() == 0 && host_.tx_cqes_present() == 0 &&
          core_.virtual_now() <= loop.deadline && loop.spinning(loop.ctx);
 }
 
@@ -115,15 +117,16 @@ void Worker::park(std::coroutine_handle<> h, const IdleLoop& loop) {
   ++parks_;
 }
 
-void Worker::wake() {
+void Worker::wake(sim::Tie tie) {
   sim::Simulator& sim = core_.simulator();
-  // A pass that starts at or before the wake is empty: a write noticed
-  // now commits RC-to-MEM later, and a deadline stops only passes that
-  // start after it. Replay those passes; resume at the first one after.
-  while (next_pass_ <= sim.now()) {
-    next_pass_ += core_.replay(loop_->pass_costs);
-    ++replayed_passes_;
-  }
+  // Replay the skipped passes that cannot have seen the wake: those that
+  // start before it, and with kPassFirst one that starts exactly at it
+  // (a write noticed now commits RC-to-MEM later; a deadline stops only
+  // passes that start after it). A pass that starts exactly at a commit
+  // runs after it and sees the write. Resume at the first pass left.
+  next_pass_ = core_.replay_until(loop_->pass_costs, next_pass_, sim.now(),
+                                  tie == sim::Tie::kPassFirst,
+                                  replayed_passes_);
   deadline_.cancel();
   host_.unpark(this);
   core_.set_parked(nullptr);

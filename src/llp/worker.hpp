@@ -13,8 +13,8 @@
 // A blocking wait loop may pass an IdleLoop to progress(): an empty pass
 // then parks the loop instead of scheduling its next poll, and the
 // skipped passes are replayed arithmetically when a write into the node
-// (or the loop's deadline) wakes it -- docs/SIM_ENGINE.md "Parked
-// waiters".
+// (its notice or its commit), other use of the core, or the loop's
+// deadline wakes it -- docs/SIM_ENGINE.md "Parked waiters".
 
 #include <coroutine>
 #include <cstdint>
@@ -129,9 +129,9 @@ class Worker final : private sim::Parked {
   };
   bool can_park(const IdleLoop& loop) const;
   void park(std::coroutine_handle<> h, const IdleLoop& loop);
-  /// sim::Parked: a write was scheduled into the node, another process
-  /// used the core, or the deadline passed.
-  void wake() override;
+  /// sim::Parked: a write was scheduled into or committed to the node,
+  /// another process used the core, or the deadline passed.
+  void wake(sim::Tie tie) override;
 
   cpu::Core& core_;
   nic::HostMemory& host_;

@@ -36,12 +36,11 @@ std::optional<pcie::WireMd> HostMemory::take_staged(std::uint32_t qp) {
   return md;
 }
 
-void HostMemory::note_write_scheduled() {
-  ++writes_in_flight_;
+void HostMemory::wake_parked(sim::Tie tie) {
   // Each wake() unparks its poller, which removes it from the list.
   while (!parked_.empty()) {
     const std::size_t before = parked_.size();
-    parked_.back()->wake();
+    parked_.back()->wake(tie);
     BB_ASSERT_MSG(parked_.size() < before, "woken poller stayed parked");
   }
 }
@@ -58,9 +57,6 @@ void HostMemory::unpark(sim::Parked* p) {
 }
 
 void HostMemory::commit_write(const pcie::Tlp& tlp, TimePs visible_at) {
-  // Writes committed without a prior notice (direct use in unit tests)
-  // leave the in-flight count alone.
-  if (writes_in_flight_ > 0) --writes_in_flight_;
   // Error forwarding: a poisoned DMA write still lands (the RC commits
   // it), but any completion it carries is flagged as an error.
   const common::Status st =
@@ -81,6 +77,7 @@ void HostMemory::commit_write(const pcie::Tlp& tlp, TimePs visible_at) {
   } else {
     BB_UNREACHABLE("unexpected memory write content");
   }
+  wake_parked(sim::Tie::kWakeFirst);
   if (commit_hook_) commit_hook_();
 }
 

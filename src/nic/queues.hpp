@@ -88,14 +88,14 @@ class HostMemory {
   std::size_t tx_cqes_present() const { return tx_cqes_present_; }
 
   /// Root Complex notice, given when a DMA write into this memory is
-  /// scheduled (at TLP arrival, before its commit is queued). A scheduled
-  /// write is the only event that can change what an idle poller of this
-  /// memory finds, so every parked poller is woken here
-  /// (docs/SIM_ENGINE.md "Parked waiters").
-  void note_write_scheduled();
-  /// Writes noticed but not yet committed.
-  std::uint32_t writes_in_flight() const { return writes_in_flight_; }
-  /// Registers / removes a poller parked until the next write notice.
+  /// scheduled (at TLP arrival, before its commit is queued). It wakes
+  /// every parked poller, as commit_write() does again once the write
+  /// lands. Only the commit changes what an idle poller finds; the notice
+  /// makes every pass still parked at the commit one queued after the
+  /// write arrived (docs/SIM_ENGINE.md "Parked waiters").
+  void note_write_scheduled() { wake_parked(sim::Tie::kPassFirst); }
+  /// Registers / removes a poller parked until the next write notice or
+  /// commit.
   void park(sim::Parked* p) { parked_.push_back(p); }
   void unpark(sim::Parked* p);
 
@@ -120,7 +120,9 @@ class HostMemory {
   /// out of sync with the NIC).
   std::optional<pcie::WireMd> take_staged(std::uint32_t qp);
 
-  /// RC memory-sink entry point: a DMA write became visible.
+  /// RC memory-sink entry point: a DMA write became visible. Parked
+  /// pollers are woken once its entry is in place; a pass that starts
+  /// exactly at the commit sees it.
   void commit_write(const pcie::Tlp& tlp, TimePs visible_at);
   /// RC read-provider entry point: a NIC DMA read is being served.
   pcie::ReadCompletion serve_read(const pcie::ReadRequest& req);
@@ -131,10 +133,11 @@ class HostMemory {
   std::uint64_t payload_writes() const { return payload_writes_; }
 
  private:
+  void wake_parked(sim::Tie tie);
+
   std::map<std::uint32_t, CqRing> tx_cqs_;
   std::size_t tx_cqes_present_ = 0;
   CqRing rx_cq_;
-  std::uint32_t writes_in_flight_ = 0;
   std::vector<sim::Parked*> parked_;
   std::map<std::uint32_t, std::deque<pcie::WireMd>> staged_;
   std::uint64_t next_msg_id_ = 1;

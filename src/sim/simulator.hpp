@@ -54,13 +54,23 @@ class EventLimitError : public std::runtime_error {
 
 class Simulator;
 
+/// Where a wake at time t falls against a pass of the parked process
+/// that starts exactly at t.
+enum class Tie : std::uint8_t {
+  /// The pass ran before the waking event and missed it: it is replayed.
+  kPassFirst,
+  /// The waking event ran first and the pass sees it: the process
+  /// resumes at that pass.
+  kWakeFirst,
+};
+
 /// A process suspended on no queue by the component that parked it
 /// (docs/SIM_ENGINE.md "Parked waiters"). Whatever could change what the
 /// process does next calls wake(); the parker then replays the time the
 /// process skipped and schedules its real resume.
 class Parked {
  public:
-  virtual void wake() = 0;
+  virtual void wake(Tie tie) = 0;
 
  protected:
   ~Parked() = default;

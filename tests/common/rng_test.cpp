@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <utility>
 
 namespace bb {
 namespace {
@@ -81,6 +84,29 @@ TEST(Rng, LognormalMatchesRequestedMoments) {
   const double sd = std::sqrt(ss / n - mean * mean);
   EXPECT_NEAR(mean, 282.0, 1.5);
   EXPECT_NEAR(sd, 58.0, 1.5);
+}
+
+TEST(Rng, LognormalFromParamsIsBitwiseLognormalByMoments) {
+  // Batched replay derives the parameters once and draws many samples;
+  // the stream must be the one the per-draw form (and its original
+  // closed-form expression) yields.
+  for (const auto& [m, sd] : {std::pair{18.0, 2.7}, std::pair{282.0, 58.0},
+                             std::pair{0.5, 1.5}}) {
+    Rng a(23), b(23), c(23);
+    const Rng::LognormalParams p = Rng::lognormal_params(m, sd);
+    const double sigma2 = std::log1p((sd / m) * (sd / m));
+    const double mu = std::log(m) - 0.5 * sigma2;
+    for (int i = 0; i < 10000; ++i) {
+      const double batched = a.lognormal(p);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(batched),
+                std::bit_cast<std::uint64_t>(b.lognormal_by_moments(m, sd)))
+          << "draw " << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(batched),
+                std::bit_cast<std::uint64_t>(
+                    std::exp(mu + std::sqrt(sigma2) * c.normal())))
+          << "draw " << i;
+    }
+  }
 }
 
 TEST(Rng, LognormalMedianBelowMean) {

@@ -91,25 +91,55 @@ TEST(Core, EmptyFlushIsNoop) {
 }
 
 TEST(Core, ReplayDrawsExactlyAsConsume) {
-  // Same seed, same costs: replay returns what consume would accrue, and
-  // both leave the RNG stream and busy time in the same state.
-  sim::Simulator sim_a(11), sim_b(11);
-  Core a(sim_a, CpuCostModel{});
-  Core b(sim_b, CpuCostModel{});
-  a.set_speed_factor(0.93);
-  b.set_speed_factor(0.93);
-  const CostSpec* const pass[] = {&a.costs().ucp_progress_iter,
-                                  &a.costs().llp_empty_progress};
-  TimePs replayed = TimePs::zero();
-  for (int i = 0; i < 50; ++i) replayed += b.replay(pass);
-  for (int i = 0; i < 50; ++i) {
-    a.consume(a.costs().ucp_progress_iter);
-    a.consume(a.costs().llp_empty_progress);
+  // Same seed, same costs: replay_until returns where the passes consumed
+  // one at a time end, and both leave the RNG stream and busy time in the
+  // same state -- at unit speed and scaled, with a cost whose hiccup tail
+  // takes the per-sample path beside the batched lognormal ones.
+  for (const double speed : {1.0, 0.93}) {
+    sim::Simulator sim_a(11), sim_b(11);
+    Core a(sim_a, CpuCostModel{});
+    Core b(sim_b, CpuCostModel{});
+    a.set_speed_factor(speed);
+    b.set_speed_factor(speed);
+    const CostSpec hiccup{40.0, 0.2, 0.05, 300.0};
+    const CostSpec* const pass[] = {&a.costs().ucp_progress_iter,
+                                    &a.costs().llp_empty_progress, &hiccup};
+    const TimePs start = 1_us;
+    const TimePs until = 6_us;
+    std::uint64_t replayed = 0;
+    const TimePs next = b.replay_until(pass, start, until, false, replayed);
+    TimePs consumed = start;
+    std::uint64_t passes = 0;
+    while (consumed < until) {
+      for (const CostSpec* c : pass) consumed += a.consume(*c);
+      ++passes;
+    }
+    EXPECT_GT(passes, 50u);
+    EXPECT_EQ(replayed, passes);
+    EXPECT_EQ(next, consumed);
+    EXPECT_EQ(a.busy_time(), b.busy_time());
+    EXPECT_EQ(b.virtual_now(), TimePs::zero());  // nothing accrued
+    EXPECT_EQ(a.consume(a.costs().md_setup), b.consume(b.costs().md_setup));
   }
-  EXPECT_EQ(a.virtual_now(), replayed);
-  EXPECT_EQ(a.busy_time(), b.busy_time());
-  EXPECT_EQ(b.virtual_now(), TimePs::zero());  // nothing accrued
-  EXPECT_EQ(a.consume(a.costs().md_setup), b.consume(b.costs().md_setup));
+}
+
+TEST(Core, ReplayUntilTieRule) {
+  // Fixed 100 ns passes from t=0: a wake at 300 ns replays the pass that
+  // starts exactly there only when the tie is inclusive.
+  sim::Simulator sim;
+  Core core(sim, deterministic_model());
+  const CostSpec pass_cost = CostSpec::fixed(100.0);
+  const CostSpec* const pass[] = {&pass_cost};
+  std::uint64_t n = 0;
+  EXPECT_EQ(core.replay_until(pass, 0_ns, 300_ns, false, n), 300_ns);
+  EXPECT_EQ(n, 3u);
+  EXPECT_EQ(core.replay_until(pass, 0_ns, 300_ns, true, n), 400_ns);
+  EXPECT_EQ(n, 7u);
+  // Nothing left to replay: the start comes back unchanged.
+  EXPECT_EQ(core.replay_until(pass, 300_ns, 300_ns, false, n), 300_ns);
+  EXPECT_EQ(core.replay_until(pass, 350_ns, 300_ns, true, n), 350_ns);
+  EXPECT_EQ(n, 7u);
+  EXPECT_EQ(core.busy_time(), 700_ns);
 }
 
 TEST(Core, TakePendingFlushesWithoutDelay) {
@@ -126,8 +156,9 @@ TEST(Core, OtherUseOfTheCoreWakesTheParkedLoop) {
   struct Loop final : sim::Parked {
     Core* core = nullptr;
     int wakes = 0;
-    void wake() override {
+    void wake(sim::Tie tie) override {
       ++wakes;
+      EXPECT_EQ(tie, sim::Tie::kPassFirst);
       core->set_parked(nullptr);
     }
   };

@@ -87,7 +87,7 @@ TEST(DeterminismGolden, AllreduceOnThunderx2Cx4) {
   cfg.warmup = 5;
   bench::OsuColl b(world, bench::OsuColl::Kind::kAllreduce, cfg);
   (void)b.run();
-  EXPECT_EQ(cl.sim().events_processed(), 41529u);
+  EXPECT_EQ(cl.sim().events_processed(), 30824u);
   EXPECT_EQ(cl.sim().now().ps(), 25006013113);
   EXPECT_EQ(cl.analyzer().trace().size(), 1275u);
   EXPECT_EQ(trace_checksum(cl.analyzer().trace()), 0x1c3fe29c0a532d44ull);

@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -54,11 +55,13 @@ std::uint64_t trace_checksum(const pcie::Trace& tr) {
 // --- Lossy two-node MPI ping-pong: rendezvous, DMA-fetch and inline
 // sizes over a wire dropping 1% of packets, every send waited on.
 
-sim::Task<void> ping(scenario::MpiStack& st, int iters, Fnv& fp) {
-  constexpr std::uint32_t kSizes[] = {8, 512, 16384};
+constexpr std::uint32_t kMixSizes[] = {8, 512, 16384};
+
+sim::Task<void> ping(scenario::MpiStack& st, int iters, Fnv& fp,
+                     std::span<const std::uint32_t> sizes = kMixSizes) {
   cpu::Core& core = st.node().core;
   for (int i = 0; i < iters; ++i) {
-    const std::uint32_t n = kSizes[i % 3];
+    const std::uint32_t n = sizes[i % sizes.size()];
     hlp::Request* rr = st.mpi().irecv(n).value();
     hlp::Request* sr = (co_await st.mpi().isend(n)).value();
     const common::Status s1 = co_await st.mpi().wait(sr);
@@ -69,11 +72,11 @@ sim::Task<void> ping(scenario::MpiStack& st, int iters, Fnv& fp) {
   }
 }
 
-sim::Task<void> pong(scenario::MpiStack& st, int iters, Fnv& fp) {
-  constexpr std::uint32_t kSizes[] = {8, 512, 16384};
+sim::Task<void> pong(scenario::MpiStack& st, int iters, Fnv& fp,
+                     std::span<const std::uint32_t> sizes = kMixSizes) {
   cpu::Core& core = st.node().core;
   for (int i = 0; i < iters; ++i) {
-    const std::uint32_t n = kSizes[i % 3];
+    const std::uint32_t n = sizes[i % sizes.size()];
     hlp::Request* rr = st.mpi().irecv(n).value();
     const common::Status s1 = co_await st.mpi().wait(rr);
     hlp::Request* sr = (co_await st.mpi().isend(n)).value();
@@ -106,8 +109,113 @@ TEST(ParkingGolden, LossyMpiPingPongMatchesSpinningLoop) {
                            4ull));
   EXPECT_GT(tb.node(0).worker.parks(), 0u);
   EXPECT_GT(tb.node(1).worker.parks(), 0u);
-  // The spinning loop took 35079 events.
-  EXPECT_LT(tb.sim().events_processed(), 35079u * 3 / 4);
+  // The spinning loop took 35079 events, and a loop that parks only
+  // while no write is in flight into its node 19590.
+  EXPECT_EQ(tb.sim().events_processed(), 9306u);
+}
+
+// --- A jitter-free 16 KiB rendezvous ping-pong: each payload takes about
+// 6 us from MWr arrival to commit, and both ranks stay parked through it
+// on passes of one fixed length.
+
+TEST(ParkingGolden, DeterministicRendezvousParksThroughPayloadCommit) {
+  scenario::Testbed tb(scenario::presets::deterministic());
+  scenario::MpiStack a(tb, 0);
+  scenario::MpiStack b(tb, 1);
+  tb.node(0).nic.post_receives(256);
+  tb.node(1).nic.post_receives(256);
+  constexpr std::uint32_t kRndv[] = {16384};
+  Fnv fa, fb;
+  tb.sim().spawn(ping(a, 40, fa, kRndv), "ping");
+  tb.sim().spawn(pong(b, 40, fb, kRndv), "pong");
+  tb.sim().run();
+  const auto fp = std::tuple{tb.sim().now().ps(), fa.h, fb.h,
+                             tb.node(0).core.busy_time().ps(),
+                             tb.node(1).core.busy_time().ps()};
+  EXPECT_EQ(fp, std::tuple(380615850, 5920865701941647180ull,
+                           6386066151350062388ull, 372986210, 371779550));
+  EXPECT_GT(tb.node(0).worker.parks(), 0u);
+  EXPECT_GT(tb.node(1).worker.parks(), 0u);
+  // Spinning through every commit window took 21429 events.
+  EXPECT_EQ(tb.sim().events_processed(), 7559u);
+}
+
+// --- A write committed exactly at the start of a pass is seen by that
+// pass, whether the loop spins one event per pass or parks; a write whose
+// notice comes after that pass was queued is not. One node's core, memory
+// and worker, driven directly: jitter-free passes of ucp_progress_iter +
+// llp_empty_progress back to back from t = 0.
+
+struct CommitOnPassStart {
+  sim::Simulator sim{3};
+  cpu::Core core{sim, [] {
+                   cpu::CpuCostModel m;
+                   m.strip_jitter();
+                   return m;
+                 }()};
+  nic::HostMemory host;
+  llp::Worker worker{core, host};
+  TimePs seen_at;
+
+  TimePs pass() const {
+    return core.costs().ucp_progress_iter.mean() +
+           core.costs().llp_empty_progress.mean();
+  }
+
+  sim::Task<void> wait(bool park) {
+    const cpu::CostSpec* const costs[] = {&core.costs().ucp_progress_iter,
+                                          &core.costs().llp_empty_progress};
+    const auto spinning = [this] { return worker.rx_completions() == 0; };
+    const llp::IdleLoop idle =
+        llp::IdleLoop::of(costs, TimePs::max(), spinning);
+    while (worker.rx_completions() == 0) {
+      core.consume(core.costs().ucp_progress_iter);
+      (void)co_await worker.progress(0, park ? &idle : nullptr);
+    }
+    seen_at = core.virtual_now();
+  }
+
+  // The RC's two steps for one inbound send: the notice at MWr arrival,
+  // then the commit at `visible`.
+  sim::Task<void> write(TimePs notice, TimePs visible) {
+    co_await sim.delay(notice);
+    host.note_write_scheduled();
+    sim.call_at(visible, [this, visible] {
+      pcie::Tlp tlp;
+      tlp.type = pcie::TlpType::kMemWrite;
+      tlp.content = pcie::PayloadWrite{.bytes = 8, .op = pcie::WireOp::kSend};
+      host.commit_write(tlp, visible);
+    });
+  }
+
+  TimePs run(bool park, TimePs notice, TimePs visible) {
+    sim.spawn(wait(park), "waiter");
+    sim.spawn(write(notice, visible), "rc");
+    sim.run();
+    EXPECT_EQ(worker.parks() > 0, park);
+    return seen_at;
+  }
+};
+
+TEST(ParkingGolden, CommitOnAPassStartIsSeenByThatPass) {
+  for (const bool park : {false, true}) {
+    CommitOnPassStart n;
+    const TimePs v = n.pass() * 300;
+    const TimePs seen = n.run(park, v - 6_us, v);
+    EXPECT_EQ(seen, v + n.core.costs().ucp_progress_iter.mean() +
+                        n.core.costs().llp_prog.mean())
+        << "park=" << park;
+  }
+  // The notice comes after the pass at the commit time was queued: that
+  // pass misses the write, and the next one sees it.
+  for (const bool park : {false, true}) {
+    CommitOnPassStart n;
+    const TimePs v = n.pass() * 300;
+    const TimePs seen = n.run(park, v - n.pass() / 2, v);
+    EXPECT_EQ(seen, v + n.pass() + n.core.costs().ucp_progress_iter.mean() +
+                        n.core.costs().llp_prog.mean())
+        << "park=" << park;
+  }
 }
 
 // --- An 8-rank allreduce on jitter-free costs: every pass has the same

@@ -117,15 +117,20 @@ TEST(HostMemory, CountsTxCqesPresentAcrossRings) {
   EXPECT_EQ(host.tx_cqes_present(), 1u);
 }
 
+struct Poller final : sim::Parked {
+  HostMemory* host = nullptr;
+  int wakes = 0;
+  sim::Tie tie = sim::Tie::kPassFirst;
+  std::size_t rx_entries = 0;  // RX CQ entries present at the wake
+  void wake(sim::Tie t) override {
+    ++wakes;
+    tie = t;
+    rx_entries = host->rx_cq().depth();
+    host->unpark(this);
+  }
+};
+
 TEST(HostMemory, WriteNoticeWakesEveryParkedPoller) {
-  struct Poller final : sim::Parked {
-    HostMemory* host = nullptr;
-    int wakes = 0;
-    void wake() override {
-      ++wakes;
-      host->unpark(this);
-    }
-  };
   HostMemory host;
   Poller a, b;
   a.host = b.host = &host;
@@ -134,16 +139,42 @@ TEST(HostMemory, WriteNoticeWakesEveryParkedPoller) {
   host.note_write_scheduled();
   EXPECT_EQ(a.wakes, 1);
   EXPECT_EQ(b.wakes, 1);
-  EXPECT_EQ(host.writes_in_flight(), 1u);
+  // A pass that starts at the notice misses the write, which commits
+  // RC-to-MEM later.
+  EXPECT_EQ(a.tie, sim::Tie::kPassFirst);
   host.note_write_scheduled();  // nobody parked any more
   EXPECT_EQ(a.wakes, 1);
-  EXPECT_EQ(host.writes_in_flight(), 2u);
+  EXPECT_EQ(b.wakes, 1);
+}
 
+TEST(HostMemory, CommitWakesEveryParkedPollerWithItsEntryInPlace) {
+  HostMemory host;
+  Poller a, b;
+  a.host = b.host = &host;
+  host.park(&a);
+  host.park(&b);
   pcie::Tlp tlp;
   tlp.type = pcie::TlpType::kMemWrite;
-  tlp.content = pcie::CqeWrite{.qp = 3, .msg_id = 9, .completes = 1};
+  tlp.content = pcie::PayloadWrite{.bytes = 8, .op = pcie::WireOp::kSend};
   host.commit_write(tlp, 100_ns);
-  EXPECT_EQ(host.writes_in_flight(), 1u);
+  EXPECT_EQ(a.wakes, 1);
+  EXPECT_EQ(b.wakes, 1);
+  // A pass that starts at the commit sees it.
+  EXPECT_EQ(a.tie, sim::Tie::kWakeFirst);
+  EXPECT_EQ(a.rx_entries, 1u);
+  EXPECT_EQ(b.rx_entries, 1u);
+
+  // A commit with nobody parked wakes nobody; one parked poller is woken
+  // by a write that carries no completion as well.
+  tlp.content = pcie::CqeWrite{.qp = 3, .msg_id = 9, .completes = 1};
+  host.commit_write(tlp, 120_ns);
+  EXPECT_EQ(a.wakes, 1);
+  host.park(&b);
+  tlp.content = pcie::PayloadWrite{.bytes = 64, .op = pcie::WireOp::kRdmaWrite};
+  host.commit_write(tlp, 140_ns);
+  EXPECT_EQ(a.wakes, 1);
+  EXPECT_EQ(b.wakes, 2);
+  EXPECT_EQ(b.tie, sim::Tie::kWakeFirst);
 }
 
 }  // namespace
