@@ -133,6 +133,39 @@ TEST(DeterminismGolden, LossyAllreduceIdenticalSerialVsParallel) {
   EXPECT_GT(total_dropped, 0u);
 }
 
+// Multi-core injection: two extra cores on node 0, each driving its own
+// worker and endpoint through the shared NIC (the fine-grained scenario
+// of the paper's introduction). Pins the add_core/add_endpoint(WorkerCore&)
+// path, whose QPs and peers come from the machine builder.
+TEST(DeterminismGolden, MultiCoreInjection) {
+  scenario::Testbed tb(scenario::presets::thunderx2_cx4());
+  auto& wc1 = tb.add_core(0);
+  auto& wc2 = tb.add_core(0);
+  auto& ep1 = tb.add_endpoint(wc1, 0);
+  auto& ep2 = tb.add_endpoint(wc2, 0);
+  auto loop = [](scenario::Testbed::WorkerCore& wc,
+                 llp::Endpoint& e) -> sim::Task<void> {
+    for (int i = 0; i < 2000; ++i) {
+      while (co_await e.put_short(8) != llp::Status::kOk) {
+        co_await wc.worker.progress();
+      }
+    }
+    while (co_await e.flush() != llp::Status::kOk) {
+      co_await wc.worker.progress();
+    }
+    while (e.outstanding() > 0) co_await wc.worker.progress();
+  };
+  tb.sim().spawn(loop(wc1, ep1));
+  tb.sim().spawn(loop(wc2, ep2));
+  tb.sim().run();
+  EXPECT_EQ(ep1.outstanding() + ep2.outstanding(), 0u);
+  EXPECT_EQ(tb.node(0).nic.messages_injected(), 4002u);  // + two flushes
+  EXPECT_EQ(tb.sim().events_processed(), 96306u);
+  EXPECT_EQ(tb.sim().now().ps(), 475689431);
+  EXPECT_EQ(tb.analyzer().trace().size(), 24012u);
+  EXPECT_EQ(trace_checksum(tb.analyzer().trace()), 0x85fb3cdf7746714cull);
+}
+
 // Two runs with the same seed must agree event-for-event, independent of
 // the golden constants above (guards nondeterminism that happens to
 // change both runs identically within a process but not across hosts).
