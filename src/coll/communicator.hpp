@@ -35,7 +35,7 @@ class Communicator {
   int rank() const { return rank_; }
   int size() const { return size_; }
   cpu::Core& core() { return node_.core; }
-  scenario::Testbed::Node& node() { return node_; }
+  scenario::Cluster::Node& node() { return node_; }
   const CollTuning& tuning() const;
 
   /// MPI_Isend to `peer`; `data` is the logical payload (may be empty for
@@ -71,7 +71,7 @@ class Communicator {
   sim::Task<common::Status> progress_until(const Done& done);
 
   World& world_;
-  scenario::Testbed::Node& node_;
+  scenario::Cluster::Node& node_;
   int rank_;
   int size_;
   hlp::RxMux mux_;

@@ -7,20 +7,7 @@
 namespace bb::fault {
 
 void FaultStats::merge(const FaultStats& o) {
-  tlps_corrupted += o.tlps_corrupted;
-  tlps_dropped += o.tlps_dropped;
-  acks_dropped += o.acks_dropped;
-  updatefc_dropped += o.updatefc_dropped;
-  naks_sent += o.naks_sent;
-  replays += o.replays;
-  replay_timeouts += o.replay_timeouts;
-  duplicates_dropped += o.duplicates_dropped;
-  fc_reemissions += o.fc_reemissions;
-  poisoned_tlps += o.poisoned_tlps;
-  poisoned_delivered += o.poisoned_delivered;
-  error_cqes += o.error_cqes;
-  read_retries += o.read_retries;
-  busy_post_retries += o.busy_post_retries;
+  for (const auto& [name, field] : kFaultStatsFields) this->*field += o.*field;
 }
 
 std::string FaultStats::render(const std::string& title) const {

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -174,6 +175,26 @@ struct FaultStats {
   void merge(const FaultStats& o);
   /// Two-column table for reports (bb::prof attaches this to its output).
   std::string render(const std::string& title = "Fault stats") const;
+};
+
+/// Every FaultStats counter with its field name: merge() sums them, and
+/// scenario::Cluster publishes them as `fault.<name>` profiler counters.
+inline constexpr std::pair<const char*, std::uint64_t FaultStats::*>
+    kFaultStatsFields[] = {
+        {"tlps_corrupted", &FaultStats::tlps_corrupted},
+        {"tlps_dropped", &FaultStats::tlps_dropped},
+        {"acks_dropped", &FaultStats::acks_dropped},
+        {"updatefc_dropped", &FaultStats::updatefc_dropped},
+        {"naks_sent", &FaultStats::naks_sent},
+        {"replays", &FaultStats::replays},
+        {"replay_timeouts", &FaultStats::replay_timeouts},
+        {"duplicates_dropped", &FaultStats::duplicates_dropped},
+        {"fc_reemissions", &FaultStats::fc_reemissions},
+        {"poisoned_tlps", &FaultStats::poisoned_tlps},
+        {"poisoned_delivered", &FaultStats::poisoned_delivered},
+        {"error_cqes", &FaultStats::error_cqes},
+        {"read_retries", &FaultStats::read_retries},
+        {"busy_post_retries", &FaultStats::busy_post_retries},
 };
 
 /// Per-link fault decision source. One injector serves both directions of

@@ -7,13 +7,15 @@
 
 namespace bb::llp {
 
-Endpoint::Endpoint(Worker& worker, pcie::RootComplex& rc, EndpointConfig cfg,
-                   nic::Nic* nic)
+Endpoint::Endpoint(Worker& worker, pcie::RootComplex& rc, nic::Nic& nic,
+                   std::uint32_t qp, int peer_node, EndpointConfig cfg)
     : worker_(worker),
       rc_(rc),
+      nic_(nic),
+      qp_(qp),
+      peer_node_(peer_node),
       cfg_(cfg),
-      tx_cq_(worker.host().tx_cq(cfg.qp)),
-      nic_(nic) {
+      tx_cq_(worker.host().tx_cq(qp)) {
   // With moderation period > TxQ depth the queue can fill before any
   // descriptor is signalled, so no CQE is ever generated and every later
   // post busy-loops forever -- the same deadlock a real mlx5 queue pair
@@ -22,7 +24,7 @@ Endpoint::Endpoint(Worker& worker, pcie::RootComplex& rc, EndpointConfig cfg,
                 "unsignalled-completion period must not exceed TxQ depth");
   // Registered-memory payload region: disjoint per QP so concurrent DMA
   // payload fetches from different endpoints never alias.
-  next_payload_addr_ = 0x100000ull * (cfg_.qp + 1ull);
+  next_payload_addr_ = 0x100000ull * (qp_ + 1ull);
   worker_.register_endpoint(this);
 }
 
@@ -108,8 +110,8 @@ sim::Task<Status> Endpoint::post(pcie::WireOp op, std::uint32_t bytes,
 
   pcie::WireMd md;
   md.msg_id = worker_.alloc_msg_id();
-  md.qp = cfg_.qp;
-  md.dst_node = cfg_.peer_node;
+  md.qp = qp_;
+  md.dst_node = peer_node_;
   md.user_data = user_data;
   md.op = op;
   md.payload_bytes = bytes;
@@ -161,7 +163,7 @@ sim::Task<Status> Endpoint::post(pcie::WireOp op, std::uint32_t bytes,
   if (cfg_.use_pio) {
     tlp.content = pcie::DescriptorWrite{md};
   } else {
-    tlp.content = pcie::DoorbellWrite{cfg_.qp, ++doorbell_counter_};
+    tlp.content = pcie::DoorbellWrite{qp_, ++doorbell_counter_};
   }
   rc_.post_mmio(std::move(tlp));
 
@@ -178,11 +180,10 @@ void Endpoint::on_tx_cqe(const nic::Cqe& cqe) {
 }
 
 bool Endpoint::qp_in_error() const {
-  return nic_ != nullptr && nic_->qp_state(cfg_.qp) == nic::QpState::kError;
+  return nic_.qp_state(qp_) == nic::QpState::kError;
 }
 
 sim::Task<Status> Endpoint::reconnect() {
-  if (nic_ == nullptr) co_return Status::kIoError;
   // Drain every outstanding op first. A QP in the error state has
   // already flushed them as error CQEs; a healthy QP finishes them
   // normally. Either way progress() retires them all.
@@ -198,15 +199,15 @@ sim::Task<Status> Endpoint::reconnect() {
   }
   // Modify-QP ladder, then poll for the re-handshake like a verbs driver
   // polls the async event queue.
-  nic_->qp_reset(cfg_.qp);
-  nic_->qp_connect(cfg_.qp, cfg_.peer_node);
+  nic_.qp_reset(qp_);
+  nic_.qp_connect(qp_, peer_node_);
   backoff_ns = 100.0;
-  while (nic_->qp_state(cfg_.qp) == nic::QpState::kConnecting) {
+  while (nic_.qp_state(qp_) == nic::QpState::kConnecting) {
     co_await worker_.core().simulator().delay(TimePs::from_ns(backoff_ns));
     backoff_ns = std::min(backoff_ns * 2.0, 4000.0);
   }
-  co_return nic_->qp_state(cfg_.qp) == nic::QpState::kRts ? Status::kOk
-                                                          : Status::kIoError;
+  co_return nic_.qp_state(qp_) == nic::QpState::kRts ? Status::kOk
+                                                      : Status::kIoError;
 }
 
 }  // namespace bb::llp

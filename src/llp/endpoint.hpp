@@ -29,9 +29,6 @@ class Nic;
 namespace bb::llp {
 
 struct EndpointConfig {
-  std::uint32_t qp = 0;
-  /// Destination node (-1 = the single peer of a two-node testbed).
-  int peer_node = -1;
   /// Transmit-queue depth; posts beyond it fail with kNoResource.
   std::uint32_t txq_depth = 128;
   /// PIO ("BlueFlame") vs DoorBell+DMA descriptor path.
@@ -53,12 +50,15 @@ struct EndpointConfig {
 
 class Endpoint {
  public:
-  /// `nic` (optional) is this node's NIC, used for QP state queries and
-  /// the reconnect path; without it reconnect() reports kIoError.
-  Endpoint(Worker& worker, pcie::RootComplex& rc, EndpointConfig cfg,
-           nic::Nic* nic = nullptr);
+  /// `nic` is this node's NIC (QP state queries and the reconnect path).
+  /// The machine builder assigns `qp` (unique per machine, so no two
+  /// endpoints share a TX CQ) and the destination `peer_node`.
+  Endpoint(Worker& worker, pcie::RootComplex& rc, nic::Nic& nic,
+           std::uint32_t qp, int peer_node, EndpointConfig cfg);
 
-  /// The qp is fixed at construction (its TX CQ is cached).
+  /// The qp and peer are fixed at construction (the TX CQ is cached).
+  std::uint32_t qp() const { return qp_; }
+  int peer_node() const { return peer_node_; }
   const EndpointConfig& config() const { return cfg_; }
   EndpointConfig& config() { return cfg_; }
   /// This endpoint's TX CQ in host memory.
@@ -122,9 +122,11 @@ class Endpoint {
 
   Worker& worker_;
   pcie::RootComplex& rc_;
+  nic::Nic& nic_;
+  const std::uint32_t qp_;
+  const int peer_node_;
   EndpointConfig cfg_;
   nic::CqRing& tx_cq_;
-  nic::Nic* nic_ = nullptr;
   std::uint32_t outstanding_ = 0;
   std::uint64_t posted_ = 0;
   std::uint64_t busy_posts_ = 0;

@@ -6,25 +6,9 @@
 namespace bb::net {
 
 void TransportStats::merge(const TransportStats& o) {
-  packets_sent += o.packets_sent;
-  data_packets_sent += o.data_packets_sent;
-  packets_delivered += o.packets_delivered;
-  packets_dropped += o.packets_dropped;
-  packets_corrupted += o.packets_corrupted;
-  packets_duplicated += o.packets_duplicated;
-  packets_reordered += o.packets_reordered;
-  retransmits += o.retransmits;
-  acks_sent += o.acks_sent;
-  acks_received += o.acks_received;
-  naks_sent += o.naks_sent;
-  naks_received += o.naks_received;
-  rnr_naks_sent += o.rnr_naks_sent;
-  rnr_naks_received += o.rnr_naks_received;
-  duplicates_discarded += o.duplicates_discarded;
-  retry_timer_firings += o.retry_timer_firings;
-  qp_errors += o.qp_errors;
-  qp_recoveries += o.qp_recoveries;
-  flushed_wqes += o.flushed_wqes;
+  for (const auto& [name, field] : kTransportStatsFields) {
+    this->*field += o.*field;
+  }
 }
 
 std::string TransportStats::render(const std::string& title) const {

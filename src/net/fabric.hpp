@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -87,6 +88,31 @@ struct TransportStats {
   void merge(const TransportStats& o);
   /// Two-column table for reports (bb::prof attaches this to its output).
   std::string render(const std::string& title = "Transport stats") const;
+};
+
+/// Every TransportStats counter with its field name: merge() sums them,
+/// and scenario::Cluster publishes them as `net.<name>` profiler counters.
+inline constexpr std::pair<const char*, std::uint64_t TransportStats::*>
+    kTransportStatsFields[] = {
+        {"packets_sent", &TransportStats::packets_sent},
+        {"data_packets_sent", &TransportStats::data_packets_sent},
+        {"packets_delivered", &TransportStats::packets_delivered},
+        {"packets_dropped", &TransportStats::packets_dropped},
+        {"packets_corrupted", &TransportStats::packets_corrupted},
+        {"packets_duplicated", &TransportStats::packets_duplicated},
+        {"packets_reordered", &TransportStats::packets_reordered},
+        {"retransmits", &TransportStats::retransmits},
+        {"acks_sent", &TransportStats::acks_sent},
+        {"acks_received", &TransportStats::acks_received},
+        {"naks_sent", &TransportStats::naks_sent},
+        {"naks_received", &TransportStats::naks_received},
+        {"rnr_naks_sent", &TransportStats::rnr_naks_sent},
+        {"rnr_naks_received", &TransportStats::rnr_naks_received},
+        {"duplicates_discarded", &TransportStats::duplicates_discarded},
+        {"retry_timer_firings", &TransportStats::retry_timer_firings},
+        {"qp_errors", &TransportStats::qp_errors},
+        {"qp_recoveries", &TransportStats::qp_recoveries},
+        {"flushed_wqes", &TransportStats::flushed_wqes},
 };
 
 /// Switched fabric between `node_count` NICs (the paper's testbed has

@@ -248,12 +248,11 @@ void Nic::inject(const pcie::WireMd& md) {
     complete_with_error(md.qp, md.msg_id, common::Status::kFlushed);
     return;
   }
-  const int dst = md.dst_node >= 0 ? md.dst_node : 1 - node_id_;
-  f.peer = dst;
+  f.peer = md.dst_node;
   const std::uint64_t psn = f.next_psn++;
   f.unacked.push_back(TxEntry{psn, md});
   ++messages_injected_;
-  fabric_.send(net::NetPacket::data(md, node_id_, dst, psn));
+  fabric_.send(net::NetPacket::data(md, node_id_, md.dst_node, psn));
   arm_retry_timer(md.qp, f);
 }
 
@@ -601,8 +600,7 @@ void Nic::qp_connect(std::uint32_t qp, int peer_node) {
   TxFlow& f = tx_flows_[qp];
   BB_ASSERT_MSG(f.state == QpState::kReset,
                 "qp_connect requires a RESET QP (call qp_reset first)");
-  if (peer_node >= 0) f.peer = peer_node;
-  if (f.peer < 0) f.peer = 1 - node_id_;
+  f.peer = peer_node;
   f.state = QpState::kConnecting;
   f.cur_timeout_ns = params_.retry_timeout_ns;
   // The modify-QP ladder (reset -> init -> RTR -> RTS on both ends)

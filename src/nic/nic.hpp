@@ -132,9 +132,8 @@ class Nic {
   void qp_reset(std::uint32_t qp);
   /// Re-handshake (reset -> init -> RTR -> RTS): after `qp_recovery_ns`
   /// a connect packet re-synchronises the responder's expected PSN; on
-  /// the connect-ack the QP returns to RTS. `peer_node` < 0 keeps the
-  /// flow's previous peer (or the two-node default).
-  void qp_connect(std::uint32_t qp, int peer_node = -1);
+  /// the connect-ack the QP returns to RTS, sending to `peer_node`.
+  void qp_connect(std::uint32_t qp, int peer_node);
   /// Data packets posted but not yet cumulatively ACKed, all QPs.
   std::size_t tx_unacked() const;
 

@@ -41,7 +41,8 @@ enum class WireOp : std::uint8_t {
 struct WireMd {
   std::uint64_t msg_id = 0;   // simulator-wide message identity
   std::uint32_t qp = 0;       // queue pair the post targets
-  /// Destination node (-1 = the single peer of a two-node testbed).
+  /// Destination node, set by the posting endpoint (-1 = unset; the
+  /// fabric rejects it).
   int dst_node = -1;
   WireOp op = WireOp::kRdmaWrite;
   std::uint32_t payload_bytes = 0;

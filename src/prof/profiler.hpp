@@ -92,7 +92,8 @@ class Profiler {
   void clear() { data_ = ProfileData{}; }
 
   /// Copies the recorded state out of the live profiler -- the handoff
-  /// point from a job-owned Testbed to the caller-side aggregate.
+  /// point from a job-owned Cluster (or Testbed) to the caller-side
+  /// aggregate.
   ProfileData snapshot() const { return data_; }
 
   /// The mean that gets subtracted from every region (Table 1:

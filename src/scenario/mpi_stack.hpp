@@ -24,13 +24,13 @@ class MpiStack {
 
   /// Builds the stack over an existing node + endpoint (e.g. a Cluster
   /// rank whose endpoint targets a specific peer).
-  MpiStack(Testbed::Node& node, llp::Endpoint& endpoint)
+  MpiStack(Cluster::Node& node, llp::Endpoint& endpoint)
       : node_(node),
         endpoint_(endpoint),
         ucp_(std::make_unique<hlp::UcpWorker>(node_.worker, endpoint_)),
         mpi_(std::make_unique<hlp::MpiComm>(*ucp_)) {}
 
-  Testbed::Node& node() { return node_; }
+  Cluster::Node& node() { return node_; }
   llp::Endpoint& endpoint() { return endpoint_; }
   hlp::UcpWorker& ucp() { return *ucp_; }
   hlp::MpiComm& mpi() { return *mpi_; }
@@ -43,7 +43,7 @@ class MpiStack {
     return tb.add_endpoint(node_id, cfg);
   }
 
-  Testbed::Node& node_;
+  Cluster::Node& node_;
   llp::Endpoint& endpoint_;
   std::unique_ptr<hlp::UcpWorker> ucp_;
   std::unique_ptr<hlp::MpiComm> mpi_;

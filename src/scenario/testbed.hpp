@@ -1,111 +1,27 @@
 #pragma once
-// The two-node testbed of §3 (Fig. 3): node 0 (the initiator) and node 1,
-// each with a CPU core, host memory, a PCIe link + Root Complex, and a
-// NIC; the NICs are connected by the interconnect fabric; a passive PCIe
-// analyzer taps node 0's link just before its NIC.
+// The two-node testbed of §3 (Fig. 3): Cluster(cfg, 2) plus pair-peer
+// add_endpoint overloads -- an endpoint on node n targets node 1 - n.
+// Node 0 is the initiator; the analyzer taps its link, just before the NIC.
 
-#include <deque>
-#include <memory>
 #include <optional>
 
-#include "cpu/core.hpp"
-#include "fault/fault.hpp"
-#include "llp/endpoint.hpp"
-#include "llp/worker.hpp"
-#include "net/fabric.hpp"
-#include "nic/nic.hpp"
-#include "nic/queues.hpp"
-#include "pcie/link.hpp"
-#include "pcie/root_complex.hpp"
-#include "pcie/trace.hpp"
-#include "prof/profiler.hpp"
-#include "scenario/config.hpp"
-#include "sim/signal.hpp"
-#include "sim/simulator.hpp"
+#include "scenario/cluster.hpp"
 
 namespace bb::scenario {
 
-class Testbed {
+class Testbed : public Cluster {
  public:
-  struct Node {
-    Node(sim::Simulator& sim, net::Fabric& fabric, const SystemConfig& cfg,
-         int id, pcie::Analyzer* tap);
+  explicit Testbed(SystemConfig cfg) : Cluster(std::move(cfg), 2) {}
 
-    cpu::Core core;
-    prof::Profiler profiler;
-    nic::HostMemory host;
-    /// Per-node fault injector (inert when cfg.fault is disabled); must
-    /// precede `link`, which captures it at construction.
-    fault::FaultInjector injector;
-    pcie::Link link;
-    pcie::RootComplex rc;
-    nic::Nic nic;
-    llp::Worker worker;
-    /// Fires whenever a DMA write (CQE or payload) becomes visible in this
-    /// node's memory -- the basis of interrupt-driven completion (§2).
-    sim::Signal cq_interrupt;
-  };
-
-  explicit Testbed(SystemConfig cfg);
-
-  sim::Simulator& sim() { return sim_; }
-  const SystemConfig& config() const { return cfg_; }
-  net::Fabric& fabric() { return fabric_; }
-  /// The analyzer tapping node 0's link (§3: "just before the NIC").
-  pcie::Analyzer& analyzer() { return analyzer_; }
-  Node& node(int i);
-
-  /// Merged fault/recovery accounting across both nodes' injectors.
-  fault::FaultStats fault_stats() const;
-  /// Rendered fault report (empty table when injection is disabled).
-  std::string fault_report() const;
-  /// Exports the merged fault stats as `fault.*` counters on node 0's
-  /// profiler, so `profiler.report()` shows them next to timing regions.
-  void publish_fault_counters();
-
-  /// Merged reliable-transport accounting: the fabric's wire-side packet
-  /// fates plus both NICs' RC protocol activity (docs/TRANSPORT.md).
-  net::TransportStats net_stats() const;
-  std::string net_report() const;
-  /// Exports the merged transport stats as `net.*` counters on node 0's
-  /// profiler, mirroring publish_fault_counters().
-  void publish_net_counters();
-
-  /// Creates an endpoint on `node_id` targeting the peer, using the config
-  /// template (optionally overridden). Returned reference is stable.
+  using Cluster::add_endpoint;
   llp::Endpoint& add_endpoint(int node_id,
-                              std::optional<llp::EndpointConfig> cfg = {});
-
-  /// An additional CPU core with its own LLP worker on `node_id` -- the
-  /// fine-grained multi-core scenario the paper's introduction motivates
-  /// (every core communicating independently through the shared NIC).
-  struct WorkerCore {
-    cpu::Core core;
-    llp::Worker worker;
-    WorkerCore(sim::Simulator& sim, const cpu::CpuCostModel& m,
-               nic::HostMemory& host, const llp::WorkerConfig& wc,
-               std::string name)
-        : core(sim, m, std::move(name)), worker(core, host, wc) {}
-  };
-  WorkerCore& add_core(int node_id);
-
-  /// An endpoint driven by an extra core's worker, on a fresh QP.
+                              std::optional<llp::EndpointConfig> cfg = {}) {
+    return add_endpoint(node_id, 1 - node_id, std::move(cfg));
+  }
   llp::Endpoint& add_endpoint(WorkerCore& wc, int node_id,
-                              std::optional<llp::EndpointConfig> cfg = {});
-
- private:
-  SystemConfig cfg_;
-  sim::Simulator sim_;
-  /// Wire-level fault source shared by the fabric (inert when
-  /// cfg.fault.wire is disabled); must precede `fabric_`, which captures
-  /// it at construction.
-  fault::WireInjector wire_injector_;
-  net::Fabric fabric_;
-  pcie::Analyzer analyzer_;
-  std::unique_ptr<Node> nodes_[2];
-  std::deque<llp::Endpoint> endpoints_;
-  std::deque<WorkerCore> extra_cores_;
-  std::uint32_t next_qp_ = 100;  // qp ids for add_core-created endpoints
+                              std::optional<llp::EndpointConfig> cfg = {}) {
+    return add_endpoint(wc, node_id, 1 - node_id, std::move(cfg));
+  }
 };
 
 }  // namespace bb::scenario

@@ -21,15 +21,16 @@ std::unique_ptr<scenario::Cluster> make_lossy_cluster(int n, double loss) {
       n);
 }
 
-void check_allreduce_lossy(int n, std::uint32_t bytes, Algo a, double loss,
-                           bool expect_drops) {
-  auto cl = make_lossy_cluster(n, loss);
-  World world(*cl);
+// Runs one allreduce on every rank of `cl` and checks the sums are exact.
+void expect_exact_allreduce(scenario::Cluster& cl, std::uint32_t bytes,
+                            Algo a) {
+  const int n = cl.node_count();
+  World world(cl);
   const std::uint32_t elems = bytes / 8;
   std::vector<std::vector<double>> got(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
-    cl->sim().spawn([](Communicator& c, std::uint32_t b, std::uint32_t e,
-                       Algo algo, std::vector<double>& out) -> sim::Task<void> {
+    cl.sim().spawn([](Communicator& c, std::uint32_t b, std::uint32_t e,
+                      Algo algo, std::vector<double>& out) -> sim::Task<void> {
       std::vector<double> v(e);
       for (std::uint32_t i = 0; i < e; ++i) {
         v[i] = static_cast<double>((c.rank() + 1) * (static_cast<int>(i) + 1));
@@ -38,9 +39,9 @@ void check_allreduce_lossy(int n, std::uint32_t bytes, Algo a, double loss,
       out = std::move(v);
     }(world.comm(r), bytes, elems, a, got[static_cast<std::size_t>(r)]));
   }
-  cl->sim().run();
+  cl.sim().run();
 
-  // Reductions stay exact: the transport hid every loss.
+  // Reductions stay exact: the recovery layers hid every fault.
   for (int r = 0; r < n; ++r) {
     const auto& v = got[static_cast<std::size_t>(r)];
     ASSERT_EQ(v.size(), elems) << "rank " << r << " algo=" << algo_name(a);
@@ -51,6 +52,12 @@ void check_allreduce_lossy(int n, std::uint32_t bytes, Algo a, double loss,
           << "rank " << r << " elem " << i << " algo=" << algo_name(a);
     }
   }
+}
+
+void check_allreduce_lossy(int n, std::uint32_t bytes, Algo a, double loss,
+                           bool expect_drops) {
+  auto cl = make_lossy_cluster(n, loss);
+  expect_exact_allreduce(*cl, bytes, a);
   const net::TransportStats s = cl->net_stats();
   EXPECT_EQ(s.packets_sent + s.packets_duplicated,
             s.packets_delivered + s.packets_dropped + s.packets_corrupted);
@@ -78,6 +85,21 @@ TEST(CollFault, AllreduceExactUnderHeavyWireLoss) {
   // the drop count is deterministic and nonzero).
   check_allreduce_lossy(8, 2048, Algo::kRingAllreduce, 1e-2,
                         /*expect_drops=*/true);
+}
+
+TEST(CollFault, LinkFaultsAccountedAcrossAllNodes) {
+  // PCIe link faults on every node of a 4-rank ring: the data-link layer
+  // replays them underneath the schedule, and the cluster merges every
+  // node's injector into one account.
+  scenario::Cluster cl(scenario::presets::thunderx2_cx4().with(
+                           scenario::overlays::faults(0.05)),
+                       4);
+  expect_exact_allreduce(cl, 2048, Algo::kRingAllreduce);
+  const fault::FaultStats fs = cl.fault_stats();
+  EXPECT_GT(fs.replays, 0u);
+  EXPECT_EQ(fs.poisoned_tlps, 0u);
+  cl.publish_fault_counters();
+  EXPECT_EQ(cl.node(0).profiler.counter("fault.replays"), fs.replays);
 }
 
 TEST(CollFault, WaitWatchdogTurnsAHangIntoTimedOut) {

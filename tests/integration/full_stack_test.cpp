@@ -50,9 +50,7 @@ TEST(FullStack, MixedUctAndMpiTrafficShareTheNic) {
   // drive the same node's NIC on different QPs.
   Testbed tb(scenario::presets::deterministic());
   MpiStack mpi(tb, 0);
-  llp::EndpointConfig raw_cfg = tb.config().endpoint;
-  raw_cfg.qp = 9;
-  auto& raw = tb.add_endpoint(0, raw_cfg);
+  auto& raw = tb.add_endpoint(0);
   tb.node(1).nic.post_receives(64);
 
   tb.sim().spawn([](Testbed& t, MpiStack& st,

@@ -27,8 +27,8 @@ TEST(Worker, EachDequeuedCqeCostsLlpProg) {
   Testbed tb(scenario::presets::deterministic());
   auto& ep = tb.add_endpoint(0);
   // Inject two CQEs directly into the TX CQ at time zero.
-  tb.node(0).host.tx_cq(ep.config().qp).push(nic::Cqe{1, 1, 0, 0, 0_ns});
-  tb.node(0).host.tx_cq(ep.config().qp).push(nic::Cqe{2, 1, 0, 0, 0_ns});
+  tb.node(0).host.tx_cq(ep.qp()).push(nic::Cqe{1, 1, 0, 0, 0_ns});
+  tb.node(0).host.tx_cq(ep.qp()).push(nic::Cqe{2, 1, 0, 0, 0_ns});
   tb.sim().spawn([](Testbed::Node& n, Endpoint& e) -> sim::Task<void> {
     // Make the endpoint accounting consistent with the injected CQEs.
     (void)co_await e.put_short(8);
@@ -47,7 +47,7 @@ TEST(Worker, BatchLimitBoundsDequeues) {
   Testbed tb(cfg);
   auto& ep = tb.add_endpoint(0);
   for (int i = 0; i < 5; ++i) {
-    tb.node(0).host.tx_cq(ep.config().qp).push(
+    tb.node(0).host.tx_cq(ep.qp()).push(
         nic::Cqe{static_cast<std::uint64_t>(i + 1), 1, 0, 0, 0_ns});
   }
   tb.sim().spawn([](Testbed::Node& n, Endpoint& e) -> sim::Task<void> {
@@ -78,7 +78,7 @@ TEST(Worker, RxHandlerInvokedPerReceiveCompletion) {
 TEST(Worker, InvisibleCqesNotDequeued) {
   Testbed tb(scenario::presets::deterministic());
   auto& ep = tb.add_endpoint(0);
-  tb.node(0).host.tx_cq(ep.config().qp).push(nic::Cqe{1, 1, 0, 0, 10_us});
+  tb.node(0).host.tx_cq(ep.qp()).push(nic::Cqe{1, 1, 0, 0, 10_us});
   tb.sim().spawn([](Testbed::Node& n, Endpoint& e) -> sim::Task<void> {
     (void)co_await e.put_short(8);
     EXPECT_EQ(co_await n.worker.progress(), 0u);

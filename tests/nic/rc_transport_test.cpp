@@ -54,7 +54,7 @@ TEST(RcTransport, RnrNakRecoversLatePostedReceive) {
   EXPECT_GE(s.rnr_naks_sent, 1u);
   EXPECT_EQ(s.rnr_naks_sent, s.rnr_naks_received);
   EXPECT_EQ(s.qp_errors, 0u);
-  EXPECT_EQ(tb.node(0).nic.qp_state(0), QpState::kRts);
+  EXPECT_EQ(tb.node(0).nic.qp_state(ep.qp()), QpState::kRts);
   // Exactly-once delivery despite the refusals.
   EXPECT_EQ(tb.node(1).host.payload_bytes_delivered(), 8u);
   EXPECT_EQ(tb.node(1).nic.rq_available(), 3u);
@@ -162,7 +162,7 @@ TEST(RcTransport, RetryExhaustionErrorsFlushesAndRecovers) {
 
     // Retry budget exhausted: QP error, both WQEs flushed with errors.
     EXPECT_TRUE(e.qp_in_error());
-    EXPECT_EQ(n0.nic.qp_state(0), QpState::kError);
+    EXPECT_EQ(n0.nic.qp_state(e.qp()), QpState::kError);
     EXPECT_EQ(e.tx_errors(), 2u);   // kIoError + kFlushed
     EXPECT_EQ(e.tx_flushed(), 1u);  // the op behind the killed one
     EXPECT_EQ(n0.worker.flushed_completions(), 1u);
@@ -177,7 +177,7 @@ TEST(RcTransport, RetryExhaustionErrorsFlushesAndRecovers) {
     // Recovery: reset -> connect handshake -> RTS.
     EXPECT_EQ(co_await e.reconnect(), llp::Status::kOk);
     EXPECT_FALSE(e.qp_in_error());
-    EXPECT_EQ(n0.nic.qp_state(0), QpState::kRts);
+    EXPECT_EQ(n0.nic.qp_state(e.qp()), QpState::kRts);
 
     // The recovered QP carries traffic again (fresh PSN, so the
     // scheduled kill cannot re-trigger).

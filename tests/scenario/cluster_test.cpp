@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "scenario/mpi_stack.hpp"
 
 namespace bb::scenario {
@@ -12,7 +14,32 @@ TEST(Cluster, ConstructsNNodes) {
   EXPECT_EQ(cl.node_count(), 4);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(cl.node(i).nic.node_id(), i);
+    EXPECT_EQ(cl.node(i).core.name(), "core" + std::to_string(i));
   }
+}
+
+TEST(Cluster, ExtraCoresAreNumberedPerNode) {
+  Cluster cl(presets::deterministic(), 3);
+  EXPECT_EQ(cl.add_core(0).core.name(), "core0-1");
+  EXPECT_EQ(cl.add_core(2).core.name(), "core2-1");
+  EXPECT_EQ(cl.add_core(0).core.name(), "core0-2");
+}
+
+TEST(Cluster, ExtraCoreEndpointTargetsExplicitPeer) {
+  Cluster cl(presets::deterministic(), 3);
+  auto& wc = cl.add_core(1);
+  auto& ep = cl.add_endpoint(wc, 1, 2);
+  EXPECT_EQ(ep.peer_node(), 2);
+  cl.sim().spawn([](Cluster::WorkerCore& w,
+                    llp::Endpoint& e) -> sim::Task<void> {
+    while (co_await e.put_short(8) != llp::Status::kOk) {
+      co_await w.worker.progress();
+    }
+    while (e.outstanding() > 0) co_await w.worker.progress();
+  }(wc, ep));
+  cl.sim().run();
+  EXPECT_EQ(cl.node(2).host.payload_bytes_delivered(), 8u);
+  EXPECT_EQ(cl.node(0).host.payload_bytes_delivered(), 0u);
 }
 
 TEST(Cluster, RoutesToExplicitPeer) {
@@ -33,9 +60,9 @@ TEST(Cluster, EndpointsGetUniqueQps) {
   Cluster cl(presets::deterministic(), 3);
   auto& a = cl.add_endpoint(0, 1);
   auto& b = cl.add_endpoint(0, 2);
-  EXPECT_NE(a.config().qp, b.config().qp);
-  EXPECT_EQ(a.config().peer_node, 1);
-  EXPECT_EQ(b.config().peer_node, 2);
+  EXPECT_NE(a.qp(), b.qp());
+  EXPECT_EQ(a.peer_node(), 1);
+  EXPECT_EQ(b.peer_node(), 2);
 }
 
 TEST(Cluster, RingExchangeCompletes) {

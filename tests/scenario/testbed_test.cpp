@@ -41,7 +41,33 @@ TEST(Testbed, AddCoreCreatesIndependentWorkers) {
   // Endpoints created on extra cores get distinct QPs automatically.
   auto& e1 = tb.add_endpoint(wc1, 0);
   auto& e2 = tb.add_endpoint(wc2, 0);
-  EXPECT_NE(e1.config().qp, e2.config().qp);
+  EXPECT_NE(e1.qp(), e2.qp());
+}
+
+TEST(Testbed, EndpointsOnOneNodeGetDistinctQps) {
+  // Regression: two add_endpoint(0) calls used to share QP 0, hence one
+  // TX CQ and one payload region, and the first CQE retired the other
+  // endpoint's ops ("CQE retired more ops than outstanding").
+  Testbed tb(presets::deterministic());
+  auto& a = tb.add_endpoint(0);
+  auto& b = tb.add_endpoint(0);
+  EXPECT_NE(a.qp(), b.qp());
+  tb.sim().spawn([](Testbed& t, llp::Endpoint& x,
+                    llp::Endpoint& y) -> sim::Task<void> {
+    llp::Worker& w = t.node(0).worker;
+    for (int i = 0; i < 100; ++i) {
+      while (co_await x.put_short(8) != llp::Status::kOk) co_await w.progress();
+      while (co_await y.put_short(8) != llp::Status::kOk) co_await w.progress();
+    }
+    while (co_await x.flush() != llp::Status::kOk) co_await w.progress();
+    while (co_await y.flush() != llp::Status::kOk) co_await w.progress();
+    while (x.outstanding() > 0 || y.outstanding() > 0) co_await w.progress();
+  }(tb, a, b));
+  tb.sim().run();
+  EXPECT_EQ(a.outstanding(), 0u);
+  EXPECT_EQ(b.outstanding(), 0u);
+  EXPECT_EQ(a.tx_errors() + b.tx_errors(), 0u);
+  EXPECT_EQ(tb.node(1).host.payload_bytes_delivered(), 2u * 100u * 8u);
 }
 
 TEST(Testbed, ProfilerWiredIntoWorker) {
