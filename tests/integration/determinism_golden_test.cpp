@@ -93,6 +93,25 @@ TEST(DeterminismGolden, AllreduceOnThunderx2Cx4) {
   EXPECT_EQ(trace_checksum(cl.analyzer().trace()), 0x1c3fe29c0a532d44ull);
 }
 
+// Multi-peer rendezvous: at 1024 B every recursive-doubling exchange goes
+// RTS -> CTS -> data put -> FIN, so each rank drives rendezvous state
+// toward several peers at once from one progress engine.
+TEST(DeterminismGolden, RendezvousAllreduceOnThunderx2Cx4) {
+  scenario::Cluster cl(scenario::presets::thunderx2_cx4(), 4);
+  cl.analyzer().set_enabled(true);
+  coll::World world(cl);
+  bench::OsuCollConfig cfg;
+  cfg.bytes = 1024;
+  cfg.iterations = 20;
+  cfg.warmup = 5;
+  bench::OsuColl b(world, bench::OsuColl::Kind::kAllreduce, cfg);
+  (void)b.run();
+  EXPECT_EQ(cl.sim().events_processed(), 22570u);
+  EXPECT_EQ(cl.sim().now().ps(), 25008547534);
+  EXPECT_EQ(cl.analyzer().trace().size(), 1756u);
+  EXPECT_EQ(trace_checksum(cl.analyzer().trace()), 0x8b7705c4692cb94eull);
+}
+
 // Lossy-transport determinism: the wire injector's fault pattern is a
 // pure function of (scenario seed, packet order) -- seed-forked off the
 // simulation's RNG tree, never the host -- so an 8-rank allreduce under
