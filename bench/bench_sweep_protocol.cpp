@@ -30,10 +30,10 @@ double one_way_ns(std::uint32_t bytes, std::uint32_t rndv_threshold) {
   // Build the UCP workers with an explicit threshold.
   llp::EndpointConfig ec = tb.config().endpoint;
   ec.signal.period = 64;
-  auto& ep_a = tb.add_endpoint(0, ec);
-  auto& ep_b = tb.add_endpoint(1, ec);
-  hlp::UcpWorker ucp_a(tb.node(0).worker, ep_a, {rndv_threshold});
-  hlp::UcpWorker ucp_b(tb.node(1).worker, ep_b, {rndv_threshold});
+  hlp::UcpWorker ucp_a(tb.node(0).worker, {rndv_threshold});
+  hlp::UcpWorker ucp_b(tb.node(1).worker, {rndv_threshold});
+  ucp_a.connect(tb.add_endpoint(0, ec));
+  ucp_b.connect(tb.add_endpoint(1, ec));
   hlp::MpiComm mpi_a(ucp_a);
   hlp::MpiComm mpi_b(ucp_b);
   tb.node(0).nic.post_receives(4 * kIters + 16);

@@ -2,14 +2,11 @@
 // The multi-peer communicator bb::coll schedules run over.
 //
 // A Cluster gives every rank one node (core, host memory, PCIe, NIC) and
-// one LLP worker; the pt2pt stack above it (UcpWorker -> MpiComm) models
-// protocol state toward exactly one peer. A Communicator therefore owns
-// one full per-peer stack per remote rank, all demultiplexed over the
-// node's single RX CQ by an hlp::RxMux keyed on the source rank stamped
-// into message headers, and provides the MPI-style progress engine that
-// drives *all* of the rank's peers while blocked -- without it, a
-// rendezvous CTS arriving for peer A while the rank waits on peer B
-// would never be answered (classic multi-endpoint progress).
+// one LLP worker. A Communicator puts the rank's one protocol stack on
+// top: an hlp::UcpWorker connected to every other rank through one
+// endpoint each, and the hlp::MpiComm whose blocking progress engine
+// drives all of those peers while the rank waits -- so a rendezvous CTS
+// arriving for peer A while the rank waits on peer B is still answered.
 //
 // Message payload *contents* ride out of band through World's per-pair
 // FIFO mailboxes (the simulator's wire carries byte counts only); since
@@ -23,7 +20,6 @@
 #include <vector>
 
 #include "hlp/mpi.hpp"
-#include "hlp/mux.hpp"
 #include "scenario/cluster.hpp"
 
 namespace bb::coll {
@@ -48,38 +44,28 @@ class Communicator {
   /// from `peer` (FIFO per pair; call after the matching wait returned).
   std::vector<double> take_data(int peer);
 
-  /// Blocking MPI_Wait: the multi-peer progress engine (all peers'
-  /// pending work + one shared uct_worker_progress per pass).
-  sim::Task<common::Status> wait(hlp::Request* req);
+  /// Blocking MPI_Wait, progressing every peer; kTimedOut after
+  /// CollTuning::wait_timeout_us.
+  sim::Task<common::Status> wait(hlp::Request* req) { return mpi_.wait(req); }
   /// MPI_Waitall over a window.
-  sim::Task<common::Status> waitall(const std::vector<hlp::Request*>& reqs);
+  sim::Task<common::Status> waitall(const std::vector<hlp::Request*>& reqs) {
+    return mpi_.waitall(reqs);
+  }
 
-  /// One progress pass over every peer stack; `idle` as for
-  /// hlp::UcpWorker::progress.
-  sim::Task<std::uint32_t> progress(const llp::IdleLoop* idle = nullptr);
-
-  std::uint64_t isends() const { return isends_; }
-  std::uint64_t waits() const { return waits_; }
+  std::uint64_t isends() const { return mpi_.isends(); }
+  std::uint64_t waits() const { return mpi_.waits(); }
 
  private:
   friend class World;
   Communicator(World& world, scenario::Cluster& cl, int rank,
                std::uint32_t signal_period, std::uint32_t rndv_threshold);
-  bool has_pending_work() const;
-  /// Blocks in the progress engine until `done()` or the watchdog.
-  template <typename Done>
-  sim::Task<common::Status> progress_until(const Done& done);
 
   World& world_;
   scenario::Cluster::Node& node_;
   int rank_;
   int size_;
-  hlp::RxMux mux_;
-  // Indexed by peer rank; the self slot stays empty.
-  std::vector<std::unique_ptr<hlp::UcpWorker>> ucp_;
-  std::vector<std::unique_ptr<hlp::MpiComm>> mpi_;
-  std::uint64_t isends_ = 0;
-  std::uint64_t waits_ = 0;
+  hlp::UcpWorker ucp_;
+  hlp::MpiComm mpi_;
 };
 
 /// All ranks of one job: builds a Communicator per cluster node and the

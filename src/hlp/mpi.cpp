@@ -2,7 +2,8 @@
 
 namespace bb::hlp {
 
-MpiComm::MpiComm(UcpWorker& ucp) : ucp_(ucp) {
+MpiComm::MpiComm(UcpWorker& ucp, double wait_timeout_us)
+    : ucp_(ucp), wait_timeout_us_(wait_timeout_us) {
   // Register the MPICH completion callback for receives; it runs inside
   // the UCP callback, before uct_worker_progress returns (§5).
   ucp_.set_upper_rx_callback([this](Request*) {
@@ -15,7 +16,8 @@ MpiComm::MpiComm(UcpWorker& ucp) : ucp_(ucp) {
   });
 }
 
-sim::Task<common::Expected<Request*>> MpiComm::isend(std::uint32_t bytes) {
+sim::Task<common::Expected<Request*>> MpiComm::isend(int peer,
+                                                     std::uint32_t bytes) {
   cpu::Core& c = core();
   prof::Profiler* prof = ucp_.profiler();
   prof::Profiler::Region r_mpi, r_ucp;
@@ -27,7 +29,7 @@ sim::Task<common::Expected<Request*>> MpiComm::isend(std::uint32_t bytes) {
   if (prof && wrap_ == "ucp_tag_send_nb") {
     r_ucp = prof->begin("ucp_tag_send_nb");
   }
-  common::Expected<Request*> req = co_await ucp_.tag_send_nb(bytes);
+  common::Expected<Request*> req = co_await ucp_.tag_send_nb(peer, bytes);
   if (prof && wrap_ == "ucp_tag_send_nb") prof->end(r_ucp);
 
   if (prof && wrap_ == "MPI_Isend") prof->end(r_mpi);
@@ -35,23 +37,37 @@ sim::Task<common::Expected<Request*>> MpiComm::isend(std::uint32_t bytes) {
   co_return req;
 }
 
-common::Expected<Request*> MpiComm::irecv(std::uint32_t bytes) {
+common::Expected<Request*> MpiComm::irecv(int peer, std::uint32_t bytes) {
   // Receive initiation; its time is assumed to overlap the transfer (§6),
   // which holds in the simulation because the receive is posted before
   // the message is in flight. Charged as the same initiation path.
   cpu::Core& c = core();
   c.consume(c.costs().mpich_isend);
-  return ucp_.tag_recv_nb(bytes);
+  return ucp_.tag_recv_nb(peer, bytes);
 }
 
 template <typename Done>
-sim::Task<void> MpiComm::progress_until(const Done& done) {
+sim::Task<common::Status> MpiComm::progress_until(const Done& done) {
+  cpu::Core& c = core();
+  const TimePs deadline =
+      wait_timeout_us_ > 0.0
+          ? c.virtual_now() + TimePs::from_ns(wait_timeout_us_ * 1000.0)
+          : TimePs::max();
   // An empty pass may park the loop (docs/SIM_ENGINE.md "Parked
   // waiters") while it would keep spinning: not done, no queued work.
-  const auto pass = UcpWorker::empty_pass_costs(core());
+  const auto pass = UcpWorker::empty_pass_costs(c);
   const auto spinning = [&] { return !done() && !ucp_.has_pending_work(); };
-  const llp::IdleLoop idle = llp::IdleLoop::of(pass, TimePs::max(), spinning);
-  while (!done()) co_await ucp_.progress(&idle);
+  const llp::IdleLoop idle = llp::IdleLoop::of(pass, deadline, spinning);
+  while (!done()) {
+    if (c.virtual_now() > deadline) {
+      // Watchdog: diagnosable abort instead of a hang (the request stays
+      // incomplete; the transport underneath it is stuck or flushed).
+      co_await c.flush();
+      co_return common::Status::kTimedOut;
+    }
+    co_await ucp_.progress(&idle);
+  }
+  co_return common::Status::kOk;
 }
 
 sim::Task<common::Status> MpiComm::wait(Request* req) {
@@ -64,7 +80,9 @@ sim::Task<common::Status> MpiComm::wait(Request* req) {
   c.consume(c.costs().mpich_wait_fixed);
 
   // The progress engine: loop on ucp_worker_progress until complete.
-  co_await progress_until([req] { return req->complete; });
+  const common::Status st =
+      co_await progress_until([req] { return req->complete; });
+  if (st != common::Status::kOk) co_return st;
 
   // MPICH work after the successful ucp_worker_progress returns.
   prof::Profiler::Region r_after;
@@ -87,12 +105,13 @@ sim::Task<common::Status> MpiComm::waitall(const std::vector<Request*>& reqs) {
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     c.consume(c.costs().hlp_tx_prog);
   }
-  co_await progress_until([&reqs] {
+  const common::Status st = co_await progress_until([&reqs] {
     for (Request* r : reqs) {
       if (!r->complete) return false;
     }
     return true;
   });
+  if (st != common::Status::kOk) co_return st;
   co_await c.flush();
   for (Request* r : reqs) {
     if (r->status != common::Status::kOk) co_return r->status;

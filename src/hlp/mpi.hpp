@@ -9,7 +9,9 @@
 // ucp_tag_send_nb; the registered MPICH receive callback inside UCP's;
 // the fixed blocking-wait work and the post-progress epilogue inside
 // MPI_Wait; and the per-operation send-progress bookkeeping inside
-// MPI_Waitall (Post_prog, §6).
+// MPI_Waitall (Post_prog, §6). One MpiComm serves one rank: its progress
+// engine drives the protocol state toward every connected peer, so a
+// rendezvous CTS for peer A is answered while the rank waits on peer B.
 
 #include <string>
 #include <vector>
@@ -21,20 +23,32 @@ namespace bb::hlp {
 
 class MpiComm {
  public:
-  explicit MpiComm(UcpWorker& ucp);
+  /// `wait_timeout_us` > 0 arms a watchdog on every blocking wait: a wait
+  /// still incomplete that long after it started returns kTimedOut
+  /// instead of hanging. 0 waits forever.
+  explicit MpiComm(UcpWorker& ucp, double wait_timeout_us = 0.0);
 
   UcpWorker& ucp() { return ucp_; }
   cpu::Core& core() { return ucp_.core(); }
 
-  /// MPI_Isend of `bytes` to the peer.
-  sim::Task<common::Expected<Request*>> isend(std::uint32_t bytes);
-  /// MPI_Irecv of `bytes` from the peer.
-  common::Expected<Request*> irecv(std::uint32_t bytes);
+  /// MPI_Isend of `bytes` to `peer`.
+  sim::Task<common::Expected<Request*>> isend(int peer, std::uint32_t bytes);
+  /// MPI_Isend to the worker's sole peer.
+  sim::Task<common::Expected<Request*>> isend(std::uint32_t bytes) {
+    return isend(ucp_.sole_peer(), bytes);
+  }
+  /// MPI_Irecv of `bytes` from `peer`.
+  common::Expected<Request*> irecv(int peer, std::uint32_t bytes);
+  /// MPI_Irecv from the worker's sole peer.
+  common::Expected<Request*> irecv(std::uint32_t bytes) {
+    return irecv(ucp_.sole_peer(), bytes);
+  }
   /// Blocking MPI_Wait for one request; returns the request's final
-  /// disposition (kIoError when it was retired by an error completion).
+  /// disposition (kIoError when it was retired by an error completion,
+  /// kTimedOut when the watchdog fired first).
   sim::Task<common::Status> wait(Request* req);
-  /// MPI_Waitall over a window of requests; returns kOk or the first
-  /// non-OK request status in window order.
+  /// MPI_Waitall over a window of requests; returns kOk, kTimedOut, or
+  /// the first non-OK request status in window order.
   sim::Task<common::Status> waitall(const std::vector<Request*>& reqs);
 
   /// Profiler wrap point (one region at a time, §3): one of
@@ -45,11 +59,13 @@ class MpiComm {
   std::uint64_t waits() const { return waits_; }
 
  private:
-  /// The blocking progress engine: ucp_worker_progress until `done()`.
+  /// The blocking progress engine: ucp_worker_progress until `done()` or
+  /// the watchdog.
   template <typename Done>
-  sim::Task<void> progress_until(const Done& done);
+  sim::Task<common::Status> progress_until(const Done& done);
 
   UcpWorker& ucp_;
+  double wait_timeout_us_;
   std::string wrap_;
   std::uint64_t isends_ = 0;
   std::uint64_t waits_ = 0;

@@ -4,13 +4,53 @@
 
 namespace bb::hlp {
 
-UcpWorker::UcpWorker(llp::Worker& uct_worker, llp::Endpoint& endpoint,
-                     UcpConfig cfg)
-    : uct_worker_(uct_worker), endpoint_(endpoint), cfg_(cfg) {
-  if (cfg_.attach_rx) {
-    uct_worker_.set_rx_handler(
-        [this](const nic::Cqe& cqe) { on_rx_completion(cqe); });
+UcpWorker::UcpWorker(llp::Worker& uct_worker, UcpConfig cfg)
+    : uct_worker_(uct_worker), cfg_(cfg) {
+  uct_worker_.set_rx_handler(
+      [this](const nic::Cqe& cqe) { on_rx_completion(cqe); });
+}
+
+void UcpWorker::connect(llp::Endpoint& endpoint) {
+  const int rank = endpoint.peer_node();
+  BB_ASSERT(rank >= 0);
+  BB_ASSERT_MSG(node_ < 0 || endpoint.node() == node_,
+                "every endpoint of a worker sends from one node");
+  node_ = endpoint.node();
+  if (by_rank_.size() <= static_cast<std::size_t>(rank)) {
+    by_rank_.resize(static_cast<std::size_t>(rank) + 1, nullptr);
   }
+  BB_ASSERT_MSG(by_rank_[static_cast<std::size_t>(rank)] == nullptr,
+                "peer already connected");
+  auto p = std::make_unique<Peer>(rank, endpoint);
+  by_rank_[static_cast<std::size_t>(rank)] = p.get();
+  auto at = peers_.begin();
+  while (at != peers_.end() && (*at)->rank < rank) ++at;
+  peers_.insert(at, std::move(p));
+}
+
+int UcpWorker::sole_peer() const {
+  BB_ASSERT_MSG(peers_.size() == 1, "worker has more or fewer than one peer");
+  return peers_.front()->rank;
+}
+
+UcpWorker::Peer& UcpWorker::peer(int rank) {
+  BB_ASSERT_MSG(rank >= 0 && static_cast<std::size_t>(rank) < by_rank_.size() &&
+                    by_rank_[static_cast<std::size_t>(rank)] != nullptr,
+                "peer not connected");
+  return *by_rank_[static_cast<std::size_t>(rank)];
+}
+
+bool UcpWorker::has_pending_work() const {
+  for (const auto& p : peers_) {
+    if (!p->pending_sends.empty() || p->has_rndv_work()) return true;
+  }
+  return false;
+}
+
+std::size_t UcpWorker::pending_sends() const {
+  std::size_t n = 0;
+  for (const auto& p : peers_) n += p->pending_sends.size();
+  return n;
 }
 
 Request* UcpWorker::new_request(Request::Kind kind, std::uint32_t bytes) {
@@ -23,12 +63,9 @@ Request* UcpWorker::new_request(Request::Kind kind, std::uint32_t bytes) {
   return p;
 }
 
-sim::Task<common::Status> UcpWorker::try_post(Request* req) {
-  // Tagged (multi-peer) mode stamps the source rank so the receiver's
-  // RxMux can route; untagged eager messages keep the legacy user_data 0.
-  const std::uint64_t ud =
-      cfg_.src_rank < 0 ? 0 : header(Ctrl::kEager, 0, req->bytes);
-  const llp::Status st = co_await endpoint_.am_short(req->bytes, ud);
+sim::Task<common::Status> UcpWorker::try_post(Peer& p, Request* req) {
+  const llp::Status st =
+      co_await p.endpoint.am_short(req->bytes, header(Ctrl::kEager, 0));
   if (st == llp::Status::kOk) {
     // Inlined short send: locally complete once the payload left the CPU.
     req->pending = false;
@@ -39,7 +76,8 @@ sim::Task<common::Status> UcpWorker::try_post(Request* req) {
 }
 
 sim::Task<common::Expected<Request*>> UcpWorker::tag_send_nb(
-    std::uint32_t bytes) {
+    int peer_rank, std::uint32_t bytes) {
+  Peer& p = peer(peer_rank);
   cpu::Core& c = core();
   c.consume(c.costs().ucp_isend);
   Request* req = new_request(Request::Kind::kSend, bytes);
@@ -47,18 +85,18 @@ sim::Task<common::Expected<Request*>> UcpWorker::tag_send_nb(
   if (bytes >= cfg_.rndv_threshold) {
     // Rendezvous: advertise with an RTS; the payload moves after the CTS.
     ++rndv_sends_;
-    const std::uint64_t seq = next_rndv_seq_++;
-    rndv_tx_waiting_[seq] = req;
-    pending_ctrl_.push_back(header(Ctrl::kRts, seq, bytes));
-    co_await progress_rndv();
+    const std::uint64_t seq = p.next_rndv_seq++;
+    p.rndv_tx_waiting[seq] = req;
+    p.pending_ctrl.push_back(header(Ctrl::kRts, seq));
+    co_await progress_rndv(p);
     co_return req;
   }
 
-  if (!pending_sends_.empty() ||
-      co_await try_post(req) != common::Status::kOk) {
+  if (!p.pending_sends.empty() ||
+      co_await try_post(p, req) != common::Status::kOk) {
     // Preserve ordering: once anything pends, later sends pend too.
     req->pending = true;
-    pending_sends_.push_back(req);
+    p.pending_sends.push_back(req);
   }
   co_return req;
 }
@@ -80,68 +118,72 @@ void UcpWorker::complete_recv(Request* req, common::Status st) {
   if (upper_rx_cb_) upper_rx_cb_(req);
 }
 
-common::Expected<Request*> UcpWorker::tag_recv_nb(std::uint32_t bytes) {
+void UcpWorker::accept_rts(Peer& p, std::uint64_t rts, Request* req) {
+  p.rndv_rx_waiting[seq_of(rts)] = req;
+  p.pending_ctrl.push_back(header(Ctrl::kCts, seq_of(rts)));
+}
+
+common::Expected<Request*> UcpWorker::tag_recv_nb(int peer_rank,
+                                                  std::uint32_t bytes) {
+  Peer& p = peer(peer_rank);
   Request* req = new_request(Request::Kind::kRecv, bytes);
-  if (!unexpected_.empty()) {
+  if (!p.unexpected.empty()) {
     // Unexpected eager message: the payload already landed.
-    const common::Status st = unexpected_.front().status;
-    unexpected_.pop_front();
+    const common::Status st = p.unexpected.front().status;
+    p.unexpected.pop_front();
     complete_recv(req, st);
     return req;
   }
-  if (!unexpected_rts_.empty()) {
+  if (!p.unexpected_rts.empty()) {
     // Unexpected rendezvous advertisement: answer it now.
-    const std::uint64_t h = unexpected_rts_.front();
-    unexpected_rts_.pop_front();
-    rndv_rx_waiting_[seq_of(h)] = req;
-    pending_ctrl_.push_back(header(Ctrl::kCts, seq_of(h), 0));
+    accept_rts(p, p.unexpected_rts.front(), req);
+    p.unexpected_rts.pop_front();
     return req;
   }
-  posted_recvs_.push_back(req);
+  p.posted_recvs.push_back(req);
   return req;
 }
 
 void UcpWorker::on_rx_completion(const nic::Cqe& cqe) {
+  Peer& p = peer(src_of(cqe.user_data));
   switch (ctrl_of(cqe.user_data)) {
     case Ctrl::kEager: {
-      if (posted_recvs_.empty()) {
-        unexpected_.push_back(cqe);
+      if (p.posted_recvs.empty()) {
+        p.unexpected.push_back(cqe);
         return;
       }
-      Request* req = posted_recvs_.front();
-      posted_recvs_.pop_front();
+      Request* req = p.posted_recvs.front();
+      p.posted_recvs.pop_front();
       complete_recv(req, cqe.status);
       return;
     }
     case Ctrl::kRts: {
       // Sender advertised a large message.
       core().consume(core().costs().ucp_progress_iter);  // header decode
-      if (posted_recvs_.empty()) {
-        unexpected_rts_.push_back(cqe.user_data);
+      if (p.posted_recvs.empty()) {
+        p.unexpected_rts.push_back(cqe.user_data);
         return;
       }
-      Request* req = posted_recvs_.front();
-      posted_recvs_.pop_front();
-      rndv_rx_waiting_[seq_of(cqe.user_data)] = req;
-      pending_ctrl_.push_back(header(Ctrl::kCts, seq_of(cqe.user_data), 0));
+      accept_rts(p, cqe.user_data, p.posted_recvs.front());
+      p.posted_recvs.pop_front();
       return;
     }
     case Ctrl::kCts: {
       // Receiver is ready: schedule the data put + FIN.
       core().consume(core().costs().ucp_progress_iter);
-      auto it = rndv_tx_waiting_.find(seq_of(cqe.user_data));
-      BB_ASSERT_MSG(it != rndv_tx_waiting_.end(), "CTS for unknown rndv op");
-      rndv_tx_ready_.push_back(
+      auto it = p.rndv_tx_waiting.find(seq_of(cqe.user_data));
+      BB_ASSERT_MSG(it != p.rndv_tx_waiting.end(), "CTS for unknown rndv op");
+      p.rndv_tx_ready.push_back(
           RndvData{it->first, it->second->bytes, it->second, false});
-      rndv_tx_waiting_.erase(it);
+      p.rndv_tx_waiting.erase(it);
       return;
     }
     case Ctrl::kFin: {
       // Data landed in our buffer; complete the receive.
-      auto it = rndv_rx_waiting_.find(seq_of(cqe.user_data));
-      BB_ASSERT_MSG(it != rndv_rx_waiting_.end(), "FIN for unknown rndv op");
+      auto it = p.rndv_rx_waiting.find(seq_of(cqe.user_data));
+      BB_ASSERT_MSG(it != p.rndv_rx_waiting.end(), "FIN for unknown rndv op");
       Request* req = it->second;
-      rndv_rx_waiting_.erase(it);
+      p.rndv_rx_waiting.erase(it);
       complete_recv(req, cqe.status);
       return;
     }
@@ -149,44 +191,33 @@ void UcpWorker::on_rx_completion(const nic::Cqe& cqe) {
   BB_UNREACHABLE("bad control header");
 }
 
-sim::Task<void> UcpWorker::progress_rndv() {
+sim::Task<void> UcpWorker::progress_rndv(Peer& p) {
   // Control messages first (RTS/CTS/FIN are small sends).
-  while (!pending_ctrl_.empty()) {
-    const std::uint64_t h = pending_ctrl_.front();
-    if (co_await endpoint_.am_short(8, h) != llp::Status::kOk) {
+  while (!p.pending_ctrl.empty()) {
+    const std::uint64_t h = p.pending_ctrl.front();
+    if (co_await p.endpoint.am_short(8, h) != llp::Status::kOk) {
       co_return;  // TxQ full: retried on the next pass
     }
-    pending_ctrl_.pop_front();
+    p.pending_ctrl.pop_front();
   }
   // Rendezvous payload transfers: a one-sided put, then the FIN. The
   // fabric delivers in order per sender, so the FIN arrives after the
   // payload is on its way to the receiver's memory.
-  while (!rndv_tx_ready_.empty()) {
-    RndvData& op = rndv_tx_ready_.front();
+  while (!p.rndv_tx_ready.empty()) {
+    RndvData& op = p.rndv_tx_ready.front();
     if (!op.data_sent) {
-      if (co_await endpoint_.put_short(op.bytes) != llp::Status::kOk) {
+      if (co_await p.endpoint.put_short(op.bytes) != llp::Status::kOk) {
         co_return;
       }
       op.data_sent = true;
     }
-    if (co_await endpoint_.am_short(8, header(Ctrl::kFin, op.seq, 0)) !=
+    if (co_await p.endpoint.am_short(8, header(Ctrl::kFin, op.seq)) !=
         llp::Status::kOk) {
       co_return;
     }
     op.req->complete = true;
     ++sends_completed_;
-    rndv_tx_ready_.pop_front();
-  }
-}
-
-sim::Task<void> UcpWorker::progress_pending() {
-  while (!pending_sends_.empty()) {
-    Request* req = pending_sends_.front();
-    if (co_await try_post(req) != common::Status::kOk) break;
-    pending_sends_.pop_front();
-  }
-  if (!pending_ctrl_.empty() || !rndv_tx_ready_.empty()) {
-    co_await progress_rndv();
+    p.rndv_tx_ready.pop_front();
   }
 }
 
@@ -202,17 +233,19 @@ sim::Task<std::uint32_t> UcpWorker::progress(const llp::IdleLoop* idle) {
   c.consume(c.costs().ucp_progress_iter);
 
   // Retry pending sends (busy posts rescheduled by UCP, §6).
-  while (!pending_sends_.empty()) {
-    Request* req = pending_sends_.front();
-    if (co_await try_post(req) != common::Status::kOk) break;
-    pending_sends_.pop_front();
+  for (const auto& p : peers_) {
+    while (!p->pending_sends.empty()) {
+      Request* req = p->pending_sends.front();
+      if (co_await try_post(*p, req) != common::Status::kOk) break;
+      p->pending_sends.pop_front();
+    }
   }
 
   const std::uint32_t n = co_await uct_worker_.progress(0, idle);
 
   // Drive rendezvous state machines unblocked by the completions above.
-  if (!pending_ctrl_.empty() || !rndv_tx_ready_.empty()) {
-    co_await progress_rndv();
+  for (const auto& p : peers_) {
+    if (p->has_rndv_work()) co_await progress_rndv(*p);
   }
 
   if (prof && wrap_ == "ucp_worker_progress") prof->end(r);

@@ -28,6 +28,8 @@ Endpoint::Endpoint(Worker& worker, pcie::RootComplex& rc, nic::Nic& nic,
   worker_.register_endpoint(this);
 }
 
+int Endpoint::node() const { return nic_.node_id(); }
+
 sim::Task<Status> Endpoint::put_short(std::uint32_t bytes) {
   return post(pcie::WireOp::kRdmaWrite, bytes);
 }

@@ -58,6 +58,8 @@ class Endpoint {
 
   /// The qp and peer are fixed at construction (the TX CQ is cached).
   std::uint32_t qp() const { return qp_; }
+  /// The node this endpoint sends from.
+  int node() const;
   int peer_node() const { return peer_node_; }
   const EndpointConfig& config() const { return cfg_; }
   EndpointConfig& config() { return cfg_; }

@@ -1,7 +1,8 @@
 #pragma once
 // Convenience bundle: the full software stack of one node -- a UCT
-// endpoint, the UCP worker above it, and the MPI layer on top -- wired to
-// a Testbed node. This is the §5 stack (MPICH/CH4 over UCP over UCT).
+// endpoint, the UCP worker connected through it to the other node, and
+// the MPI layer on top -- wired to a Testbed node. This is the §5 stack
+// (MPICH/CH4 over UCP over UCT).
 
 #include <memory>
 #include <optional>
@@ -19,16 +20,10 @@ class MpiStack {
   MpiStack(Testbed& tb, int node_id, std::uint32_t signal_period = 64)
       : node_(tb.node(node_id)),
         endpoint_(make_endpoint(tb, node_id, signal_period)),
-        ucp_(std::make_unique<hlp::UcpWorker>(node_.worker, endpoint_)),
-        mpi_(std::make_unique<hlp::MpiComm>(*ucp_)) {}
-
-  /// Builds the stack over an existing node + endpoint (e.g. a Cluster
-  /// rank whose endpoint targets a specific peer).
-  MpiStack(Cluster::Node& node, llp::Endpoint& endpoint)
-      : node_(node),
-        endpoint_(endpoint),
-        ucp_(std::make_unique<hlp::UcpWorker>(node_.worker, endpoint_)),
-        mpi_(std::make_unique<hlp::MpiComm>(*ucp_)) {}
+        ucp_(std::make_unique<hlp::UcpWorker>(node_.worker)),
+        mpi_(std::make_unique<hlp::MpiComm>(*ucp_)) {
+    ucp_->connect(endpoint_);
+  }
 
   Cluster::Node& node() { return node_; }
   llp::Endpoint& endpoint() { return endpoint_; }

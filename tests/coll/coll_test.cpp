@@ -219,6 +219,14 @@ TEST(CollAllreduce, RendezvousSizedVectors) {
   check_allreduce(3, 2048, Algo::kRecursiveDoubling, ReduceOp::kSum);
 }
 
+TEST(CollAllreduce, MoreRanksThanTheOldSixBitSourceField) {
+  // Message headers once carried the source rank in 6 bits, capping a job
+  // at 63 ranks; 65 ranks exercise both the eager and rendezvous paths
+  // past that cap.
+  check_allreduce(65, 64, Algo::kRecursiveDoubling, ReduceOp::kSum);
+  check_allreduce(65, 2048, Algo::kRecursiveDoubling, ReduceOp::kSum);
+}
+
 TEST(CollSelection, ThresholdsFollowTuning) {
   CollTuning t;
   EXPECT_EQ(resolve_allreduce(t, 8, t.allreduce_ring_min_bytes - 8),

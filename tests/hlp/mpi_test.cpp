@@ -181,5 +181,25 @@ TEST(Mpi, MessageRateWindowLoopSustains) {
   EXPECT_NEAR(per_op, 264.97, 264.97 * 0.03);
 }
 
+TEST(Mpi, WatchdogEndsAWaitNoMessageCompletes) {
+  // An MpiComm built with a wait timeout returns kTimedOut from a wait
+  // whose receive is never matched, instead of blocking forever.
+  Testbed tb(scenario::presets::deterministic());
+  MpiStack s(tb, 1);
+  MpiComm mpi(s.ucp(), /*wait_timeout_us=*/5.0);
+  common::Status st = common::Status::kOk;
+  double returned_ns = 0;
+  tb.sim().spawn([](MpiComm& m, common::Status& out,
+                    double& at) -> sim::Task<void> {
+    Request* r = m.irecv(8).value();
+    out = co_await m.wait(r);
+    at = m.core().virtual_now().to_ns();
+  }(mpi, st, returned_ns));
+  tb.sim().run();
+  EXPECT_EQ(st, common::Status::kTimedOut);
+  EXPECT_GT(returned_ns, 5000.0);
+  EXPECT_EQ(mpi.waits(), 0u);
+}
+
 }  // namespace
 }  // namespace bb::hlp

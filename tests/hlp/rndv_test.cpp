@@ -28,7 +28,7 @@ struct Pair {
 TEST(Rndv, SmallSendsStayEager) {
   Pair p(scenario::presets::deterministic());
   p.tb.sim().spawn([](Pair& pr) -> sim::Task<void> {
-    Request* r = (co_await pr.a.ucp().tag_send_nb(512)).value();
+    Request* r = (co_await pr.a.ucp().tag_send_nb(1, 512)).value();
     EXPECT_TRUE(r->complete);  // eager: locally complete
   }(p));
   p.tb.sim().run();
@@ -39,12 +39,12 @@ TEST(Rndv, LargeSendUsesRendezvous) {
   Pair p(scenario::presets::deterministic());
   bool recv_done = false;
   p.tb.sim().spawn([](Pair& pr) -> sim::Task<void> {
-    Request* s = (co_await pr.a.ucp().tag_send_nb(2048)).value();
+    Request* s = (co_await pr.a.ucp().tag_send_nb(1, 2048)).value();
     EXPECT_FALSE(s->complete);  // awaiting CTS
     while (!s->complete) co_await pr.a.ucp().progress();
   }(p));
   p.tb.sim().spawn([](Pair& pr, bool& done) -> sim::Task<void> {
-    Request* r = pr.b.ucp().tag_recv_nb(2048).value();
+    Request* r = pr.b.ucp().tag_recv_nb(0, 2048).value();
     while (!r->complete) co_await pr.b.ucp().progress();
     done = true;
   }(p, recv_done));
@@ -61,14 +61,14 @@ TEST(Rndv, LargeSendUsesRendezvous) {
 TEST(Rndv, UnexpectedRtsMatchedByLateRecv) {
   Pair p(scenario::presets::deterministic());
   p.tb.sim().spawn([](Pair& pr) -> sim::Task<void> {
-    Request* s = (co_await pr.a.ucp().tag_send_nb(4096)).value();
+    Request* s = (co_await pr.a.ucp().tag_send_nb(1, 4096)).value();
     while (!s->complete) co_await pr.a.ucp().progress();
   }(p));
   p.tb.sim().spawn([](Pair& pr) -> sim::Task<void> {
     // Progress without a posted receive until the RTS has surely landed.
     for (int i = 0; i < 200; ++i) co_await pr.b.ucp().progress();
     EXPECT_EQ(pr.b.ucp().recvs_completed(), 0u);
-    Request* r = pr.b.ucp().tag_recv_nb(4096).value();
+    Request* r = pr.b.ucp().tag_recv_nb(0, 4096).value();
     while (!r->complete) co_await pr.b.ucp().progress();
   }(p));
   p.tb.sim().run();
@@ -94,11 +94,11 @@ TEST(Rndv, MpiWaitDrivesRendezvousSend) {
 TEST(Rndv, PayloadCrossesWireOnceAndControlThrice) {
   Pair p(scenario::presets::deterministic());
   p.tb.sim().spawn([](Pair& pr) -> sim::Task<void> {
-    Request* s = (co_await pr.a.ucp().tag_send_nb(2048)).value();
+    Request* s = (co_await pr.a.ucp().tag_send_nb(1, 2048)).value();
     while (!s->complete) co_await pr.a.ucp().progress();
   }(p));
   p.tb.sim().spawn([](Pair& pr) -> sim::Task<void> {
-    Request* r = pr.b.ucp().tag_recv_nb(2048).value();
+    Request* r = pr.b.ucp().tag_recv_nb(0, 2048).value();
     while (!r->complete) co_await pr.b.ucp().progress();
   }(p));
   p.tb.sim().run();
@@ -115,11 +115,11 @@ TEST(Rndv, RendezvousSlowerThanEagerAtThresholdBoundary) {
     Pair p(scenario::presets::deterministic());
     double done_ns = 0;
     p.tb.sim().spawn([](Pair& pr, std::uint32_t n) -> sim::Task<void> {
-      Request* s = (co_await pr.a.ucp().tag_send_nb(n)).value();
+      Request* s = (co_await pr.a.ucp().tag_send_nb(1, n)).value();
       while (!s->complete) co_await pr.a.ucp().progress();
     }(p, bytes));
     p.tb.sim().spawn([](Pair& pr, std::uint32_t n, double& out) -> sim::Task<void> {
-      Request* r = pr.b.ucp().tag_recv_nb(n).value();
+      Request* r = pr.b.ucp().tag_recv_nb(0, n).value();
       while (!r->complete) co_await pr.b.ucp().progress();
       out = pr.b.node().core.virtual_now().to_ns();
     }(p, bytes, done_ns));

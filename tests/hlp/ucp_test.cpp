@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
+#include "scenario/cluster.hpp"
 #include "scenario/mpi_stack.hpp"
 #include "scenario/testbed.hpp"
 
@@ -17,7 +21,7 @@ TEST(Ucp, ShortSendCompletesLocally) {
   MpiStack s(tb, 0);
   tb.node(1).nic.post_receives(4);
   tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
-    Request* r = (co_await st.ucp().tag_send_nb(8)).value();
+    Request* r = (co_await st.ucp().tag_send_nb(1, 8)).value();
     // Inlined short send: complete as soon as the LLP post succeeded.
     EXPECT_TRUE(r->complete);
     EXPECT_FALSE(r->pending);
@@ -31,7 +35,7 @@ TEST(Ucp, SendCostIsUcpPlusLlp) {
   MpiStack s(tb, 0);
   tb.node(1).nic.post_receives(4);
   tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
-    (void)co_await st.ucp().tag_send_nb(8);
+    (void)co_await st.ucp().tag_send_nb(1, 8);
     // 2.19 (UCP) + 175.42 (LLP_post).
     EXPECT_NEAR(st.node().core.virtual_now().to_ns(), 177.61, 1e-6);
   }(s));
@@ -45,8 +49,8 @@ TEST(Ucp, BusyPostPendsAndProgressRetries) {
   MpiStack s(tb, 0, /*signal_period=*/1);
   tb.node(1).nic.post_receives(8);
   tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
-    Request* a = (co_await st.ucp().tag_send_nb(8)).value();
-    Request* b = (co_await st.ucp().tag_send_nb(8)).value();
+    Request* a = (co_await st.ucp().tag_send_nb(1, 8)).value();
+    Request* b = (co_await st.ucp().tag_send_nb(1, 8)).value();
     EXPECT_TRUE(a->complete);
     EXPECT_FALSE(b->complete);
     EXPECT_TRUE(b->pending);
@@ -75,7 +79,7 @@ TEST(Ucp, PendingSendsPreserveOrder) {
   tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
     std::vector<Request*> reqs;
     for (int i = 0; i < 4; ++i) {
-      reqs.push_back((co_await st.ucp().tag_send_nb(8)).value());
+      reqs.push_back((co_await st.ucp().tag_send_nb(1, 8)).value());
     }
     for (Request* r : reqs) {
       while (!r->complete) co_await st.ucp().progress();
@@ -98,10 +102,10 @@ TEST(Ucp, RecvMatchesInboundMessage) {
   tb.node(1).nic.post_receives(4);
 
   tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
-    (void)co_await st.ucp().tag_send_nb(8);
+    (void)co_await st.ucp().tag_send_nb(1, 8);
   }(tx));
   tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
-    Request* r = st.ucp().tag_recv_nb(8).value();
+    Request* r = st.ucp().tag_recv_nb(0, 8).value();
     while (!r->complete) co_await st.ucp().progress();
     EXPECT_EQ(st.ucp().recvs_completed(), 1u);
   }(rx));
@@ -115,7 +119,7 @@ TEST(Ucp, UnexpectedMessageMatchedByLaterRecv) {
   tb.node(1).nic.post_receives(4);
 
   tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
-    (void)co_await st.ucp().tag_send_nb(8);
+    (void)co_await st.ucp().tag_send_nb(1, 8);
   }(tx));
   tb.sim().spawn([](Testbed& t, MpiStack& st) -> sim::Task<void> {
     // Drain progress with no posted receive: the message goes unexpected.
@@ -125,7 +129,7 @@ TEST(Ucp, UnexpectedMessageMatchedByLaterRecv) {
     }
     EXPECT_EQ(st.ucp().recvs_completed(), 0u);
     // A late recv matches the unexpected message immediately.
-    Request* r = st.ucp().tag_recv_nb(8).value();
+    Request* r = st.ucp().tag_recv_nb(0, 8).value();
     EXPECT_TRUE(r->complete);
     EXPECT_EQ(st.ucp().recvs_completed(), 1u);
   }(tb, rx));
@@ -144,14 +148,63 @@ TEST(Ucp, RxCallbackChainChargesUcpThenUpper) {
   });
 
   tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
-    (void)co_await st.ucp().tag_send_nb(8);
+    (void)co_await st.ucp().tag_send_nb(1, 8);
   }(tx));
   tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
-    Request* r = st.ucp().tag_recv_nb(8).value();
+    Request* r = st.ucp().tag_recv_nb(0, 8).value();
     while (!r->complete) co_await st.ucp().progress();
   }(rx));
   tb.sim().run();
   EXPECT_GT(upper_called_at, 0.0);
+}
+
+TEST(Ucp, MultiPeerMatchingKeepsSourcesApart) {
+  // Node 0's worker is connected to nodes 1 and 2; each of those runs its
+  // own one-peer worker. Node 0 posts its receives from node 2 first, yet
+  // node 1's eager and rendezvous messages, which arrive first, must
+  // complete only node 1's receives, in the order node 1 sent them.
+  scenario::Cluster cl(scenario::presets::deterministic(), 3);
+  UcpWorker hub(cl.node(0).worker);
+  hub.connect(cl.add_endpoint(0, 1));
+  hub.connect(cl.add_endpoint(0, 2));
+  UcpWorker w1(cl.node(1).worker);
+  w1.connect(cl.add_endpoint(1, 0));
+  UcpWorker w2(cl.node(2).worker);
+  w2.connect(cl.add_endpoint(2, 0));
+  for (int n = 0; n < 3; ++n) cl.node(n).nic.post_receives(16);
+
+  std::vector<Request*> completed;
+  hub.set_upper_rx_callback([&](Request* r) { completed.push_back(r); });
+  Request* from2_eager = hub.tag_recv_nb(2, 8).value();
+  Request* from2_rndv = hub.tag_recv_nb(2, 2048).value();
+  Request* from1_eager = hub.tag_recv_nb(1, 8).value();
+  Request* from1_rndv = hub.tag_recv_nb(1, 2048).value();
+
+  cl.sim().spawn([](UcpWorker& w,
+                    std::vector<Request*>& done) -> sim::Task<void> {
+    while (done.size() < 4) co_await w.progress();
+  }(hub, completed));
+  const auto sender = [](UcpWorker& w, sim::Simulator& sim,
+                         const std::function<bool()>& go) -> sim::Task<void> {
+    while (!go()) co_await sim.delay(100_ns);
+    (void)co_await w.tag_send_nb(0, 8);
+    Request* r = (co_await w.tag_send_nb(0, 2048)).value();
+    while (!r->complete) co_await w.progress();
+  };
+  const std::function<bool()> first = [] { return true; };
+  // Node 2 sends only after node 0 has matched both of node 1's messages.
+  const std::function<bool()> after_node1 = [&] {
+    return completed.size() == 2;
+  };
+  cl.sim().spawn(sender(w1, cl.sim(), first));
+  cl.sim().spawn(sender(w2, cl.sim(), after_node1));
+  cl.sim().run();
+
+  EXPECT_EQ(completed, (std::vector<Request*>{from1_eager, from1_rndv,
+                                              from2_eager, from2_rndv}));
+  EXPECT_EQ(w1.rndv_sends(), 1u);
+  EXPECT_EQ(w2.rndv_sends(), 1u);
+  EXPECT_EQ(hub.recvs_completed(), 4u);
 }
 
 }  // namespace

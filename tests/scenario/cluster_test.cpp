@@ -4,7 +4,7 @@
 
 #include <string>
 
-#include "scenario/mpi_stack.hpp"
+#include "coll/communicator.hpp"
 
 namespace bb::scenario {
 namespace {
@@ -118,24 +118,20 @@ TEST(Cluster, PairwiseLatencyMatchesTestbed) {
 }
 
 TEST(Cluster, MpiRingExchange) {
-  // Full MPI stacks on a 3-node ring: each rank isends to its right
-  // neighbour and blocks on an irecv from its left.
+  // One MPI stack per rank on a 3-node ring: each rank isends to its
+  // right neighbour and blocks on an irecv from its left.
   constexpr int kNodes = 3;
   Cluster cl(presets::deterministic(), kNodes);
-  std::vector<std::unique_ptr<MpiStack>> stacks;
-  for (int r = 0; r < kNodes; ++r) {
-    cl.node(r).nic.post_receives(8);
-    auto& ep = cl.add_endpoint(r, (r + 1) % kNodes);
-    stacks.push_back(std::make_unique<MpiStack>(cl.node(r), ep));
-  }
+  coll::World world(cl);
   int done = 0;
   for (int r = 0; r < kNodes; ++r) {
-    cl.sim().spawn([](MpiStack& st, int& d) -> sim::Task<void> {
-      hlp::Request* rr = st.mpi().irecv(8).value();
-      (void)co_await st.mpi().isend(8);
-      co_await st.mpi().wait(rr);
+    cl.sim().spawn([](coll::Communicator& c, int& d) -> sim::Task<void> {
+      const int n = c.size();
+      hlp::Request* rr = c.irecv((c.rank() + n - 1) % n, 8);
+      (void)co_await c.isend((c.rank() + 1) % n, 8);
+      EXPECT_EQ(co_await c.wait(rr), common::Status::kOk);
       ++d;
-    }(*stacks[static_cast<std::size_t>(r)], done));
+    }(world.comm(r), done));
   }
   cl.sim().run();
   EXPECT_EQ(done, kNodes);

@@ -78,7 +78,7 @@ TEST(Testbed, ProfilerWiredIntoWorker) {
 TEST(MpiStack, BundlesFullStack) {
   Testbed tb(presets::deterministic());
   MpiStack s(tb, 0);
-  EXPECT_EQ(&s.ucp().endpoint(), &s.endpoint());
+  EXPECT_EQ(s.ucp().sole_peer(), 1);
   EXPECT_EQ(&s.mpi().ucp(), &s.ucp());
   // UCX default signalling: one CQE per 64 ops.
   EXPECT_EQ(s.endpoint().config().signal.period, 64u);
