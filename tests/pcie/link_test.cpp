@@ -58,6 +58,54 @@ TEST(Link, AutoAckReachesSenderSide) {
   EXPECT_EQ(a_dllps[0], DllpType::kAck);
 }
 
+TEST(Link, AckDelaysAnUpstreamWriteSentRightAfterArrival) {
+  // No analyzer, no injector: nothing observes the Ack, yet it still
+  // occupies the upstream transmitter from ack_processing_ns after the
+  // TLP's arrival, so a MWr queued behind it at that instant leaves one
+  // DLLP serialization later.
+  sim::Simulator sim;
+  LinkParams p;
+  Link link(sim, p);
+  TimePs down_arrival = TimePs::zero();
+  TimePs up_arrival = TimePs::zero();
+  link.set_b_tlp_handler([&](const Tlp&) {
+    down_arrival = sim.now();
+    sim.call_in(TimePs::from_ns(p.ack_processing_ns), [&] {
+      Tlp up;
+      up.type = TlpType::kMemWrite;
+      up.bytes = 64;
+      link.send_upstream(up);
+    });
+  });
+  link.set_a_tlp_handler([&](const Tlp&) { up_arrival = sim.now(); });
+  link.send_downstream(pio_post(1));
+  sim.run();
+  // 138.67 ns TLP latency; the Ack leaves at +1 ns and holds the
+  // transmitter 4 ns; the MWr follows; the run ends with the MWr's Ack.
+  EXPECT_EQ(down_arrival.ps(), 138670);
+  EXPECT_EQ(up_arrival.ps(), 282340);
+  EXPECT_EQ(sim.now().ps(), 418650);
+}
+
+TEST(Link, AnalyzedAckIsTracedAtItsDeparture) {
+  sim::Simulator sim;
+  Analyzer tap;
+  LinkParams p;
+  Link link(sim, p, &tap);
+  link.set_b_tlp_handler([](const Tlp&) {});
+  link.send_downstream(pio_post(1));
+  sim.run();
+  const auto acks = tap.trace().filter([](const TraceRecord& r) {
+    return r.is_dllp && r.dllp_type == DllpType::kAck;
+  });
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0].dir, Direction::kUpstream);
+  // Upstream packets are traced as they leave the NIC: arrival + 1 ns.
+  EXPECT_EQ(acks[0].t.ps(), 139670);
+  // run() ends when the Ack reaches the Root Complex.
+  EXPECT_EQ(sim.now().ps(), 274980);
+}
+
 TEST(Link, SerializationLimitsBackToBackThroughput) {
   sim::Simulator sim;
   LinkParams p;

@@ -147,5 +147,41 @@ TEST(RootComplex, StallsWhenCreditsExhaustedAndResumesOnUpdateFC) {
   EXPECT_GE(rc.credit_stalls(), 1u);
 }
 
+TEST(RootComplex, PumpThatStallsOnAnInFlightCreditReturnWakesAtItsArrival) {
+  // The NIC side returns each write's credits the moment the write lands.
+  // The second write is posted while the first write's UpdateFC is still
+  // on the wire: the pump stalls once and resumes exactly when it lands.
+  // The third is posted after its predecessor's UpdateFC landed and does
+  // not stall.
+  sim::Simulator sim;
+  Link link(sim, LinkParams{});
+  RootComplex rc(sim, link, RcParams{},
+                 CreditState::with_budget({1, 4}, {1, 1}, {1, 4}));
+  CreditLedger ledger;
+  std::vector<std::int64_t> arrivals;
+  link.set_b_tlp_handler([&](const Tlp& t) {
+    arrivals.push_back(sim.now().ps());
+    link.send_dllp_upstream(ledger.release_for(t));
+  });
+  Tlp pio;
+  pio.type = TlpType::kMemWrite;
+  pio.bytes = 64;
+  pio.content = DescriptorWrite{};
+  rc.post_mmio(pio);
+  sim.call_at(200_ns, [&] { rc.post_mmio(pio); });
+  sim.call_at(1000_ns, [&] { rc.post_mmio(pio); });
+  sim.run();
+
+  const TimePs l64 = link.params().tlp_latency(64);
+  const TimePs fc = link.params().dllp_latency();
+  ASSERT_EQ(arrivals.size(), 3u);
+  EXPECT_EQ(arrivals[0], l64.ps());
+  EXPECT_EQ(arrivals[1], (l64 + fc + l64).ps());
+  EXPECT_EQ(arrivals[2], (1000_ns + l64).ps());
+  EXPECT_EQ(rc.credit_stalls(), 1u);
+  // The last write's Ack queues behind its UpdateFC and lands last.
+  EXPECT_EQ(sim.now().ps(), 1277980);
+}
+
 }  // namespace
 }  // namespace bb::pcie
