@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   // allgather on 8 ranks.
   {
     std::printf("reference rows, 8 ranks\n");
-    std::printf("  %-22s %14s %14s %+8s\n", "collective", "sim ns", "model ns",
+    std::printf("  %-22s %14s %14s %8s\n", "collective", "sim ns", "model ns",
                 "err %");
     const auto refs = bb::exec::run_sweep(
         bb::exec::sweep<int>({0, 1}),

@@ -12,9 +12,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
+#include <vector>
 
 #include "benchlib/am_lat.hpp"
 #include "benchlib/osu_coll.hpp"
@@ -28,18 +31,23 @@
 
 namespace {
 std::atomic<std::uint64_t> g_heap_allocs{0};
-}
 
-void* operator new(std::size_t n) {
+// The replacement operators below route through these two helpers, so
+// every new and delete pairs one malloc with one free.
+void* counted_alloc(std::size_t n) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void counted_free(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 namespace {
 
@@ -272,6 +280,35 @@ void BM_CollAllreduceThroughput(benchmark::State& state) {
   state.SetLabel("simulated allreduces");
 }
 BENCHMARK(BM_CollAllreduceThroughput)->Arg(20);
+
+// Host reference kernel: a discrete-event-style loop that pops the
+// earliest key from a 16K-entry binary heap and pushes a later one,
+// with no simulator code in it. check_perf.sh divides every other row's
+// items/sec by this row's, so the gate compares the code against the
+// host it runs on rather than against the host that recorded the
+// baseline. Items = heap steps.
+void BM_ReferenceKernel(benchmark::State& state) {
+  constexpr std::size_t kKeys = 1 << 14;
+  const auto steps = state.range(0);
+  std::vector<std::uint64_t> heap(kKeys);
+  std::uint64_t x = 1;
+  for (auto& k : heap) {
+    k = (x = x * 6364136223846793005ull + 1442695040888963407ull) >> 40;
+  }
+  std::make_heap(heap.begin(), heap.end(), std::greater<>());
+  for (auto _ : state) {
+    for (std::int64_t i = 0; i < steps; ++i) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      heap.back() += 1 + (x >> 54);
+      std::push_heap(heap.begin(), heap.end(), std::greater<>());
+    }
+    benchmark::DoNotOptimize(heap.front());
+  }
+  state.SetItemsProcessed(state.iterations() * steps);
+  state.SetLabel("heap steps");
+}
+BENCHMARK(BM_ReferenceKernel)->Arg(100000);
 
 // bb::exec scaling: one fixed batch of 8 small am_lat simulations,
 // sharded over 1, 2, and 4 pool threads. Items = jobs completed, so

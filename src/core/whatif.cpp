@@ -28,13 +28,17 @@ std::string WhatIfPanel::to_csv() const {
   std::string out = "component,component_ns";
   if (!curves.empty()) {
     for (double r : curves[0].reductions) {
-      out += "," + TextTable::num(r, 2);
+      out += ',';
+      out += TextTable::num(r, 2);
     }
   }
   out += "\n";
   for (const auto& c : curves) {
     out += c.component + "," + TextTable::num(c.component_ns);
-    for (double s : c.speedups) out += "," + TextTable::num(s * 100.0, 3);
+    for (double s : c.speedups) {
+      out += ',';
+      out += TextTable::num(s * 100.0, 3);
+    }
     out += "\n";
   }
   return out;

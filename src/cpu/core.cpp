@@ -1,8 +1,5 @@
 #include "cpu/core.hpp"
 
-#include <array>
-#include <optional>
-
 #include "common/assert.hpp"
 
 namespace bb::cpu {
@@ -30,25 +27,9 @@ TimePs Core::consume(const CostSpec& spec) {
 TimePs Core::replay_until(std::span<const CostSpec* const> costs,
                           TimePs start, TimePs until, bool inclusive,
                           std::uint64_t& passes) {
-  // A plain jittered cost draws from lognormal parameters derived once
-  // here rather than once per draw; a cost with a hiccup tail or without
-  // jitter samples as consume() does. Both paths draw the same stream.
-  std::array<std::optional<Rng::LognormalParams>, 4> lognormal;
-  BB_ASSERT_MSG(costs.size() <= lognormal.size(), "too many costs per pass");
-  for (std::size_t i = 0; i < costs.size(); ++i) {
-    const CostSpec& c = *costs[i];
-    if (c.cv > 0.0 && c.mean_ns > 0.0 && c.tail_prob <= 0.0) {
-      lognormal[i] = Rng::lognormal_params(c.mean_ns, c.cv * c.mean_ns);
-    }
-  }
   while (start < until || (inclusive && start == until)) {
     TimePs pass = TimePs::zero();
-    for (std::size_t i = 0; i < costs.size(); ++i) {
-      TimePs d = lognormal[i] ? TimePs::from_ns(rng_.lognormal(*lognormal[i]))
-                              : costs[i]->sample(rng_);
-      if (speed_factor_ != 1.0) d = d.scaled(speed_factor_);
-      pass += d;
-    }
+    for (const CostSpec* c : costs) pass += sample(*c);
     BB_ASSERT_MSG(pass > TimePs::zero(), "an idle pass must take time");
     busy_ += pass;
     start += pass;

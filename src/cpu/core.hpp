@@ -43,7 +43,7 @@ class Core {
 
   /// Arithmetic replay of skipped idle passes (docs/SIM_ENGINE.md
   /// "Parked waiters"). Passes start back to back at `start`; each draws
-  /// every cost in `costs` (at most four), in order, exactly as consume()
+  /// every cost in `costs`, in order, exactly as consume()
   /// would -- same RNG stream, speed factor and busy-time accounting --
   /// without accruing pending work. Replays every pass that starts
   /// before `until` (at or before it if `inclusive`), adds their number

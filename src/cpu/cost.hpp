@@ -34,7 +34,7 @@ struct CostSpec {
   TimePs sample(Rng& rng) const {
     double v = mean_ns;
     if (cv > 0.0 && mean_ns > 0.0) {
-      v = rng.lognormal_by_moments(mean_ns, cv * mean_ns);
+      v = rng.lognormal(lognormal());
     }
     if (tail_prob > 0.0 && rng.bernoulli(tail_prob)) {
       v += rng.exponential(tail_mean_ns);
@@ -48,6 +48,25 @@ struct CostSpec {
     c.mean_ns *= f;
     return c;
   }
+
+  /// The lognormal body's parameters (requires cv > 0 and mean_ns > 0).
+  /// Sampling is hot and the fields are set once at configuration, so
+  /// they are derived once per (mean_ns, cv) and kept with the spec.
+  const Rng::LognormalParams& lognormal() const {
+    if (derived_mean_ns_ != mean_ns || derived_cv_ != cv) {
+      derived_ = Rng::lognormal_params(mean_ns, cv * mean_ns);
+      derived_mean_ns_ = mean_ns;
+      derived_cv_ = cv;
+    }
+    return derived_;
+  }
+
+  // Behind lognormal(), keyed by the fields it was derived from. Each
+  // Core samples its own copy of the cost model, so no two threads share
+  // a cache.
+  mutable Rng::LognormalParams derived_{};
+  mutable double derived_mean_ns_ = 0.0;
+  mutable double derived_cv_ = 0.0;
 };
 
 }  // namespace bb::cpu

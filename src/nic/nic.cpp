@@ -264,10 +264,13 @@ void Nic::send_upstream(pcie::Tlp tlp) {
 sim::Task<void> Nic::upstream_pump() {
   for (;;) {
     pcie::Tlp tlp = co_await up_ingress_.receive();
+    link_.collect_credit_updates(pcie::Direction::kDownstream);
     while (!up_credits_.can_send(tlp)) {
       ++credit_stalls_;
+      link_.watch_credit_updates(pcie::Direction::kDownstream, true);
       co_await up_credit_avail_.wait();
     }
+    link_.watch_credit_updates(pcie::Direction::kDownstream, false);
     up_credits_.consume(tlp);
     link_.send_upstream(std::move(tlp));
   }

@@ -6,7 +6,14 @@ namespace bb::pcie {
 
 Link::Link(sim::Simulator& sim, LinkParams params, Analyzer* tap,
            fault::FaultInjector* injector)
-    : sim_(sim), params_(params), tap_(tap), injector_(injector) {}
+    : sim_(sim),
+      params_(params),
+      tap_(tap),
+      injector_(injector),
+      down_(sim, &depart_elided_ack<Direction::kDownstream>,
+            &arrive_elided_update<Direction::kDownstream>, this),
+      up_(sim, &depart_elided_ack<Direction::kUpstream>,
+          &arrive_elided_update<Direction::kUpstream>, this) {}
 
 void Link::send_downstream(Tlp tlp) {
   tlp.dir = Direction::kDownstream;
@@ -24,6 +31,19 @@ void Link::send_dllp_downstream(Dllp d) {
 
 void Link::send_dllp_upstream(Dllp d) { transmit_dllp(Direction::kUpstream, d); }
 
+void Link::collect_credit_updates(Direction dir) {
+  dir_state(dir).updates.settle();
+}
+
+void Link::watch_credit_updates(Direction dir, bool waiting) {
+  DirState& st = dir_state(dir);
+  if (waiting) {
+    st.updates.settle();
+    st.updates.promote();
+  }
+  st.credit_waiter = waiting;
+}
+
 void Link::transmit_tlp(Direction dir, Tlp tlp) {
   DirState& st = dir_state(dir);
   const std::uint64_t seq = st.next_seq++;
@@ -39,6 +59,7 @@ void Link::transmit_tlp(Direction dir, Tlp tlp) {
 void Link::transmit_attempt(Direction dir, const Tlp& tlp, std::uint64_t seq,
                             int attempt) {
   DirState& st = dir_state(dir);
+  st.acks.settle();
   const TimePs depart = std::max(sim_.now(), st.next_free);
   st.next_free = depart + params_.serialize(tlp.bytes);
 
@@ -63,9 +84,8 @@ void Link::transmit_attempt(Direction dir, const Tlp& tlp, std::uint64_t seq,
     }
   }
 
-  TimePs arrive = depart + params_.tlp_latency(tlp.bytes);
-  arrive = std::max(arrive, st.last_arrival);  // posted-ordering guarantee
-  st.last_arrival = arrive;
+  const TimePs arrive =
+      in_order_arrival(st, depart + params_.tlp_latency(tlp.bytes));
 
   sim_.call_at(arrive,
                [this, dir, tlp, seq, arrive, corrupt]() {
@@ -78,37 +98,37 @@ void Link::transmit_attempt(Direction dir, const Tlp& tlp, std::uint64_t seq,
       return;
     }
 
-    DirState& st = dir_state(dir);
+    DirState& rx = dir_state(dir);
     if (corrupt) {
       // LCRC failure: discard and request retransmission once per
       // recovery window (further Naks are suppressed until the window
       // closes; the sender's replay timer backstops a lost Nak).
-      if (!st.nak_outstanding) {
-        st.nak_outstanding = true;
+      if (!rx.nak_outstanding) {
+        rx.nak_outstanding = true;
         ++injector_->stats().naks_sent;
-        send_ack(dir, DllpType::kNak, st.expected_seq - 1);
+        send_ack(dir, DllpType::kNak, rx.expected_seq - 1);
       }
       return;
     }
-    if (seq < st.expected_seq) {
+    if (seq < rx.expected_seq) {
       // Duplicate of an already-accepted TLP (a replay raced the Ack):
       // discard and re-acknowledge so the sender can purge it.
       ++injector_->stats().duplicates_dropped;
-      send_ack(dir, DllpType::kAck, st.expected_seq - 1);
+      send_ack(dir, DllpType::kAck, rx.expected_seq - 1);
       return;
     }
-    if (seq > st.expected_seq) {
+    if (seq > rx.expected_seq) {
       // Sequence gap: a predecessor was lost.
-      if (!st.nak_outstanding) {
-        st.nak_outstanding = true;
+      if (!rx.nak_outstanding) {
+        rx.nak_outstanding = true;
         ++injector_->stats().naks_sent;
-        send_ack(dir, DllpType::kNak, st.expected_seq - 1);
+        send_ack(dir, DllpType::kNak, rx.expected_seq - 1);
       }
       return;
     }
     // In sequence: accept.
-    st.expected_seq = seq + 1;
-    st.nak_outstanding = false;
+    rx.expected_seq = seq + 1;
+    rx.nak_outstanding = false;
     deliver(dir, tlp, seq);
   });
 }
@@ -130,14 +150,56 @@ void Link::send_ack(Direction dir, DllpType type, std::uint64_t seq) {
   ack.type = type;
   ack.ack_seq = seq;
   const Direction back = opposite(dir);
-  sim_.call_in(TimePs::from_ns(params_.ack_processing_ns),
-               [this, back, ack] { transmit_dllp(back, ack); });
+  const TimePs ready = sim_.now() + TimePs::from_ns(params_.ack_processing_ns);
+  if (faults_on() || tapped()) {
+    sim_.call_at(ready, [this, back, ack] { transmit_dllp(back, ack); });
+  } else {
+    dir_state(back).acks.push(ready, ack);
+  }
+}
+
+TimePs Link::occupy_for_dllp(DirState& st, TimePs at) {
+  const TimePs depart = std::max(at, st.next_free);
+  st.next_free = depart + params_.serialize(params_.dllp_bytes);
+  return depart;
+}
+
+TimePs Link::in_order_arrival(DirState& st, TimePs arrive) {
+  st.last_arrival = std::max(arrive, st.last_arrival);
+  return st.last_arrival;
+}
+
+template <Direction D>
+void Link::depart_elided_ack(void* link, TimePs at, const Dllp&) {
+  // Nothing observes a fault-free Ack's arrival: it only holds the
+  // transmitter and the posted order behind it.
+  Link& l = *static_cast<Link*>(link);
+  DirState& st = l.dir_state(D);
+  const TimePs depart = l.occupy_for_dllp(st, at);
+  l.sim_.note_elided(
+      in_order_arrival(st, depart + l.params_.dllp_latency()));
+}
+
+template <Direction D>
+void Link::arrive_elided_update(void* link, TimePs, const Dllp& fc) {
+  static_cast<Link*>(link)->hand_to_endpoint(D, fc);
+}
+
+void Link::hand_to_endpoint(Direction dir, const Dllp& d) {
+  // Acks/Naks are the link's own protocol; endpoints see them only when
+  // an injector makes them carry replay information.
+  if (d.type != DllpType::kUpdateFC && !faults_on()) return;
+  if (dir == Direction::kDownstream) {
+    if (b_dllp_) b_dllp_(d);
+  } else {
+    if (a_dllp_) a_dllp_(d);
+  }
 }
 
 void Link::transmit_dllp(Direction dir, Dllp d) {
   DirState& st = dir_state(dir);
-  const TimePs depart = std::max(sim_.now(), st.next_free);
-  st.next_free = depart + params_.serialize(params_.dllp_bytes);
+  st.acks.settle();
+  const TimePs depart = occupy_for_dllp(st, sim_.now());
 
   if (tap_ && dir == Direction::kUpstream) tap_->on_dllp(depart, dir, d);
 
@@ -163,9 +225,20 @@ void Link::transmit_dllp(Direction dir, Dllp d) {
     }
   }
 
-  TimePs arrive = depart + params_.dllp_latency();
-  arrive = std::max(arrive, st.last_arrival);
-  st.last_arrival = arrive;
+  const TimePs arrive =
+      in_order_arrival(st, depart + params_.dllp_latency());
+
+  // Fault-free, the arrival has an observer only in a downstream tap or
+  // a pump waiting for this UpdateFC's credits.
+  if (!faults_on() && !(dir == Direction::kDownstream && tapped()) &&
+      !(d.type == DllpType::kUpdateFC && st.credit_waiter)) {
+    if (d.type == DllpType::kUpdateFC) {
+      st.updates.push(arrive, d);
+    } else {
+      sim_.note_elided(arrive);
+    }
+    return;
+  }
 
   sim_.call_at(arrive, [this, dir, d, arrive] {
     if (tap_ && dir == Direction::kDownstream) tap_->on_dllp(arrive, dir, d);
@@ -174,11 +247,7 @@ void Link::transmit_dllp(Direction dir, Dllp d) {
       // the opposite direction: service that replay buffer first.
       on_ack_dllp(opposite(dir), d);
     }
-    if (dir == Direction::kDownstream) {
-      if (b_dllp_) b_dllp_(d);
-    } else {
-      if (a_dllp_) a_dllp_(d);
-    }
+    hand_to_endpoint(dir, d);
   });
 }
 

@@ -22,6 +22,17 @@
 // none of this machinery runs and the link is bit-identical to the
 // error-free model.
 //
+// Elided DLLPs (docs/SIM_ENGINE.md "Elided events"): a DLLP gets an event
+// only when something observes it at that instant -- a fault injector,
+// an enabled analyzer, or a credit pump waiting on the receiving side.
+// Otherwise a fault-free Ack's processing delay becomes a pending
+// departure, settled into the transmitter before its next packet, and
+// its arrival is no event at all; an UpdateFC's arrival goes into a
+// per-direction ledger that the receiving pump settles before each
+// credit check (collect_credit_updates) and promotes to real events
+// before it waits (watch_credit_updates). Timing is unchanged; endpoint
+// DLLP handlers see UpdateFCs, and Acks/Naks only with an injector.
+//
 // Tap semantics: downstream packets are recorded when they *arrive* at B
 // (the analyzer is upstream-adjacent to the NIC); upstream packets are
 // recorded when they *depart* B. This is exactly the vantage point the
@@ -35,6 +46,7 @@
 #include "pcie/dllp.hpp"
 #include "pcie/tlp.hpp"
 #include "pcie/trace.hpp"
+#include "sim/deferred.hpp"
 #include "sim/simulator.hpp"
 
 namespace bb::pcie {
@@ -94,6 +106,16 @@ class Link {
   void send_dllp_downstream(Dllp d);
   void send_dllp_upstream(Dllp d);
 
+  /// Credit pumps: hands the endpoint every elided UpdateFC travelling in
+  /// `dir` (kUpstream for the Root Complex, kDownstream for the NIC)
+  /// whose arrival precedes the current event. Call before each
+  /// credit check.
+  void collect_credit_updates(Direction dir);
+  /// A pump about to wait for `dir`'s UpdateFCs passes true: the pending
+  /// ones become real events, and later ones stay events until it passes
+  /// false (it can send again).
+  void watch_credit_updates(Direction dir, bool waiting);
+
   std::uint64_t tlps_delivered() const { return tlps_delivered_; }
   /// TLPs handed to send_* (each counted once, however many attempts).
   std::uint64_t tlps_accepted() const { return tlps_accepted_; }
@@ -114,6 +136,10 @@ class Link {
   };
 
   struct DirState {
+    DirState(sim::Simulator& sim, sim::Deferred<Dllp>::Fn depart,
+             sim::Deferred<Dllp>::Fn arrive, void* link)
+        : acks(sim, depart, link), updates(sim, arrive, link) {}
+
     // Transmitter state for TLPs sent *in* this direction.
     TimePs next_free = TimePs::zero();    // transmitter availability
     TimePs last_arrival = TimePs::zero(); // ordering enforcement
@@ -124,9 +150,14 @@ class Link {
     // Receiver state for TLPs arriving from this direction.
     std::uint64_t expected_seq = 1;
     bool nak_outstanding = false;  // one Nak per recovery window
+    // Elided DLLPs travelling in this direction.
+    sim::Deferred<Dllp> acks;     // fault-free Acks not yet departed
+    sim::Deferred<Dllp> updates;  // UpdateFCs not yet handed over
+    bool credit_waiter = false;   // the receiving pump waits for credits
   };
 
   bool faults_on() const { return injector_ && injector_->enabled(); }
+  bool tapped() const { return tap_ && tap_->enabled(); }
   static fault::LinkDir fault_dir(Direction d) {
     return d == Direction::kDownstream ? fault::LinkDir::kDownstream
                                        : fault::LinkDir::kUpstream;
@@ -144,6 +175,17 @@ class Link {
   /// Receiver accepted `seq` in order: ack and deliver.
   void deliver(Direction dir, const Tlp& tlp, std::uint64_t seq);
   void send_ack(Direction dir, DllpType type, std::uint64_t seq);
+  /// Reserves `st`'s transmitter for one DLLP ready at `at`; returns its
+  /// departure.
+  TimePs occupy_for_dllp(DirState& st, TimePs at);
+  /// Keeps posted order: nothing arrives before its predecessor.
+  static TimePs in_order_arrival(DirState& st, TimePs arrive);
+  /// Runs an elided DLLP: a pending Ack leaving, an UpdateFC arriving.
+  template <Direction D>
+  static void depart_elided_ack(void* link, TimePs at, const Dllp& ack);
+  template <Direction D>
+  static void arrive_elided_update(void* link, TimePs at, const Dllp& fc);
+  void hand_to_endpoint(Direction dir, const Dllp& d);
   /// Sender-side processing of an arriving Ack/Nak for direction `dir`'s
   /// replay buffer.
   void on_ack_dllp(Direction dir, const Dllp& d);

@@ -27,10 +27,13 @@ sim::Task<void> RootComplex::downstream_pump() {
     Tlp tlp = co_await ingress_.receive();
     // §2: a transaction may be issued only with sufficient credits;
     // otherwise wait for an UpdateFC from the NIC.
+    link_.collect_credit_updates(Direction::kUpstream);
     while (!credits_.can_send(tlp)) {
       ++credit_stalls_;
+      link_.watch_credit_updates(Direction::kUpstream, true);
       co_await credit_avail_.wait();
     }
+    link_.watch_credit_updates(Direction::kUpstream, false);
     credits_.consume(tlp);
     ++mmio_issued_;
     link_.send_downstream(std::move(tlp));

@@ -27,7 +27,8 @@ std::string ProfileData::report() const {
     for (const auto& [name, v] : counters) {
       c.add_row({name, std::to_string(v)});
     }
-    out += "\n" + c.render();
+    out += '\n';
+    out += c.render();
   }
   return out;
 }

@@ -20,6 +20,7 @@ Simulator::~Simulator() {
   // Timers still armed belong to components that may outlive us; detach
   // them so their own cancel() has nothing left to do.
   for (Timer* tm : timers_) tm->index_ = Timer::kNotQueued;
+  for (detail::ElidedSource* src : elided_) src->sim_ = nullptr;
   // Destroy any still-suspended root frames. Nothing may be resumed after
   // this, so dangling waiter entries inside channels are harmless.
   for (auto& r : roots_) {
@@ -72,8 +73,10 @@ void Simulator::rethrow_root_error() {
   std::rethrow_exception(root_error_);
 }
 
-void Simulator::dispatch(TimePs t, detail::EventItem item) {
+void Simulator::dispatch(TimePs t, std::uint64_t seq,
+                         detail::EventItem item) {
   now_ = t;
+  cur_seq_ = seq;
   ++events_processed_;
   if (event_limit_ != 0 && events_processed_ > event_limit_) {
     if (detail::item_is_node(item)) {
@@ -110,7 +113,8 @@ void Simulator::dispatch(TimePs t, detail::EventItem item) {
 // Ring entries all sit at `now_`; a run/heap entry ties with the ring head
 // only when it was scheduled -- with a smaller seq -- before time advanced
 // to `now_`, in which case it must run first to preserve global order.
-bool Simulator::pick_next(TimePs& t, detail::EventItem& item) {
+bool Simulator::pick_next(TimePs& t, std::uint64_t& seq,
+                          detail::EventItem& item) {
   // Future sources first: the monotone run and the timer heap, both keyed
   // by (time, seq).
   int src = 0;  // 0 = none, 1 = run, 2 = heap
@@ -133,13 +137,16 @@ bool Simulator::pick_next(TimePs& t, detail::EventItem& item) {
   if (!ring_.empty()) {
     if (src == 0 || ft > now_.ps() || fseq > ring_.head().seq) {
       t = now_;
-      item = ring_.pop().item;
+      const auto slot = ring_.pop();
+      seq = slot.seq;
+      item = slot.item;
       return true;
     }
   } else if (src == 0) {
     return false;
   }
   t = TimePs(ft);
+  seq = fseq;
   item = (src == 1) ? run_.pop() : heap_.pop();
   return true;
 }
@@ -158,10 +165,67 @@ bool Simulator::step_impl() {
     return true;
   }
   TimePs t;
+  std::uint64_t seq = 0;
   detail::EventItem item;
-  if (!pick_next(t, item)) return false;
-  dispatch(t, item);
+  if (!pick_next(t, seq, item)) {
+    drain_elided();
+    return !idle() && step_impl();
+  }
+  dispatch(t, seq, item);
   return true;
+}
+
+void Simulator::attach(detail::ElidedSource* src) {
+  src->sim_ = this;
+  elided_.push_back(src);
+}
+
+void Simulator::detach(detail::ElidedSource* src) {
+  src->sim_ = nullptr;
+  std::erase(elided_, src);
+}
+
+detail::ElidedSource* Simulator::first_elided(std::int64_t& t_ps,
+                                              std::uint64_t& seq) const {
+  detail::ElidedSource* first = nullptr;
+  for (detail::ElidedSource* src : elided_) {
+    std::int64_t t = 0;
+    std::uint64_t s = 0;
+    if (src->head(t, s) && (!first || t < t_ps || (t == t_ps && s < seq))) {
+      first = src;
+      t_ps = t;
+      seq = s;
+    }
+  }
+  return first;
+}
+
+void Simulator::settle_elided() {
+  std::int64_t t = 0;
+  std::uint64_t seq = 0;
+  while (detail::ElidedSource* src = first_elided(t, seq)) {
+    if (!precedes_current(TimePs(t), seq)) break;
+    src->run_head();
+  }
+}
+
+// The queue is empty. Elided events run as uncounted events: each moves
+// the current point to its own (time, seq) if that is later. Should one
+// queue a real event, the queue takes over again and the rest wait for
+// the next drain. Otherwise now() ends at the latest elided event.
+void Simulator::drain_elided() {
+  std::int64_t t = 0;
+  std::uint64_t seq = 0;
+  while (detail::ElidedSource* src = first_elided(t, seq)) {
+    if (!precedes_current(TimePs(t), seq)) {
+      now_ = TimePs(t);
+      cur_seq_ = seq;
+    }
+    src->run_head();
+    if (!idle()) return;
+  }
+  if (now_ < elided_until_) now_ = elided_until_;
+  cur_seq_ = next_seq_;
 }
 
 // Whether the earliest timer precedes every queued event in (time, seq).
@@ -184,6 +248,7 @@ void Simulator::fire_timer() {
   Timer* tm = timers_.front();
   timer_remove(tm);
   now_ = TimePs(tm->t_ps_);
+  cur_seq_ = tm->seq_;
   ++events_processed_;
   if (event_limit_ != 0 && events_processed_ > event_limit_) {
     throw EventLimitError(event_limit_);
@@ -262,7 +327,12 @@ void Simulator::run_until(TimePs t) {
   while (has_event_at_or_before(t)) {
     step();
   }
-  if (now_ < t) now_ = t;
+  if (now_ <= t) {
+    // Every event at or before t has run; so have the elided ones.
+    now_ = t;
+    cur_seq_ = next_seq_;
+    settle_elided();
+  }
 }
 
 bool Simulator::run_while_pending(const std::function<bool()>& pred) {

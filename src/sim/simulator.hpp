@@ -54,6 +54,30 @@ class EventLimitError : public std::runtime_error {
 
 class Simulator;
 
+namespace detail {
+
+/// A FIFO of elided events (sim/deferred.hpp, docs/SIM_ENGINE.md "Elided
+/// events"). The Simulator runs every attached source's entries, in
+/// global (time, seq) order, when it settles or drains them.
+class ElidedSource {
+ public:
+  /// The head entry's (time, seq); false when empty.
+  virtual bool head(std::int64_t& t_ps, std::uint64_t& seq) const = 0;
+  /// Runs the head entry and pops it.
+  virtual void run_head() = 0;
+
+ protected:
+  virtual ~ElidedSource() = default;
+
+  /// Set by Simulator::attach; cleared if the Simulator dies first.
+  Simulator* sim_ = nullptr;
+
+ private:
+  friend class bb::sim::Simulator;
+};
+
+}  // namespace detail
+
 /// Where a wake at time t falls against a pass of the parked process
 /// that starts exactly at t.
 enum class Tie : std::uint8_t {
@@ -157,6 +181,33 @@ class Simulator {
     call_at(now_ + d, std::forward<F>(fn));
   }
 
+  // Elided events (docs/SIM_ENGINE.md "Elided events"): an event that
+  // nothing observes when it happens is kept out of the queue, at the
+  // exact (time, seq) place it would have had, and run later by whoever
+  // needs its effect -- or by the simulator when the queue drains.
+
+  /// Reserves the seq an event queued right now would get.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+  /// Whether an event at (t, seq) would already have run: it precedes
+  /// the event being dispatched (between runs: everything run so far).
+  bool precedes_current(TimePs t, std::uint64_t seq) const {
+    return t != now_ ? t < now_ : seq < cur_seq_;
+  }
+  /// Queues a callback at a seq from reserve_seq(). (t, seq) must not
+  /// precede the current event.
+  template <typename F>
+  void call_at_reserved(TimePs t, std::uint64_t seq, F&& fn) {
+    BB_ASSERT_MSG(!precedes_current(t, seq), "reserved event already past");
+    heap_.push(t, seq, detail::make_callback_item(pool_, std::forward<F>(fn)));
+  }
+  /// Records an elided event at `t`: a drained run ends no earlier.
+  void note_elided(TimePs t) {
+    if (t > elided_until_) elided_until_ = t;
+  }
+  /// Sources register for the drain and settle passes.
+  void attach(detail::ElidedSource* src);
+  void detach(detail::ElidedSource* src);
+
   /// Awaitable that suspends the current process for `d`.
   struct DelayAwaiter {
     Simulator* sim;
@@ -173,7 +224,9 @@ class Simulator {
   /// destroys it at teardown; exceptions escaping a root process abort.
   void spawn(Task<void> task, std::string name = "process");
 
-  /// Runs one event. Returns false if the queue is empty.
+  /// Runs one event. When the queue is empty, first drains the elided
+  /// events: each runs, uncounted, in (time, seq) order, and now() moves
+  /// to the latest elided event. Returns false if no event remains.
   /// Isolation invariant (debug-checked): a Simulator is single-threaded
   /// -- it must be stepped on the thread that constructed it. Parallel
   /// execution (bb::exec) runs whole simulators on distinct threads; it
@@ -187,7 +240,8 @@ class Simulator {
   }
   /// Runs until the event queue drains.
   void run();
-  /// Runs while events exist and now() <= t.
+  /// Runs while events exist and now() <= t, then runs the elided
+  /// events up to t.
   void run_until(TimePs t);
   void run_for(TimePs d) { run_until(now_ + d); }
   /// Runs until `pred()` becomes true (checked after each event) or the
@@ -243,9 +297,16 @@ class Simulator {
   }
 
   bool step_impl();
-  bool pick_next(TimePs& t, detail::EventItem& item);
+  bool pick_next(TimePs& t, std::uint64_t& seq, detail::EventItem& item);
   bool has_event_at_or_before(TimePs t) const;
-  void dispatch(TimePs t, detail::EventItem item);
+  void dispatch(TimePs t, std::uint64_t seq, detail::EventItem item);
+  /// The attached source whose head comes first, or null.
+  detail::ElidedSource* first_elided(std::int64_t& t_ps,
+                                     std::uint64_t& seq) const;
+  /// Runs every elided event that precedes the current point.
+  void settle_elided();
+  /// Queue empty: runs elided events until one queues an event.
+  void drain_elided();
   // Timer heap (binary, indexed: each Timer knows its slot, so cancel
   // is O(log n) removal rather than a tombstone left in the queue).
   bool timer_runs_next() const;
@@ -259,6 +320,10 @@ class Simulator {
 
   TimePs now_ = TimePs::zero();
   std::uint64_t next_seq_ = 0;
+  /// Seq of the event being dispatched; with now_, the current point.
+  std::uint64_t cur_seq_ = 0;
+  TimePs elided_until_ = TimePs::zero();
+  std::vector<detail::ElidedSource*> elided_;
   std::uint64_t events_processed_ = 0;
   std::uint64_t event_limit_ = 0;
   detail::EventPool pool_;

@@ -23,6 +23,25 @@ TEST(CostSpec, JitteredMatchesMoments) {
   EXPECT_NEAR(sum / n, 100.0, 0.5);
 }
 
+TEST(CostSpec, KeptParametersFollowEditsAndMatchPerDrawDerivation) {
+  // The spec derives its lognormal parameters once per (mean_ns, cv);
+  // draws stay bit-identical to deriving them on every draw, also after
+  // the fields are edited between draws.
+  Rng a(7), b(7);
+  CostSpec spec = CostSpec::jittered(282.0, 0.2);
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(spec.sample(a).ps(),
+                TimePs::from_ns(b.lognormal_by_moments(
+                                    spec.mean_ns, spec.cv * spec.mean_ns))
+                    .ps())
+          << "round " << round << " draw " << i;
+    }
+    if (round == 0) spec.mean_ns *= 1.5;
+    if (round == 1) spec.cv = 0.05;
+  }
+}
+
 TEST(CostSpec, SamplesAreAlwaysPositive) {
   Rng rng(3);
   const auto spec = CostSpec::jittered(10.0, 0.5);

@@ -111,7 +111,7 @@ TEST(ParkingGolden, LossyMpiPingPongMatchesSpinningLoop) {
   EXPECT_GT(tb.node(1).worker.parks(), 0u);
   // The spinning loop took 35079 events, and a loop that parks only
   // while no write is in flight into its node 19590.
-  EXPECT_EQ(tb.sim().events_processed(), 9306u);
+  EXPECT_EQ(tb.sim().events_processed(), 7502u);
 }
 
 // --- A jitter-free 16 KiB rendezvous ping-pong: each payload takes about
@@ -137,7 +137,7 @@ TEST(ParkingGolden, DeterministicRendezvousParksThroughPayloadCommit) {
   EXPECT_GT(tb.node(0).worker.parks(), 0u);
   EXPECT_GT(tb.node(1).worker.parks(), 0u);
   // Spinning through every commit window took 21429 events.
-  EXPECT_EQ(tb.sim().events_processed(), 7559u);
+  EXPECT_EQ(tb.sim().events_processed(), 6033u);
 }
 
 // --- A write committed exactly at the start of a pass is seen by that
@@ -323,7 +323,7 @@ TEST(ParkingGolden, WaitallWhoseLastPendingSendJustPostedDoesNotPark) {
   EXPECT_EQ(std::tuple(tb.sim().events_processed(), tb.sim().now().ps(),
                        std::bit_cast<std::uint64_t>(res.cpu_per_msg_ns),
                        tb.node(0).core.busy_time().ps()),
-            std::tuple(51022ull, 742687520, 4643348177563791078ull,
+            std::tuple(33994ull, 742687520, 4643348177563791078ull,
                        742687520));
   EXPECT_EQ(tb.node(0).worker.parks(), 0u);
 }
@@ -349,7 +349,7 @@ TEST(ParkingGolden, ProfilerWrappedPassesNeverPark) {
   EXPECT_EQ(std::tuple(tb.sim().events_processed(), tb.sim().now().ps(), fa.h,
                        fb.h, p0.samples("uct_worker_progress").size(),
                        p1.samples("ucp_worker_progress").size()),
-            std::tuple(12024ull, 341832435, 16027016698514597336ull,
+            std::tuple(10821ull, 341832435, 16027016698514597336ull,
                        15837848742356851791ull, 3368ul, 3358ul));
   EXPECT_EQ(tb.node(0).worker.parks(), 0u);
   EXPECT_EQ(tb.node(1).worker.parks(), 0u);

@@ -45,19 +45,6 @@ TEST(Link, DownstreamDeliveryTiming) {
   EXPECT_NEAR(arrival, p.tlp_latency(64).to_ns(), 1e-6);
 }
 
-TEST(Link, AutoAckReachesSenderSide) {
-  sim::Simulator sim;
-  LinkParams p;
-  Link link(sim, p);
-  link.set_b_tlp_handler([](const Tlp&) {});
-  std::vector<DllpType> a_dllps;
-  link.set_a_dllp_handler([&](const Dllp& d) { a_dllps.push_back(d.type); });
-  link.send_downstream(pio_post(1));
-  sim.run();
-  ASSERT_EQ(a_dllps.size(), 1u);
-  EXPECT_EQ(a_dllps[0], DllpType::kAck);
-}
-
 TEST(Link, AckDelaysAnUpstreamWriteSentRightAfterArrival) {
   // No analyzer, no injector: nothing observes the Ack, yet it still
   // occupies the upstream transmitter from ack_processing_ns after the

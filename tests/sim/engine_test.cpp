@@ -17,24 +17,30 @@
 #include <vector>
 
 #include "sim/channel.hpp"
+#include "sim/deferred.hpp"
 #include "sim/pool.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_heap_allocs{0};
-}
 
-void* operator new(std::size_t n) {
+// The replacement operators below route through these two helpers, so
+// every new and delete pairs one malloc with one free.
+void* counted_alloc(std::size_t n) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void counted_free(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 namespace bb::sim {
 namespace {
@@ -57,6 +63,30 @@ TEST(EngineAlloc, SteadyStateDispatchIsHeapAllocationFree) {
   EXPECT_EQ(hits, 9 * 500);
   EXPECT_EQ(g_heap_allocs.load(), allocs) << "dispatch hot path allocated";
   EXPECT_EQ(sim.event_pool_chunks(), chunks) << "node pool kept growing";
+}
+
+TEST(EngineAlloc, ElidedEventLedgerIsHeapAllocationFreeOnceWarm) {
+  Simulator sim;
+  int ran = 0;
+  Deferred<int> ledger(
+      sim, [](void* n, TimePs, const int&) { ++*static_cast<int*>(n); },
+      &ran);
+  // Each wave's events push entries a little ahead of themselves and
+  // settle the ones already passed, as a PCIe link does with its DLLPs.
+  const auto wave = [&] {
+    for (int i = 0; i < 500; ++i) {
+      sim.call_at(sim.now() + TimePs(10 * (i + 1)), [&, i] {
+        ledger.settle();
+        ledger.push(sim.now() + TimePs(25), i);
+      });
+    }
+    sim.run();
+  };
+  wave();  // warm: grows the ring to the largest backlog once
+  const std::uint64_t allocs = g_heap_allocs.load();
+  for (int w = 0; w < 8; ++w) wave();
+  EXPECT_EQ(ran, 9 * 500);
+  EXPECT_EQ(g_heap_allocs.load(), allocs) << "elided-event ledger allocated";
 }
 
 TEST(EngineAlloc, ChannelPingPongSteadyStateIsHeapAllocationFree) {
