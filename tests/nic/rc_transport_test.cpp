@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "nic/nic.hpp"
 #include "scenario/testbed.hpp"
 
@@ -210,6 +213,96 @@ TEST(RcTransport, TransportCountersReachTheProfiler) {
   EXPECT_EQ(tb.node(0).profiler.counter("net.packets_dropped"),
             s.packets_dropped);
   EXPECT_EQ(tb.node(0).profiler.counter("net.retransmits"), s.retransmits);
+}
+
+/// Polls `node`'s worker every 50 ns until `done()` holds.
+template <typename Pred>
+sim::Task<void> poll_until(Testbed::Node& node, Pred done) {
+  while (!done()) {
+    co_await node.worker.core().simulator().delay(TimePs::from_ns(50.0));
+    co_await node.worker.progress();
+  }
+}
+
+TEST(RcTransport, ResetDuringRnrBackoffCancelsIt) {
+  // qp_reset while an RNR backoff is pending withdraws it: the refused
+  // send is flushed, never retransmitted, and the recovered QP carries
+  // the next put on its own.
+  Testbed tb(scenario::presets::deterministic());
+  auto& ep = tb.add_endpoint(0);
+  std::vector<std::int64_t> at;
+  tb.sim().spawn([](Testbed& t, llp::Endpoint& e,
+                    std::vector<std::int64_t>& stamps) -> sim::Task<void> {
+    auto& n0 = t.node(0);
+    auto& nic = n0.nic;
+    const auto now = [&t] { return t.sim().now().ps(); };
+    // No receive is posted at node 1: the send is refused.
+    EXPECT_EQ(co_await e.am_short(8), llp::Status::kOk);
+    co_await poll_until(n0, [&] {
+      return nic.transport_stats().rnr_naks_received > 0;
+    });
+    stamps.push_back(now());
+    nic.qp_reset(e.qp());  // the backoff is still pending
+    co_await poll_until(n0, [&] { return e.outstanding() == 0; });
+    stamps.push_back(now());
+    EXPECT_EQ(e.tx_flushed(), 1u);
+    nic.qp_connect(e.qp(), 1);
+    co_await poll_until(
+        n0, [&] { return nic.qp_state(e.qp()) == QpState::kRts; });
+    stamps.push_back(now());
+    EXPECT_EQ(co_await e.put_short(8), llp::Status::kOk);
+    co_await poll_until(n0, [&] { return e.outstanding() == 0; });
+    stamps.push_back(now());
+  }(tb, ep, at));
+  tb.sim().run();
+
+  const net::TransportStats s = tb.net_stats();
+  EXPECT_EQ(s.rnr_naks_sent, 1u);
+  EXPECT_EQ(s.retransmits, 0u);
+  EXPECT_EQ(s.packets_sent, 6u);
+  EXPECT_EQ(s.qp_recoveries, 1u);
+  EXPECT_EQ(s.flushed_wqes, 1u);
+  EXPECT_EQ(tb.node(1).host.payload_bytes_delivered(), 8u);
+  EXPECT_EQ(tb.node(0).nic.tx_unacked(), 0u);
+  EXPECT_EQ(at,
+            (std::vector<std::int64_t>{1195420, 1715050, 3007050, 4654100}));
+}
+
+TEST(RcTransport, ResetDuringRecoveryDelaySendsOneConnect) {
+  // A second qp_reset inside the first qp_connect's qp_recovery_ns
+  // withdraws that connect: only the second connect reaches the wire.
+  Testbed tb(scenario::presets::deterministic());
+  auto& ep = tb.add_endpoint(0);
+  std::vector<std::int64_t> at;
+  tb.sim().spawn([](Testbed& t, llp::Endpoint& e,
+                    std::vector<std::int64_t>& stamps) -> sim::Task<void> {
+    auto& n0 = t.node(0);
+    auto& nic = n0.nic;
+    const auto now = [&t] { return t.sim().now().ps(); };
+    nic.qp_reset(e.qp());
+    nic.qp_connect(e.qp(), 1);
+    co_await t.sim().delay(TimePs::from_ns(nic.params().qp_recovery_ns / 2));
+    EXPECT_EQ(nic.qp_state(e.qp()), QpState::kConnecting);
+    stamps.push_back(now());
+    nic.qp_reset(e.qp());
+    nic.qp_connect(e.qp(), 1);
+    co_await poll_until(
+        n0, [&] { return nic.qp_state(e.qp()) == QpState::kRts; });
+    stamps.push_back(now());
+    EXPECT_EQ(co_await e.put_short(8), llp::Status::kOk);
+    co_await poll_until(n0, [&] { return e.outstanding() == 0; });
+    stamps.push_back(now());
+  }(tb, ep, at));
+  tb.sim().run();
+
+  const net::TransportStats s = tb.net_stats();
+  EXPECT_EQ(s.packets_sent, 4u);  // one connect, its ack, the put, its ACK
+  EXPECT_EQ(s.data_packets_sent, 1u);
+  EXPECT_EQ(s.qp_recoveries, 1u);
+  EXPECT_EQ(s.retransmits, 0u);
+  EXPECT_EQ(tb.node(1).host.payload_bytes_delivered(), 8u);
+  EXPECT_EQ(tb.node(0).nic.tx_unacked(), 0u);
+  EXPECT_EQ(at, (std::vector<std::int64_t>{250000, 1542000, 3189050}));
 }
 
 TEST(RcTransport, LossFreeRunsKeepProtocolStateOnly) {
