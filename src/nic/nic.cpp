@@ -240,7 +240,7 @@ void Nic::on_read_completion(const pcie::ReadRequest& req,
 }
 
 void Nic::inject(const pcie::WireMd& md) {
-  TxFlow& f = tx_flows_[md.qp];
+  TxFlow& f = tx_flow(md.qp);
   if (f.state != QpState::kRts) {
     // Posts against a non-RTS QP are flushed immediately with an error
     // CQE (verbs semantics); the op never reaches the wire.
@@ -253,7 +253,7 @@ void Nic::inject(const pcie::WireMd& md) {
   f.unacked.push_back(TxEntry{psn, md});
   ++messages_injected_;
   fabric_.send(net::NetPacket::data(md, node_id_, md.dst_node, psn));
-  arm_retry_timer(md.qp, f);
+  arm_retry_timer(f);
 }
 
 void Nic::send_upstream(pcie::Tlp tlp) {
@@ -369,29 +369,9 @@ void Nic::on_data_packet(const net::NetPacket& pkt) {
                });
   // §2 step 4: acknowledge to the initiator NIC. The ACK does not wait
   // for the payload's RC-to-MEM commit.
-  if (params_.ack_coalesce_ns <= 0.0) {
-    ++tstats_.acks_sent;
-    send_ctrl(net::NetPacket::Kind::kAck, pkt.qp, pkt.psn, pkt.src_node,
-              params_.rx_proc_ns + params_.ack_gen_ns);
-    return;
-  }
-  // Coalesced: one cumulative ACK covers every packet accepted while the
-  // coalescing window was open.
-  rf.ack_due_psn = pkt.psn;
-  if (!rf.ack_timer_armed) {
-    rf.ack_timer_armed = true;
-    const auto key = std::make_pair(pkt.src_node, pkt.qp);
-    sim_.call_in(TimePs::from_ns(params_.rx_proc_ns + params_.ack_gen_ns +
-                                 params_.ack_coalesce_ns),
-                 [this, key] {
-                   RxFlow& flow = rx_flows_[key];
-                   flow.ack_timer_armed = false;
-                   ++tstats_.acks_sent;
-                   fabric_.send(net::NetPacket::ctrl(
-                       net::NetPacket::Kind::kAck, key.second,
-                       flow.ack_due_psn, node_id_, key.first));
-                 });
-  }
+  ++tstats_.acks_sent;
+  send_ctrl(net::NetPacket::Kind::kAck, pkt.qp, pkt.psn, pkt.src_node,
+            params_.rx_proc_ns + params_.ack_gen_ns);
 }
 
 void Nic::complete_message(const pcie::WireMd& md) {
@@ -417,7 +397,7 @@ void Nic::complete_message(const pcie::WireMd& md) {
 }
 
 void Nic::on_rc_ack(std::uint32_t qp, std::uint64_t psn) {
-  TxFlow& f = tx_flows_[qp];
+  TxFlow& f = tx_flow(qp);
   ++tstats_.acks_received;
   if (f.state != QpState::kRts) return;  // stale ACK after error/reset
   bool progress = false;
@@ -434,12 +414,12 @@ void Nic::on_rc_ack(std::uint32_t qp, std::uint64_t psn) {
   f.rnr_count = 0;
   f.rnr_wait = false;
   f.cur_timeout_ns = params_.retry_timeout_ns;
-  cancel_retry_timer(f);
-  arm_retry_timer(qp, f);
+  f.timer.cancel();
+  arm_retry_timer(f);
 }
 
 void Nic::on_rc_nak(std::uint32_t qp, std::uint64_t psn) {
-  TxFlow& f = tx_flows_[qp];
+  TxFlow& f = tx_flow(qp);
   ++tstats_.naks_received;
   if (f.state != QpState::kRts) return;
   // A NAK for `psn` implicitly ACKs everything before it.
@@ -449,13 +429,13 @@ void Nic::on_rc_nak(std::uint32_t qp, std::uint64_t psn) {
     complete_message(md);
   }
   if (f.rnr_wait) return;  // backoff pending; it will retransmit anyway
-  retransmit_flow(qp);
-  cancel_retry_timer(f);
-  arm_retry_timer(qp, f);
+  retransmit_flow(f);
+  f.timer.cancel();
+  arm_retry_timer(f);
 }
 
 void Nic::on_rnr_nak(std::uint32_t qp, std::uint64_t psn) {
-  TxFlow& f = tx_flows_[qp];
+  TxFlow& f = tx_flow(qp);
   ++tstats_.rnr_naks_received;
   if (f.state != QpState::kRts) return;
   // Everything before the refused PSN was accepted.
@@ -467,92 +447,93 @@ void Nic::on_rnr_nak(std::uint32_t qp, std::uint64_t psn) {
   if (f.rnr_wait) return;  // one backoff at a time
   ++f.rnr_count;
   if (f.rnr_count > params_.rnr_retry_cnt) {
-    qp_error(qp);
+    qp_error(f);
     return;
   }
-  // Back off rnr_timer * backoff^(n-1), then go-back-N. The transport
-  // retry timer is quiesced during the wait so it cannot double-fire.
+  // Back off rnr_timer * backoff^(n-1), then go-back-N. The backoff takes
+  // the flow's timer, so the retry timeout cannot double-fire.
   const double delay_ns =
       params_.rnr_timer_ns *
       std::pow(params_.rnr_backoff, static_cast<double>(f.rnr_count - 1));
   f.rnr_wait = true;
-  cancel_retry_timer(f);
-  const std::uint64_t epoch = f.timer_epoch;
-  sim_.call_in(TimePs::from_ns(delay_ns), [this, qp, epoch] {
-    TxFlow& flow = tx_flows_[qp];
-    if (flow.state != QpState::kRts || flow.timer_epoch != epoch) return;
-    flow.rnr_wait = false;
-    retransmit_flow(qp);
-    arm_retry_timer(qp, flow);
-  });
+  f.timer.arm(sim_.now() + TimePs::from_ns(delay_ns));
 }
 
-void Nic::retransmit_flow(std::uint32_t qp) {
-  TxFlow& f = tx_flows_[qp];
-  if (f.state != QpState::kRts) return;
+Nic::TxFlow::TxFlow(Nic& owner, std::uint32_t qp_num)
+    : nic(owner),
+      qp(qp_num),
+      timer(owner.sim_,
+            [](void* flow) {
+              TxFlow& f = *static_cast<TxFlow*>(flow);
+              f.nic.on_flow_timer(f);
+            },
+            this) {}
+
+Nic::TxFlow& Nic::tx_flow(std::uint32_t qp) {
+  return tx_flows_.try_emplace(qp, *this, qp).first->second;
+}
+
+void Nic::retransmit_flow(TxFlow& f) {
   for (const TxEntry& e : f.unacked) {
     ++tstats_.retransmits;
     fabric_.send(net::NetPacket::data(e.md, node_id_, f.peer, e.psn));
   }
 }
 
-void Nic::arm_retry_timer(std::uint32_t qp, TxFlow& f) {
+void Nic::arm_retry_timer(TxFlow& f) {
   // On a reliable wire the NAK/RNR paths recover everything; arming the
   // timer would schedule events the error-free goldens don't have.
   if (!fabric_.lossy()) return;
-  if (f.timer_armed || f.rnr_wait) return;
+  if (f.timer.armed()) return;  // retry or RNR backoff already pending
   if (f.unacked.empty() && f.state != QpState::kConnecting) return;
   if (f.cur_timeout_ns <= 0.0) f.cur_timeout_ns = params_.retry_timeout_ns;
-  f.timer_armed = true;
-  const std::uint64_t epoch = ++f.timer_epoch;
-  sim_.call_in(TimePs::from_ns(f.cur_timeout_ns),
-               [this, qp, epoch] { on_retry_timeout(qp, epoch); });
+  f.timer.arm(sim_.now() + TimePs::from_ns(f.cur_timeout_ns));
 }
 
-void Nic::cancel_retry_timer(TxFlow& f) {
-  f.timer_armed = false;
-  ++f.timer_epoch;
-}
-
-void Nic::on_retry_timeout(std::uint32_t qp, std::uint64_t epoch) {
-  TxFlow& f = tx_flows_[qp];
-  if (!f.timer_armed || f.timer_epoch != epoch) return;  // stale timer
-  f.timer_armed = false;
-  if (f.state == QpState::kConnecting) {
-    // The connect (or its ack) was lost; resend the handshake.
-    ++tstats_.retry_timer_firings;
-    ++f.retry_count;
-    if (f.retry_count > params_.retry_cnt) {
-      qp_error(qp);
-      return;
-    }
-    fabric_.send(net::NetPacket::ctrl(net::NetPacket::Kind::kConnect, qp,
-                                      f.next_psn, node_id_, f.peer));
-    f.cur_timeout_ns =
-        std::min(f.cur_timeout_ns * params_.retry_backoff,
-                 params_.retry_timeout_max_ns);
-    arm_retry_timer(qp, f);
+void Nic::on_flow_timer(TxFlow& f) {
+  // qp_reset and qp_error cancel the timer: the flow is in RTS or
+  // kConnecting.
+  if (f.rnr_wait) {
+    // The RNR backoff is over: go back N.
+    f.rnr_wait = false;
+    retransmit_flow(f);
+    arm_retry_timer(f);
     return;
   }
-  if (f.state != QpState::kRts || f.unacked.empty()) return;
+  const bool connecting = f.state == QpState::kConnecting;
+  const auto send_connect = [&] {
+    fabric_.send(net::NetPacket::ctrl(net::NetPacket::Kind::kConnect, f.qp,
+                                      f.next_psn, node_id_, f.peer));
+  };
+  if (connecting && f.cur_timeout_ns == 0.0) {
+    // The modify-QP ladder is done: the connect re-synchronises the
+    // responder's expected PSN.
+    send_connect();
+    arm_retry_timer(f);
+    return;
+  }
+  // A retry timeout: a data packet, or the connect or its ack, was lost.
   ++tstats_.retry_timer_firings;
   ++f.retry_count;
   if (f.retry_count > params_.retry_cnt) {
-    qp_error(qp);
+    qp_error(f);
     return;
   }
-  retransmit_flow(qp);
+  if (connecting) {
+    send_connect();
+  } else {
+    retransmit_flow(f);
+  }
   f.cur_timeout_ns = std::min(f.cur_timeout_ns * params_.retry_backoff,
                               params_.retry_timeout_max_ns);
-  arm_retry_timer(qp, f);
+  arm_retry_timer(f);
 }
 
-void Nic::qp_error(std::uint32_t qp) {
-  TxFlow& f = tx_flows_[qp];
+void Nic::qp_error(TxFlow& f) {
   if (f.state == QpState::kError) return;
   f.state = QpState::kError;
   ++tstats_.qp_errors;
-  cancel_retry_timer(f);
+  f.timer.cancel();
   f.rnr_wait = false;
   // Flush the send queue: the head WQE is the one whose retries
   // exhausted (kIoError); everything behind it never got a verdict and
@@ -562,7 +543,7 @@ void Nic::qp_error(std::uint32_t qp) {
     const TxEntry e = f.unacked.front();
     f.unacked.pop_front();
     ++tstats_.flushed_wqes;
-    complete_with_error(qp, e.md.msg_id,
+    complete_with_error(f.qp, e.md.msg_id,
                         first ? common::Status::kIoError
                               : common::Status::kFlushed);
     first = false;
@@ -581,8 +562,8 @@ std::size_t Nic::tx_unacked() const {
 }
 
 void Nic::qp_reset(std::uint32_t qp) {
-  TxFlow& f = tx_flows_[qp];
-  cancel_retry_timer(f);
+  TxFlow& f = tx_flow(qp);
+  f.timer.cancel();
   while (!f.unacked.empty()) {
     const TxEntry e = f.unacked.front();
     f.unacked.pop_front();
@@ -600,25 +581,15 @@ void Nic::qp_reset(std::uint32_t qp) {
 }
 
 void Nic::qp_connect(std::uint32_t qp, int peer_node) {
-  TxFlow& f = tx_flows_[qp];
+  TxFlow& f = tx_flow(qp);
   BB_ASSERT_MSG(f.state == QpState::kReset,
                 "qp_connect requires a RESET QP (call qp_reset first)");
   f.peer = peer_node;
   f.state = QpState::kConnecting;
-  f.cur_timeout_ns = params_.retry_timeout_ns;
   // The modify-QP ladder (reset -> init -> RTR -> RTS on both ends)
   // costs qp_recovery_ns of driver/firmware work before the connect
-  // packet re-synchronises the responder's expected PSN.
-  const std::uint64_t epoch = f.timer_epoch;
-  sim_.call_in(TimePs::from_ns(params_.qp_recovery_ns), [this, qp, epoch] {
-    TxFlow& flow = tx_flows_[qp];
-    if (flow.state != QpState::kConnecting || flow.timer_epoch != epoch) {
-      return;
-    }
-    fabric_.send(net::NetPacket::ctrl(net::NetPacket::Kind::kConnect, qp,
-                                      flow.next_psn, node_id_, flow.peer));
-    arm_retry_timer(qp, flow);
-  });
+  // packet goes out (on_flow_timer).
+  f.timer.arm(sim_.now() + TimePs::from_ns(params_.qp_recovery_ns));
 }
 
 void Nic::on_connect(const net::NetPacket& pkt) {
@@ -633,14 +604,14 @@ void Nic::on_connect(const net::NetPacket& pkt) {
 }
 
 void Nic::on_connect_ack(std::uint32_t qp) {
-  TxFlow& f = tx_flows_[qp];
+  TxFlow& f = tx_flow(qp);
   if (f.state != QpState::kConnecting) return;  // duplicate connect-ack
   f.state = QpState::kRts;
   f.retry_count = 0;
   f.rnr_count = 0;
   f.rnr_wait = false;
   f.cur_timeout_ns = params_.retry_timeout_ns;
-  cancel_retry_timer(f);
+  f.timer.cancel();
   ++tstats_.qp_recoveries;
 }
 

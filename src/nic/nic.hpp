@@ -87,11 +87,6 @@ struct NicParams {
   double rnr_backoff = 2.0;
   /// Consecutive RNR NAKs tolerated before the QP errors.
   int rnr_retry_cnt = 7;
-  /// >0: the responder coalesces ACKs, delaying them by this much so one
-  /// cumulative ACK covers a burst. 0 (default) acknowledges every data
-  /// packet immediately -- the pre-transport timeline, kept so error-free
-  /// goldens stay bit-identical.
-  double ack_coalesce_ns = 0.0;
   /// Modify-QP ladder processing (reset -> init -> RTR -> RTS) before the
   /// reconnect handshake's packet is emitted.
   double qp_recovery_ns = 500.0;
@@ -187,16 +182,20 @@ class Nic {
   void on_rnr_nak(std::uint32_t qp, std::uint64_t psn);
   void on_connect(const net::NetPacket& pkt);
   void on_connect_ack(std::uint32_t qp);
-  /// Resends every unacked data packet on `qp` in PSN order (go-back-N).
-  void retransmit_flow(std::uint32_t qp);
+  /// `qp`'s requester-side flow, created on first use.
+  TxFlow& tx_flow(std::uint32_t qp);
+  /// Resends every unacked data packet on the flow in PSN order
+  /// (go-back-N).
+  void retransmit_flow(TxFlow& f);
   /// Arms the transport retry timer (lossy fabric only; no-op otherwise).
-  void arm_retry_timer(std::uint32_t qp, TxFlow& f);
-  void cancel_retry_timer(TxFlow& f);
-  void on_retry_timeout(std::uint32_t qp, std::uint64_t epoch);
-  /// Moves `qp` to the error state, flushing outstanding WQEs: the head
-  /// (the WQE whose retries exhausted) retires kIoError, the rest
+  void arm_retry_timer(TxFlow& f);
+  /// The flow's timer fired: an RNR backoff, the QP-recovery delay or a
+  /// retry timeout ended.
+  void on_flow_timer(TxFlow& f);
+  /// Moves the flow to the error state, flushing outstanding WQEs: the
+  /// head (the WQE whose retries exhausted) retires kIoError, the rest
   /// kFlushed.
-  void qp_error(std::uint32_t qp);
+  void qp_error(TxFlow& f);
   /// Responder-side control send (ACK/NAK/RNR-NAK/connect-ack) after
   /// `delay_ns` of NIC processing.
   void send_ctrl(net::NetPacket::Kind kind, std::uint32_t qp,
@@ -219,6 +218,10 @@ class Nic {
     pcie::WireMd md;
   };
   struct TxFlow {
+    TxFlow(Nic& owner, std::uint32_t qp_num);
+
+    Nic& nic;
+    std::uint32_t qp;
     QpState state = QpState::kRts;
     int peer = -1;
     /// Next PSN to assign. Monotonic across reconnects: a fresh
@@ -229,24 +232,22 @@ class Nic {
     std::deque<TxEntry> unacked;
     int retry_count = 0;
     int rnr_count = 0;
-    /// True while an RNR backoff delay is pending (suppresses
-    /// NAK-triggered retransmits that would just re-trip the RNR).
+    /// True while `timer` holds an RNR backoff (suppresses NAK-triggered
+    /// retransmits that would just re-trip the RNR).
     bool rnr_wait = false;
+    /// Current retry timeout. 0 until the retry timer is armed after a
+    /// reset, so a kConnecting flow's timer with 0 here is the
+    /// QP-recovery delay, not a lost connect.
     double cur_timeout_ns = 0.0;
-    /// Timer-cancellation epoch: bumping it invalidates in-flight timer
-    /// events (same idiom as pcie::Link's replay timer).
-    std::uint64_t timer_epoch = 0;
-    bool timer_armed = false;
+    /// The flow's one pending wake-up: a retry timeout, an RNR backoff
+    /// or the QP-recovery delay. They never overlap.
+    sim::Timer timer;
   };
   /// Responder-side flow state, keyed by (source node, QP).
   struct RxFlow {
     std::uint64_t expected_psn = 1;
     /// One NAK per gap window: cleared when the expected PSN arrives.
     bool nak_outstanding = false;
-    /// ACK coalescing (ack_coalesce_ns > 0): highest accepted PSN and
-    /// whether a delayed cumulative ACK is already scheduled.
-    std::uint64_t ack_due_psn = 0;
-    bool ack_timer_armed = false;
   };
   std::map<std::uint32_t, TxFlow> tx_flows_;
   std::map<std::pair<int, std::uint32_t>, RxFlow> rx_flows_;

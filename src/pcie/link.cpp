@@ -11,9 +11,11 @@ Link::Link(sim::Simulator& sim, LinkParams params, Analyzer* tap,
       tap_(tap),
       injector_(injector),
       down_(sim, &depart_elided_ack<Direction::kDownstream>,
-            &arrive_elided_update<Direction::kDownstream>, this),
+            &arrive_elided_update<Direction::kDownstream>,
+            &on_replay_timeout<Direction::kDownstream>, this),
       up_(sim, &depart_elided_ack<Direction::kUpstream>,
-          &arrive_elided_update<Direction::kUpstream>, this) {}
+          &arrive_elided_update<Direction::kUpstream>,
+          &on_replay_timeout<Direction::kUpstream>, this) {}
 
 void Link::send_downstream(Tlp tlp) {
   tlp.dir = Direction::kDownstream;
@@ -262,8 +264,7 @@ void Link::on_ack_dllp(Direction dir, const Dllp& d) {
     replay_all(dir);
   }
   // Ack/Nak receipt restarts REPLAY_TIMER.
-  st.timer_armed = false;
-  ++st.timer_epoch;
+  st.replay_timer.cancel();
   arm_replay_timer(dir);
 }
 
@@ -286,21 +287,19 @@ void Link::replay_all(Direction dir) {
 void Link::arm_replay_timer(Direction dir) {
   if (!faults_on()) return;
   DirState& st = dir_state(dir);
-  if (st.timer_armed || st.replay.empty()) return;
-  st.timer_armed = true;
-  const std::uint64_t epoch = ++st.timer_epoch;
-  sim_.call_in(TimePs::from_ns(injector_->config().replay_timeout_ns),
-               [this, dir, epoch] { on_replay_timeout(dir, epoch); });
+  if (st.replay_timer.armed() || st.replay.empty()) return;
+  st.replay_timer.arm(sim_.now() +
+                      TimePs::from_ns(injector_->config().replay_timeout_ns));
 }
 
-void Link::on_replay_timeout(Direction dir, std::uint64_t epoch) {
-  DirState& st = dir_state(dir);
-  if (!st.timer_armed || epoch != st.timer_epoch) return;  // stale
-  st.timer_armed = false;
-  if (st.replay.empty()) return;
-  ++injector_->stats().replay_timeouts;
-  replay_all(dir);
-  arm_replay_timer(dir);
+template <Direction D>
+void Link::on_replay_timeout(void* link) {
+  // Armed only while the replay buffer holds TLPs; every Ack that purges
+  // it restarts the timer.
+  Link& l = *static_cast<Link*>(link);
+  ++l.injector_->stats().replay_timeouts;
+  l.replay_all(D);
+  l.arm_replay_timer(D);
 }
 
 }  // namespace bb::pcie

@@ -137,16 +137,18 @@ class Link {
 
   struct DirState {
     DirState(sim::Simulator& sim, sim::Deferred<Dllp>::Fn depart,
-             sim::Deferred<Dllp>::Fn arrive, void* link)
-        : acks(sim, depart, link), updates(sim, arrive, link) {}
+             sim::Deferred<Dllp>::Fn arrive, sim::Timer::Fn replay_timeout,
+             void* link)
+        : replay_timer(sim, replay_timeout, link),
+          acks(sim, depart, link),
+          updates(sim, arrive, link) {}
 
     // Transmitter state for TLPs sent *in* this direction.
     TimePs next_free = TimePs::zero();    // transmitter availability
     TimePs last_arrival = TimePs::zero(); // ordering enforcement
     std::uint64_t next_seq = 1;           // data-link sequence numbers
     std::deque<ReplayEntry> replay;       // unacknowledged TLPs, seq order
-    std::uint64_t timer_epoch = 0;        // invalidates stale timer events
-    bool timer_armed = false;
+    sim::Timer replay_timer;              // REPLAY_TIMER
     // Receiver state for TLPs arriving from this direction.
     std::uint64_t expected_seq = 1;
     bool nak_outstanding = false;  // one Nak per recovery window
@@ -192,7 +194,8 @@ class Link {
   /// Retransmits every entry still in `dir`'s replay buffer.
   void replay_all(Direction dir);
   void arm_replay_timer(Direction dir);
-  void on_replay_timeout(Direction dir, std::uint64_t epoch);
+  template <Direction D>
+  static void on_replay_timeout(void* link);
 
   DirState& dir_state(Direction d) {
     return d == Direction::kDownstream ? down_ : up_;

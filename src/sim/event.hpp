@@ -17,7 +17,7 @@
 //    free list; steady-state acquire/release never allocates.
 //  * `ReadyRing` is the FIFO for events at the current simulated time: an
 //    index-masked circular buffer of (seq, item) slots with O(1) push/pop.
-//  * `TimerHeap` orders future timestamps. It is a 4-ary implicit heap
+//  * `EventHeap` orders future timestamps. It is a 4-ary implicit heap
 //    whose 24-byte entries carry the (time, seq) key inline, so sift
 //    compares never chase pointers and pops never copy a callable.
 //
@@ -292,7 +292,7 @@ class ReadyRing {
 /// order -- the dominant pattern (fixed link/processing latencies yield
 /// monotone wakeups). Entries are strictly ordered by (time, seq) along
 /// the ring by construction, so push and pop are O(1); out-of-order
-/// timestamps fall back to the `TimerHeap` and the two are merged by
+/// timestamps fall back to the `EventHeap` and the two are merged by
 /// (time, seq) at pop.
 class MonotoneRun {
  public:
@@ -360,17 +360,17 @@ class MonotoneRun {
 /// 4-ary implicit min-heap over (time, seq) for events in the future.
 /// Keys live in the heap entries, so a sift touches one contiguous array;
 /// entries are trivially copyable (24 bytes), so moves are cheap.
-class TimerHeap {
+class EventHeap {
  public:
-  TimerHeap() { v_.swap(buffer_cache()); }
-  ~TimerHeap() {
+  EventHeap() { v_.swap(buffer_cache()); }
+  ~EventHeap() {
     if (v_.capacity() > buffer_cache().capacity()) {
       v_.clear();
       v_.swap(buffer_cache());
     }
   }
-  TimerHeap(const TimerHeap&) = delete;
-  TimerHeap& operator=(const TimerHeap&) = delete;
+  EventHeap(const EventHeap&) = delete;
+  EventHeap& operator=(const EventHeap&) = delete;
 
   bool empty() const { return v_.empty(); }
   std::size_t size() const { return v_.size(); }

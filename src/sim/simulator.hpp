@@ -329,7 +329,7 @@ class Simulator {
   detail::EventPool pool_;
   detail::ReadyRing ring_;
   detail::MonotoneRun run_;
-  detail::TimerHeap heap_;
+  detail::EventHeap heap_;
   std::vector<Timer*> timers_;
   std::size_t parked_ = 0;
   std::exception_ptr root_error_;

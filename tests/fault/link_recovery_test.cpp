@@ -8,6 +8,7 @@
 
 #include "fault/fault.hpp"
 #include "pcie/link.hpp"
+#include "scenario/testbed.hpp"
 
 namespace bb::pcie {
 namespace {
@@ -181,6 +182,33 @@ TEST(LinkRecovery, DisabledInjectorLeavesLinkUntouched) {
   ASSERT_EQ(rig.delivered.size(), 1u);
   EXPECT_EQ(rig.link.replay_buffer_depth(), 0u);
   EXPECT_EQ(rig.stats().injected(), 0u);
+}
+
+TEST(LinkRecovery, InjectorThatInjectsNothingEndsWithFaultFreeRun) {
+  // An injector arms REPLAY_TIMER for every TLP in flight, and every Ack
+  // withdraws it. When nothing is lost the run ends when the fault-free
+  // one does. (Event counts differ: with an injector DLLPs stay events.)
+  const auto end_of_puts = [](const scenario::SystemConfig& cfg) {
+    scenario::Testbed tb(cfg);
+    auto& ep = tb.add_endpoint(0);
+    tb.sim().spawn([](scenario::Testbed& t,
+                      llp::Endpoint& e) -> sim::Task<void> {
+      for (int i = 0; i < 40; ++i) {
+        EXPECT_EQ(co_await e.put_short(8), llp::Status::kOk);
+      }
+      while (e.outstanding() > 0) co_await t.node(0).worker.progress();
+    }(tb, ep));
+    tb.sim().run();
+    EXPECT_EQ(tb.node(0).injector.stats().replay_timeouts, 0u);
+    return tb.sim().now().ps();
+  };
+  fault::FaultConfig cfg;
+  cfg.scheduled.push_back(
+      {fault::OneShot::Kind::kDropTlp, fault::LinkDir::kDownstream, 1000000});
+  const auto base = scenario::presets::deterministic();
+  const auto fault_free = end_of_puts(base);
+  EXPECT_EQ(end_of_puts(base.with(cfg)), fault_free);
+  EXPECT_EQ(fault_free, 9482000);
 }
 
 }  // namespace

@@ -120,5 +120,27 @@ TEST(StackFault, KilledDescriptorSurfacesAsErrorCqe) {
   EXPECT_EQ(tb.node(0).link.replay_buffer_depth(), 0u);
 }
 
+TEST(StackFault, TestbedDestroyedMidRecoveryWithdrawsArmedTimers) {
+  // Tear down while the NIC's transport retry timer (the first data
+  // packet is lost) and a link's REPLAY_TIMER (the second descriptor
+  // write is lost) are both armed: their owners go before the Simulator
+  // and must withdraw them cleanly (checked under the sanitizers).
+  fault::FaultConfig f;
+  f.scheduled.push_back(
+      {fault::OneShot::Kind::kDropTlp, fault::LinkDir::kDownstream, 2});
+  f.wire.scheduled.push_back({fault::WireOneShot::Kind::kDropData, 0, 1});
+  scenario::Testbed tb(scenario::presets::deterministic().with(f));
+  auto& ep = tb.add_endpoint(0);
+  tb.sim().spawn([](llp::Endpoint& e) -> sim::Task<void> {
+    EXPECT_EQ(co_await e.put_short(8), llp::Status::kOk);
+    EXPECT_EQ(co_await e.put_short(8), llp::Status::kOk);
+  }(ep));
+  tb.sim().run_until(TimePs::from_ns(1500.0));
+  EXPECT_EQ(tb.node(0).nic.tx_unacked(), 1u);
+  EXPECT_GT(tb.node(0).link.replay_buffer_depth(), 0u);
+  EXPECT_EQ(tb.net_stats().retry_timer_firings, 0u);
+  EXPECT_EQ(tb.node(0).injector.stats().replay_timeouts, 0u);
+}
+
 }  // namespace
 }  // namespace bb

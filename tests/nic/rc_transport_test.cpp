@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "nic/nic.hpp"
@@ -323,6 +324,26 @@ TEST(RcTransport, LossFreeRunsKeepProtocolStateOnly) {
   EXPECT_EQ(s.acks_sent, 4u);
   EXPECT_EQ(tb.node(0).nic.tx_unacked(), 0u);
   expect_conserved(s);
+}
+
+TEST(RcTransport, LossyWireThatDropsNothingMatchesLossFree) {
+  // A lossy wire arms a retry timer per outstanding packet, and every ACK
+  // withdraws it. A withdrawn timer is no event and does not move now():
+  // when nothing is lost the run ends exactly like the loss-free one.
+  const auto run = [](const scenario::SystemConfig& cfg) {
+    Testbed tb(cfg);
+    auto& ep = tb.add_endpoint(0);
+    tb.sim().spawn(pump(tb.node(0), ep, 40));
+    tb.sim().run();
+    EXPECT_EQ(tb.net_stats().retry_timer_firings, 0u);
+    return std::pair{tb.sim().now().ps(), tb.sim().events_processed()};
+  };
+  fault::WireFaultConfig w;
+  w.scheduled.push_back({fault::WireOneShot::Kind::kDropData, 0, 1000000});
+  const auto lossy = run(with_wire(w));
+  const auto plain = run(scenario::presets::deterministic());
+  EXPECT_EQ(lossy, plain);
+  EXPECT_EQ(plain.first, 9482000);
 }
 
 }  // namespace
