@@ -30,7 +30,6 @@ std::string FaultStats::render(const std::string& title) const {
   row("Poisoned writes delivered", poisoned_delivered);
   row("Error CQEs", error_cqes);
   row("NIC DMA-read retries", read_retries);
-  row("Busy-post retries", busy_post_retries);
   return t.render();
 }
 
@@ -163,14 +162,6 @@ WireInjector::Fate WireInjector::packet_fate(int src_node, bool is_data,
   }
   if (cfg_.corrupt_prob > 0.0 && rng_.bernoulli(cfg_.corrupt_prob)) {
     return Fate::kCorrupt;
-  }
-  if (is_data) {
-    if (cfg_.duplicate_prob > 0.0 && rng_.bernoulli(cfg_.duplicate_prob)) {
-      return Fate::kDuplicate;
-    }
-    if (cfg_.reorder_prob > 0.0 && rng_.bernoulli(cfg_.reorder_prob)) {
-      return Fate::kReorder;
-    }
   }
   return Fate::kDeliver;
 }

@@ -84,19 +84,15 @@ struct WireFaultConfig {
   /// wire and arrive, but the receiving NIC discards them silently (IB
   /// semantics: no NAK for a bad ICRC) -- recovery is via PSN gap/timer.
   double corrupt_prob = 0.0;
-  /// Per-packet duplication probability (receiver discards by PSN).
-  double duplicate_prob = 0.0;
-  /// Per-packet reorder probability: the packet is delayed by
-  /// `reorder_delay_ns` and exempted from the sender's in-order gate, so
-  /// successors can overtake it (receiver NAKs the PSN gap).
-  double reorder_prob = 0.0;
+  /// A kReorderData packet is delayed by this and exempted from the
+  /// sender's in-order gate, so successors can overtake it (receiver
+  /// NAKs the PSN gap).
   double reorder_delay_ns = 500.0;
   /// Scheduled one-shot wire faults (consumed in match order).
   std::vector<WireOneShot> scheduled;
 
   bool enabled() const {
-    return drop_prob > 0.0 || corrupt_prob > 0.0 || duplicate_prob > 0.0 ||
-           reorder_prob > 0.0 || !scheduled.empty();
+    return drop_prob > 0.0 || corrupt_prob > 0.0 || !scheduled.empty();
   }
 };
 
@@ -163,7 +159,6 @@ struct FaultStats {
   std::uint64_t poisoned_delivered = 0; // poisoned writes reaching host memory
   std::uint64_t error_cqes = 0;         // completions-with-error generated
   std::uint64_t read_retries = 0;       // NIC DMA reads reissued
-  std::uint64_t busy_post_retries = 0;  // endpoint-level post retries
 
   std::uint64_t injected() const {
     return tlps_corrupted + tlps_dropped + acks_dropped + updatefc_dropped;
@@ -194,7 +189,6 @@ inline constexpr std::pair<const char*, std::uint64_t FaultStats::*>
         {"poisoned_delivered", &FaultStats::poisoned_delivered},
         {"error_cqes", &FaultStats::error_cqes},
         {"read_retries", &FaultStats::read_retries},
-        {"busy_post_retries", &FaultStats::busy_post_retries},
 };
 
 /// Per-link fault decision source. One injector serves both directions of

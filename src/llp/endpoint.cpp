@@ -39,36 +39,6 @@ sim::Task<Status> Endpoint::am_short(std::uint32_t bytes,
   return post(pcie::WireOp::kSend, bytes, /*force_signal=*/false, user_data);
 }
 
-sim::Task<Status> Endpoint::put_short_retry(std::uint32_t bytes) {
-  return post_retrying(pcie::WireOp::kRdmaWrite, bytes, 0);
-}
-
-sim::Task<Status> Endpoint::am_short_retry(std::uint32_t bytes,
-                                           std::uint64_t user_data) {
-  return post_retrying(pcie::WireOp::kSend, bytes, user_data);
-}
-
-sim::Task<Status> Endpoint::post_retrying(pcie::WireOp op, std::uint32_t bytes,
-                                          std::uint64_t user_data) {
-  // Exponential backoff between fruitless progress passes: under faults
-  // the freeing CQE waits on a replay timer, so spinning at poll speed
-  // would charge millions of empty passes to the core.
-  double backoff_ns = 0.0;
-  for (;;) {
-    const Status st = co_await post(op, bytes, /*force_signal=*/false,
-                                    user_data);
-    if (st != Status::kNoResource) co_return st;
-    worker_.note_busy_post_retry();
-    const std::uint32_t progressed = co_await worker_.progress();
-    if (progressed > 0) {
-      backoff_ns = 0.0;
-      continue;
-    }
-    backoff_ns = backoff_ns == 0.0 ? 50.0 : std::min(backoff_ns * 2.0, 4000.0);
-    co_await worker_.core().simulator().delay(TimePs::from_ns(backoff_ns));
-  }
-}
-
 sim::Task<Status> Endpoint::flush() {
   if (outstanding_ == 0) co_return Status::kOk;
   co_return co_await post(pcie::WireOp::kRdmaWrite, 0,

@@ -73,14 +73,6 @@ class Endpoint {
   /// headers ride here).
   sim::Task<Status> am_short(std::uint32_t bytes,
                              std::uint64_t user_data = 0);
-  /// Fault-tolerant variants: retry busy posts, progressing the worker
-  /// between attempts with exponential backoff while no completion
-  /// arrives (under faults a CQE may be thousands of ns away -- §replay
-  /// timer -- and spinning would melt the simulated core). Returns kOk
-  /// once posted; completions may still retire with kIoError later.
-  sim::Task<Status> put_short_retry(std::uint32_t bytes);
-  sim::Task<Status> am_short_retry(std::uint32_t bytes,
-                                   std::uint64_t user_data = 0);
   /// Posts a zero-byte *signalled* no-op whose CQE retires every
   /// unsignalled predecessor -- the uct_ep_flush equivalent needed to
   /// drain a moderated queue whose op count is not a multiple of the
@@ -119,8 +111,6 @@ class Endpoint {
   sim::Task<Status> post(pcie::WireOp op, std::uint32_t bytes,
                          bool force_signal = false,
                          std::uint64_t user_data = 0);
-  sim::Task<Status> post_retrying(pcie::WireOp op, std::uint32_t bytes,
-                                  std::uint64_t user_data);
 
   Worker& worker_;
   pcie::RootComplex& rc_;

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "cpu/core.hpp"
-#include "fault/fault.hpp"
 #include "nic/queues.hpp"
 #include "prof/profiler.hpp"
 #include "sim/task.hpp"
@@ -112,13 +111,6 @@ class Worker final : private sim::Parked {
   /// ops that never failed themselves but lost their QP underneath them.
   std::uint64_t flushed_completions() const { return flushed_completions_; }
 
-  /// Shared fault-stat accumulator (wired by the testbed when fault
-  /// injection is enabled).
-  void set_fault_stats(fault::FaultStats* s) { fault_stats_ = s; }
-  void note_busy_post_retry() {
-    if (fault_stats_) ++fault_stats_->busy_post_retries;
-  }
-
  private:
   struct Park {
     Worker& w;
@@ -145,7 +137,6 @@ class Worker final : private sim::Parked {
   std::uint64_t rx_completions_ = 0;
   std::uint64_t error_completions_ = 0;
   std::uint64_t flushed_completions_ = 0;
-  fault::FaultStats* fault_stats_ = nullptr;
   // Parking state: the suspended pass, its loop, and the start of the
   // first pass not yet replayed.
   std::coroutine_handle<> parked_;

@@ -7,6 +7,31 @@
 
 namespace bb::nic {
 
+namespace {
+
+// RC transport (docs/TRANSPORT.md).
+/// Transport retry timer: time without ACK progress before a go-back-N
+/// retransmission. Grows by kRetryBackoff per consecutive expiry up to
+/// kRetryTimeoutMaxNs. Armed only when the fabric is lossy.
+constexpr double kRetryTimeoutNs = 8000.0;
+constexpr double kRetryBackoff = 2.0;
+constexpr double kRetryTimeoutMaxNs = 64000.0;
+/// Consecutive retry-timer expiries tolerated before the QP errors.
+constexpr int kRetryCnt = 7;
+/// RNR NAK backoff base; grows by kRnrBackoff per consecutive RNR NAK on
+/// the flow.
+constexpr double kRnrTimerNs = 1000.0;
+constexpr double kRnrBackoff = 2.0;
+/// Consecutive RNR NAKs tolerated before the QP errors.
+constexpr int kRnrRetryCnt = 7;
+/// DMA payload reads reissued after a poisoned completion before the
+/// operation is retired with an error CQE.
+constexpr int kMaxReadRetries = 2;
+/// CQE size (64 bytes on Mellanox InfiniBand).
+constexpr std::uint32_t kCqeBytes = 64;
+
+}  // namespace
+
 std::string to_string(QpState s) {
   switch (s) {
     case QpState::kRts:
@@ -22,35 +47,25 @@ std::string to_string(QpState s) {
 }
 
 Nic::Nic(sim::Simulator& sim, pcie::Link& link, net::Fabric& fabric,
-         int node_id, NicParams params, HostMemory& host,
-         pcie::CreditState up_credits)
+         int node_id, NicParams params, HostMemory& host)
     : sim_(sim),
       link_(link),
       fabric_(fabric),
       node_id_(node_id),
       params_(params),
-      host_(host),
-      up_credits_(up_credits),
-      up_ingress_(sim),
-      up_credit_avail_(sim) {
+      host_(host) {
   link_.set_b_tlp_handler([this](const pcie::Tlp& t) { on_downstream_tlp(t); });
-  link_.set_b_dllp_handler(
-      [this](const pcie::Dllp& d) { on_downstream_dllp(d); });
   fabric_.attach(node_id_, [this](const net::NetPacket& p) {
     on_fabric_packet(p);
   });
-  sim_.spawn(upstream_pump(), "nic-upstream-pump");
 }
 
 void Nic::on_downstream_tlp(const pcie::Tlp& tlp) {
   // Return flow-control credits to the Root Complex for every processed
   // downstream TLP (the counterpart of the RC's UpdateFC for upstream
   // traffic). Without this the RC's posted-credit pool drains permanently
-  // after ~64 posts and injection stalls. Cumulative totals keep the
-  // release idempotent under fault-recovery re-emission.
-  if (tlp.type != pcie::TlpType::kCompletionData) {
-    link_.send_dllp_upstream(down_ledger_.release_for(tlp));
-  }
+  // after ~64 posts and injection stalls.
+  link_.release_credits(tlp);
   if (tlp.poisoned) {
     // Error forwarding: the sender exhausted its replay budget. The TLP's
     // content cannot be acted upon; retire the operation it carried with
@@ -134,7 +149,7 @@ void Nic::on_poisoned_tlp(const pcie::Tlp& tlp) {
       const PendingRead pr = it->second;
       pending_reads_.erase(it);
       if (pr.req.what == pcie::ReadRequest::What::kPayload &&
-          pr.attempts < params_.max_read_retries) {
+          pr.attempts < kMaxReadRetries) {
         // Host-memory payload reads are idempotent: just read again.
         ++read_retries_;
         if (fault_stats_) ++fault_stats_->read_retries;
@@ -175,7 +190,7 @@ void Nic::complete_with_error(std::uint32_t qp, std::uint64_t msg_id,
   std::uint32_t& pending = pending_completes_[qp];
   pcie::Tlp tlp;
   tlp.type = pcie::TlpType::kMemWrite;
-  tlp.bytes = params_.cqe_bytes;
+  tlp.bytes = kCqeBytes;
   pcie::CqeWrite cqe;
   cqe.qp = qp;
   cqe.msg_id = msg_id;
@@ -188,14 +203,7 @@ void Nic::complete_with_error(std::uint32_t qp, std::uint64_t msg_id,
   ++cqes_written_;
   ++error_cqes_;
   if (fault_stats_) ++fault_stats_->error_cqes;
-  send_upstream(std::move(tlp));
-}
-
-void Nic::on_downstream_dllp(const pcie::Dllp& d) {
-  if (d.type == pcie::DllpType::kUpdateFC) {
-    up_credits_.replenish(d);
-    up_credit_avail_.fire();
-  }
+  link_.post(pcie::Direction::kUpstream, std::move(tlp));
 }
 
 void Nic::issue_dma_read(pcie::ReadRequest req, int attempts) {
@@ -206,7 +214,7 @@ void Nic::issue_dma_read(pcie::ReadRequest req, int attempts) {
   tlp.content = req;
   pending_reads_[tlp.tag] = PendingRead{req, attempts};
   ++dma_reads_issued_;
-  send_upstream(std::move(tlp));
+  link_.post(pcie::Direction::kUpstream, std::move(tlp));
 }
 
 void Nic::on_read_completion(const pcie::ReadRequest& req,
@@ -254,26 +262,6 @@ void Nic::inject(const pcie::WireMd& md) {
   ++messages_injected_;
   fabric_.send(net::NetPacket::data(md, node_id_, md.dst_node, psn));
   arm_retry_timer(f);
-}
-
-void Nic::send_upstream(pcie::Tlp tlp) {
-  tlp.dir = pcie::Direction::kUpstream;
-  up_ingress_.send(std::move(tlp));
-}
-
-sim::Task<void> Nic::upstream_pump() {
-  for (;;) {
-    pcie::Tlp tlp = co_await up_ingress_.receive();
-    link_.collect_credit_updates(pcie::Direction::kDownstream);
-    while (!up_credits_.can_send(tlp)) {
-      ++credit_stalls_;
-      link_.watch_credit_updates(pcie::Direction::kDownstream, true);
-      co_await up_credit_avail_.wait();
-    }
-    link_.watch_credit_updates(pcie::Direction::kDownstream, false);
-    up_credits_.consume(tlp);
-    link_.send_upstream(std::move(tlp));
-  }
 }
 
 void Nic::send_ctrl(net::NetPacket::Kind kind, std::uint32_t qp,
@@ -365,7 +353,7 @@ void Nic::on_data_packet(const net::NetPacket& pkt) {
                  pw.user_data = md.user_data;
                  pw.op = md.op;
                  tlp.content = pw;
-                 send_upstream(std::move(tlp));
+                 link_.post(pcie::Direction::kUpstream, std::move(tlp));
                });
   // §2 step 4: acknowledge to the initiator NIC. The ACK does not wait
   // for the payload's RC-to-MEM commit.
@@ -384,7 +372,7 @@ void Nic::complete_message(const pcie::WireMd& md) {
   if (md.signaled) {
     pcie::Tlp tlp;
     tlp.type = pcie::TlpType::kMemWrite;
-    tlp.bytes = params_.cqe_bytes;
+    tlp.bytes = kCqeBytes;
     pcie::CqeWrite cqe;
     cqe.qp = md.qp;
     cqe.msg_id = md.msg_id;
@@ -392,7 +380,7 @@ void Nic::complete_message(const pcie::WireMd& md) {
     tlp.content = cqe;
     pending = 0;
     ++cqes_written_;
-    send_upstream(std::move(tlp));
+    link_.post(pcie::Direction::kUpstream, std::move(tlp));
   }
 }
 
@@ -413,7 +401,7 @@ void Nic::on_rc_ack(std::uint32_t qp, std::uint64_t psn) {
   f.retry_count = 0;
   f.rnr_count = 0;
   f.rnr_wait = false;
-  f.cur_timeout_ns = params_.retry_timeout_ns;
+  f.cur_timeout_ns = kRetryTimeoutNs;
   f.timer.cancel();
   arm_retry_timer(f);
 }
@@ -446,15 +434,14 @@ void Nic::on_rnr_nak(std::uint32_t qp, std::uint64_t psn) {
   }
   if (f.rnr_wait) return;  // one backoff at a time
   ++f.rnr_count;
-  if (f.rnr_count > params_.rnr_retry_cnt) {
+  if (f.rnr_count > kRnrRetryCnt) {
     qp_error(f);
     return;
   }
-  // Back off rnr_timer * backoff^(n-1), then go-back-N. The backoff takes
-  // the flow's timer, so the retry timeout cannot double-fire.
+  // Back off kRnrTimerNs * kRnrBackoff^(n-1), then go-back-N. The backoff
+  // takes the flow's timer, so the retry timeout cannot double-fire.
   const double delay_ns =
-      params_.rnr_timer_ns *
-      std::pow(params_.rnr_backoff, static_cast<double>(f.rnr_count - 1));
+      kRnrTimerNs * std::pow(kRnrBackoff, static_cast<double>(f.rnr_count - 1));
   f.rnr_wait = true;
   f.timer.arm(sim_.now() + TimePs::from_ns(delay_ns));
 }
@@ -486,7 +473,7 @@ void Nic::arm_retry_timer(TxFlow& f) {
   if (!fabric_.lossy()) return;
   if (f.timer.armed()) return;  // retry or RNR backoff already pending
   if (f.unacked.empty() && f.state != QpState::kConnecting) return;
-  if (f.cur_timeout_ns <= 0.0) f.cur_timeout_ns = params_.retry_timeout_ns;
+  if (f.cur_timeout_ns <= 0.0) f.cur_timeout_ns = kRetryTimeoutNs;
   f.timer.arm(sim_.now() + TimePs::from_ns(f.cur_timeout_ns));
 }
 
@@ -515,7 +502,7 @@ void Nic::on_flow_timer(TxFlow& f) {
   // A retry timeout: a data packet, or the connect or its ack, was lost.
   ++tstats_.retry_timer_firings;
   ++f.retry_count;
-  if (f.retry_count > params_.retry_cnt) {
+  if (f.retry_count > kRetryCnt) {
     qp_error(f);
     return;
   }
@@ -524,8 +511,8 @@ void Nic::on_flow_timer(TxFlow& f) {
   } else {
     retransmit_flow(f);
   }
-  f.cur_timeout_ns = std::min(f.cur_timeout_ns * params_.retry_backoff,
-                              params_.retry_timeout_max_ns);
+  f.cur_timeout_ns = std::min(f.cur_timeout_ns * kRetryBackoff,
+                              kRetryTimeoutMaxNs);
   arm_retry_timer(f);
 }
 
@@ -587,9 +574,9 @@ void Nic::qp_connect(std::uint32_t qp, int peer_node) {
   f.peer = peer_node;
   f.state = QpState::kConnecting;
   // The modify-QP ladder (reset -> init -> RTR -> RTS on both ends)
-  // costs qp_recovery_ns of driver/firmware work before the connect
+  // costs kQpRecoveryNs of driver/firmware work before the connect
   // packet goes out (on_flow_timer).
-  f.timer.arm(sim_.now() + TimePs::from_ns(params_.qp_recovery_ns));
+  f.timer.arm(sim_.now() + TimePs::from_ns(kQpRecoveryNs));
 }
 
 void Nic::on_connect(const net::NetPacket& pkt) {
@@ -610,7 +597,7 @@ void Nic::on_connect_ack(std::uint32_t qp) {
   f.retry_count = 0;
   f.rnr_count = 0;
   f.rnr_wait = false;
-  f.cur_timeout_ns = params_.retry_timeout_ns;
+  f.cur_timeout_ns = kRetryTimeoutNs;
   f.timer.cancel();
   ++tstats_.qp_recoveries;
 }

@@ -25,10 +25,10 @@
 // RC transport (docs/TRANSPORT.md): every data packet carries a per-QP
 // PSN. The responder acknowledges cumulatively, NAKs sequence gaps
 // (go-back-N retransmission), and answers an inbound send with no posted
-// receive with an RNR NAK (the requester backs off `rnr_timer_ns` and
-// retries). On a lossy fabric a transport retry timer with exponential
-// backoff backstops lost packets and lost ACKs; exhausting `retry_cnt`
-// (or `rnr_retry_cnt`) moves the QP to the error state, flushing every
+// receive with an RNR NAK (the requester backs off and retries). On a
+// lossy fabric a transport retry timer with exponential backoff
+// backstops lost packets and lost ACKs; exhausting the retry count (or
+// the RNR retry count) moves the QP to the error state, flushing every
 // outstanding WQE as an error CQE. Recovery is the verbs modify-QP ladder:
 // qp_reset() then qp_connect(), which re-handshakes the flow with the
 // responder and returns the QP to RTS. With wire faults disabled the
@@ -45,10 +45,7 @@
 #include "fault/fault.hpp"
 #include "net/fabric.hpp"
 #include "nic/queues.hpp"
-#include "pcie/credit.hpp"
 #include "pcie/link.hpp"
-#include "sim/channel.hpp"
-#include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 
 namespace bb::nic {
@@ -67,29 +64,6 @@ struct NicParams {
   double ack_handle_ns = 10.0;
   /// DoorBell decode before the descriptor DMA read (DMA path only).
   double doorbell_proc_ns = 10.0;
-  /// CQE size (64 bytes on Mellanox InfiniBand).
-  std::uint32_t cqe_bytes = 64;
-  /// DMA payload reads reissued after a poisoned completion before the
-  /// operation is retired with an error CQE.
-  int max_read_retries = 2;
-
-  // --- RC transport (docs/TRANSPORT.md) ----------------------------------
-  /// Transport retry timer: time without ACK progress before a go-back-N
-  /// retransmission. Doubles per consecutive expiry up to
-  /// retry_timeout_max_ns. Armed only when the fabric is lossy.
-  double retry_timeout_ns = 8000.0;
-  double retry_backoff = 2.0;
-  double retry_timeout_max_ns = 64000.0;
-  /// Consecutive retry-timer expiries tolerated before the QP errors.
-  int retry_cnt = 7;
-  /// RNR NAK backoff base; doubles per consecutive RNR NAK on the flow.
-  double rnr_timer_ns = 1000.0;
-  double rnr_backoff = 2.0;
-  /// Consecutive RNR NAKs tolerated before the QP errors.
-  int rnr_retry_cnt = 7;
-  /// Modify-QP ladder processing (reset -> init -> RTR -> RTS) before the
-  /// reconnect handshake's packet is emitted.
-  double qp_recovery_ns = 500.0;
 };
 
 /// RC queue-pair state (the relevant subset of the verbs ladder).
@@ -104,15 +78,17 @@ std::string to_string(QpState s);
 
 class Nic {
  public:
+  /// Modify-QP ladder processing (reset -> init -> RTR -> RTS) before the
+  /// reconnect handshake's packet is emitted.
+  static constexpr double kQpRecoveryNs = 500.0;
+
   Nic(sim::Simulator& sim, pcie::Link& link, net::Fabric& fabric,
-      int node_id, NicParams params, HostMemory& host,
-      pcie::CreditState up_credits = pcie::CreditState::default_endpoint());
+      int node_id, NicParams params, HostMemory& host);
   Nic(const Nic&) = delete;
   Nic& operator=(const Nic&) = delete;
 
   int node_id() const { return node_id_; }
   const NicParams& params() const { return params_; }
-  NicParams& params() { return params_; }
 
   /// Posts `n` receive WQEs (send-receive semantics need pre-posted
   /// receives at the target).
@@ -125,7 +101,7 @@ class Nic {
   /// Modify-QP to RESET: flushes every outstanding WQE on `qp` with an
   /// error CQE (status kFlushed) and clears the flow.
   void qp_reset(std::uint32_t qp);
-  /// Re-handshake (reset -> init -> RTR -> RTS): after `qp_recovery_ns`
+  /// Re-handshake (reset -> init -> RTR -> RTS): after kQpRecoveryNs
   /// a connect packet re-synchronises the responder's expected PSN; on
   /// the connect-ack the QP returns to RTS, sending to `peer_node`.
   void qp_connect(std::uint32_t qp, int peer_node);
@@ -137,7 +113,9 @@ class Nic {
   std::uint64_t acks_received() const { return acks_received_; }
   std::uint64_t cqes_written() const { return cqes_written_; }
   std::uint64_t dma_reads_issued() const { return dma_reads_issued_; }
-  std::uint64_t credit_stalls() const { return credit_stalls_; }
+  std::uint64_t credit_stalls() const {
+    return link_.credit_stalls(pcie::Direction::kUpstream);
+  }
   std::uint64_t error_cqes() const { return error_cqes_; }
   std::uint64_t read_retries() const { return read_retries_; }
   /// RC-transport counters (protocol side; the fabric holds the wire side).
@@ -150,16 +128,11 @@ class Nic {
  private:
   // Link-side (downstream from RC).
   void on_downstream_tlp(const pcie::Tlp& tlp);
-  void on_downstream_dllp(const pcie::Dllp& d);
   // Fabric-side.
   void on_fabric_packet(const net::NetPacket& pkt);
 
   /// Injects a ready descriptor onto the fabric after tx processing.
   void inject(const pcie::WireMd& md);
-  /// Queues an upstream TLP through the credit-gated pump.
-  void send_upstream(pcie::Tlp tlp);
-  sim::Task<void> upstream_pump();
-
   void issue_dma_read(pcie::ReadRequest req, int attempts = 0);
   void on_read_completion(const pcie::ReadRequest& req,
                           const pcie::ReadCompletion& rc);
@@ -207,10 +180,6 @@ class Nic {
   int node_id_;
   NicParams params_;
   HostMemory& host_;
-
-  pcie::CreditState up_credits_;
-  sim::Channel<pcie::Tlp> up_ingress_;
-  sim::Signal up_credit_avail_;
 
   /// Requester-side RC flow state, one per QP.
   struct TxEntry {
@@ -265,8 +234,6 @@ class Nic {
   std::map<std::uint64_t, pcie::WireMd> staged_payload_wait_;
   std::uint64_t next_tag_ = 1;
 
-  /// Cumulative credit totals released back to the RC.
-  pcie::CreditLedger down_ledger_;
   fault::FaultStats* fault_stats_ = nullptr;
 
   std::uint32_t rq_available_ = 0;
@@ -274,7 +241,6 @@ class Nic {
   std::uint64_t acks_received_ = 0;
   std::uint64_t cqes_written_ = 0;
   std::uint64_t dma_reads_issued_ = 0;
-  std::uint64_t credit_stalls_ = 0;
   std::uint64_t error_cqes_ = 0;
   std::uint64_t read_retries_ = 0;
 };

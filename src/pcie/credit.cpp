@@ -77,22 +77,14 @@ void CreditState::consume(const Tlp& tlp) {
 void CreditState::replenish(const Dllp& update) {
   BB_ASSERT(update.type == DllpType::kUpdateFC);
   PerClass& c = cls(update.credit_class);
-  std::uint32_t dh = update.header_credits;
-  std::uint32_t dd = update.data_credits;
-  if (update.cumulative) {
-    // Absolute counters: replenish only what exceeds the totals already
-    // seen, so duplicate/stale/re-emitted UpdateFCs are no-ops.
-    dh = update.header_total > c.seen_header_total
-             ? static_cast<std::uint32_t>(update.header_total -
-                                          c.seen_header_total)
-             : 0;
-    dd = update.data_total > c.seen_data_total
-             ? static_cast<std::uint32_t>(update.data_total -
-                                          c.seen_data_total)
-             : 0;
-    c.seen_header_total = std::max(c.seen_header_total, update.header_total);
-    c.seen_data_total = std::max(c.seen_data_total, update.data_total);
-  }
+  // Replenish only what exceeds the totals already seen, so duplicate,
+  // stale and re-emitted UpdateFCs are no-ops.
+  const auto dh = static_cast<std::uint32_t>(
+      update.header_total - std::min(update.header_total, c.seen_header_total));
+  const auto dd = static_cast<std::uint32_t>(
+      update.data_total - std::min(update.data_total, c.seen_data_total));
+  c.seen_header_total = std::max(c.seen_header_total, update.header_total);
+  c.seen_data_total = std::max(c.seen_data_total, update.data_total);
   c.available_.header += dh;
   c.available_.data += dd;
   c.replenished_headers += dh;
@@ -105,25 +97,17 @@ CreditBudget CreditState::available(CreditClass c) const {
   return cls(c).available_;
 }
 
-Dllp CreditState::release_for(const Tlp& tlp) {
-  Dllp d;
-  d.type = DllpType::kUpdateFC;
-  d.credit_class = class_of(tlp);
-  d.header_credits = 1;
-  d.data_credits = data_credit_units(tlp);
-  return d;
-}
-
 std::int64_t CreditState::outstanding_headers(CreditClass c) const {
   return cls(c).consumed_headers - cls(c).replenished_headers;
 }
 
 Dllp CreditLedger::release_for(const Tlp& tlp) {
-  Dllp d = CreditState::release_for(tlp);
+  Dllp d;
+  d.type = DllpType::kUpdateFC;
+  d.credit_class = CreditState::class_of(tlp);
   Totals& t = totals_[static_cast<int>(d.credit_class)];
-  t.header += d.header_credits;
-  t.data += d.data_credits;
-  d.cumulative = true;
+  t.header += 1;
+  t.data += data_credit_units(tlp);
   d.header_total = t.header;
   d.data_total = t.data;
   return d;

@@ -33,16 +33,14 @@ class CreditState {
   bool can_send(const Tlp& tlp) const;
   /// Consumes credits for `tlp`; caller must have checked can_send.
   void consume(const Tlp& tlp);
-  /// Applies an UpdateFC replenishment. Cumulative updates (absolute
-  /// released-credit counters, the real-PCIe scheme) are idempotent:
-  /// duplicates and stale re-emissions replenish only the delta beyond
-  /// what was already seen. Legacy delta updates apply verbatim.
+  /// Applies an UpdateFC replenishment. Its absolute released-credit
+  /// counters (the real-PCIe scheme) make it idempotent: duplicates and
+  /// stale re-emissions replenish only the delta beyond what was already
+  /// seen.
   void replenish(const Dllp& update);
 
   /// Credits currently available for a class.
   CreditBudget available(CreditClass c) const;
-  /// Credits the receiver should advertise back for a processed TLP.
-  static Dllp release_for(const Tlp& tlp);
 
   static CreditClass class_of(const Tlp& tlp);
 
@@ -69,9 +67,8 @@ class CreditState {
 
 /// The releasing side of the flow-control protocol: tracks the cumulative
 /// credits a receiver has handed back since link-up and stamps each
-/// UpdateFC with both the per-TLP delta (legacy consumers, the trace) and
-/// the absolute totals that make delivery idempotent. The Root Complex
-/// and the NIC each own one per direction they replenish.
+/// UpdateFC with the absolute totals that make delivery idempotent.
+/// pcie::Link owns one per direction, for that direction's receiver.
 class CreditLedger {
  public:
   /// The UpdateFC releasing the credits `tlp` consumed.

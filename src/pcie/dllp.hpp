@@ -28,16 +28,13 @@ struct Dllp {
   DllpType type = DllpType::kAck;
   /// Sequence number of the TLP being acknowledged (kAck/kNak).
   std::uint64_t ack_seq = 0;
-  /// Credits being returned (kUpdateFC).
+  /// Credit class being returned (kUpdateFC).
   CreditClass credit_class = CreditClass::kPosted;
-  std::uint32_t header_credits = 0;
-  std::uint32_t data_credits = 0;
   /// Cumulative credit totals released since link-up (kUpdateFC). Real
   /// PCIe advertises absolute counters, which makes UpdateFC delivery
   /// idempotent: stale or re-emitted packets replenish at most the
   /// difference from what the receiver has already seen. Essential for
   /// loss-tolerant re-emission (docs/FAULTS.md).
-  bool cumulative = false;
   std::uint64_t header_total = 0;
   std::uint64_t data_total = 0;
 };

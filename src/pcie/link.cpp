@@ -5,17 +5,21 @@
 namespace bb::pcie {
 
 Link::Link(sim::Simulator& sim, LinkParams params, Analyzer* tap,
-           fault::FaultInjector* injector)
+           fault::FaultInjector* injector, CreditState down_credits,
+           CreditState up_credits)
     : sim_(sim),
       params_(params),
       tap_(tap),
       injector_(injector),
-      down_(sim, &depart_elided_ack<Direction::kDownstream>,
+      down_(sim, down_credits, &depart_elided_ack<Direction::kDownstream>,
             &arrive_elided_update<Direction::kDownstream>,
             &on_replay_timeout<Direction::kDownstream>, this),
-      up_(sim, &depart_elided_ack<Direction::kUpstream>,
+      up_(sim, up_credits, &depart_elided_ack<Direction::kUpstream>,
           &arrive_elided_update<Direction::kUpstream>,
-          &on_replay_timeout<Direction::kUpstream>, this) {}
+          &on_replay_timeout<Direction::kUpstream>, this) {
+  sim_.spawn(pump(Direction::kDownstream), "pcie-downstream-pump");
+  sim_.spawn(pump(Direction::kUpstream), "pcie-upstream-pump");
+}
 
 void Link::send_downstream(Tlp tlp) {
   tlp.dir = Direction::kDownstream;
@@ -27,23 +31,45 @@ void Link::send_upstream(Tlp tlp) {
   transmit_tlp(Direction::kUpstream, std::move(tlp));
 }
 
-void Link::send_dllp_downstream(Dllp d) {
-  transmit_dllp(Direction::kDownstream, d);
+void Link::post(Direction dir, Tlp tlp) {
+  tlp.dir = dir;
+  dir_state(dir).posted.send(std::move(tlp));
 }
 
-void Link::send_dllp_upstream(Dllp d) { transmit_dllp(Direction::kUpstream, d); }
-
-void Link::collect_credit_updates(Direction dir) {
-  dir_state(dir).updates.settle();
+void Link::release_credits(const Tlp& tlp) {
+  if (tlp.type == TlpType::kCompletionData) return;
+  transmit_dllp(opposite(tlp.dir), dir_state(tlp.dir).ledger.release_for(tlp));
 }
 
-void Link::watch_credit_updates(Direction dir, bool waiting) {
+sim::Task<void> Link::pump(Direction dir) {
   DirState& st = dir_state(dir);
-  if (waiting) {
-    st.updates.settle();
-    st.updates.promote();
+  // This direction's UpdateFCs travel the other way.
+  DirState& back = dir_state(opposite(dir));
+  for (;;) {
+    Tlp tlp = co_await st.posted.receive();
+    // §2: a transaction may be issued only with sufficient credits;
+    // otherwise wait for an UpdateFC from the receiver. Elided UpdateFCs
+    // that have arrived are applied first; while the pump waits, they
+    // are events.
+    back.updates.settle();
+    while (!st.credits.can_send(tlp)) {
+      ++st.credit_stalls;
+      back.updates.settle();
+      back.updates.promote();
+      st.credit_waiter = true;
+      co_await st.credit_avail.wait();
+    }
+    st.credit_waiter = false;
+    st.credits.consume(tlp);
+    ++st.issued;
+    transmit_tlp(dir, std::move(tlp));
   }
-  st.credit_waiter = waiting;
+}
+
+void Link::on_update_fc(Direction dir, const Dllp& fc) {
+  DirState& sender = dir_state(opposite(dir));
+  sender.credits.replenish(fc);
+  sender.credit_avail.fire();
 }
 
 void Link::transmit_tlp(Direction dir, Tlp tlp) {
@@ -184,18 +210,7 @@ void Link::depart_elided_ack(void* link, TimePs at, const Dllp&) {
 
 template <Direction D>
 void Link::arrive_elided_update(void* link, TimePs, const Dllp& fc) {
-  static_cast<Link*>(link)->hand_to_endpoint(D, fc);
-}
-
-void Link::hand_to_endpoint(Direction dir, const Dllp& d) {
-  // Acks/Naks are the link's own protocol; endpoints see them only when
-  // an injector makes them carry replay information.
-  if (d.type != DllpType::kUpdateFC && !faults_on()) return;
-  if (dir == Direction::kDownstream) {
-    if (b_dllp_) b_dllp_(d);
-  } else {
-    if (a_dllp_) a_dllp_(d);
-  }
+  static_cast<Link*>(link)->on_update_fc(D, fc);
 }
 
 void Link::transmit_dllp(Direction dir, Dllp d) {
@@ -233,7 +248,8 @@ void Link::transmit_dllp(Direction dir, Dllp d) {
   // Fault-free, the arrival has an observer only in a downstream tap or
   // a pump waiting for this UpdateFC's credits.
   if (!faults_on() && !(dir == Direction::kDownstream && tapped()) &&
-      !(d.type == DllpType::kUpdateFC && st.credit_waiter)) {
+      !(d.type == DllpType::kUpdateFC &&
+        dir_state(opposite(dir)).credit_waiter)) {
     if (d.type == DllpType::kUpdateFC) {
       st.updates.push(arrive, d);
     } else {
@@ -244,12 +260,13 @@ void Link::transmit_dllp(Direction dir, Dllp d) {
 
   sim_.call_at(arrive, [this, dir, d, arrive] {
     if (tap_ && dir == Direction::kDownstream) tap_->on_dllp(arrive, dir, d);
-    if (faults_on() && d.type != DllpType::kUpdateFC) {
+    if (d.type == DllpType::kUpdateFC) {
+      on_update_fc(dir, d);
+    } else if (faults_on()) {
       // An Ack/Nak travelling in `dir` acknowledges TLPs transmitted in
-      // the opposite direction: service that replay buffer first.
+      // the opposite direction: service that replay buffer.
       on_ack_dllp(opposite(dir), d);
     }
-    hand_to_endpoint(dir, d);
   });
 }
 

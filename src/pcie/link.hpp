@@ -22,16 +22,22 @@
 // none of this machinery runs and the link is bit-identical to the
 // error-free model.
 //
+// Flow control (§2, §4.2: "the RC can generate transactions only if it
+// has credits"): each direction holds its sender's credits. Endpoints
+// post() MWr/MRd TLPs, and a per-direction pump issues them in order as
+// credits allow; the receiver hands them back with release_credits(),
+// which sends an UpdateFC carrying cumulative totals. Its arrival refills
+// the sender's credits here: endpoints never see DLLPs.
+//
 // Elided DLLPs (docs/SIM_ENGINE.md "Elided events"): a DLLP gets an event
 // only when something observes it at that instant -- a fault injector,
-// an enabled analyzer, or a credit pump waiting on the receiving side.
-// Otherwise a fault-free Ack's processing delay becomes a pending
-// departure, settled into the transmitter before its next packet, and
-// its arrival is no event at all; an UpdateFC's arrival goes into a
-// per-direction ledger that the receiving pump settles before each
-// credit check (collect_credit_updates) and promotes to real events
-// before it waits (watch_credit_updates). Timing is unchanged; endpoint
-// DLLP handlers see UpdateFCs, and Acks/Naks only with an injector.
+// an enabled analyzer, or a pump waiting for the credits an UpdateFC
+// returns. Otherwise a fault-free Ack's processing delay becomes a
+// pending departure, settled into the transmitter before its next
+// packet, and its arrival is no event at all; an UpdateFC's arrival goes
+// into a per-direction ledger that the pump settles before each credit
+// check and promotes to real events before it waits. Timing is
+// unchanged.
 //
 // Tap semantics: downstream packets are recorded when they *arrive* at B
 // (the analyzer is upstream-adjacent to the NIC); upstream packets are
@@ -43,10 +49,13 @@
 
 #include "common/units.hpp"
 #include "fault/fault.hpp"
+#include "pcie/credit.hpp"
 #include "pcie/dllp.hpp"
 #include "pcie/tlp.hpp"
 #include "pcie/trace.hpp"
+#include "sim/channel.hpp"
 #include "sim/deferred.hpp"
+#include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 
 namespace bb::pcie {
@@ -88,36 +97,48 @@ struct LinkParams {
 
 class Link {
  public:
+  /// `down_credits` gates TLPs the Root Complex posts, `up_credits` those
+  /// the NIC posts.
   Link(sim::Simulator& sim, LinkParams params, Analyzer* tap = nullptr,
-       fault::FaultInjector* injector = nullptr);
+       fault::FaultInjector* injector = nullptr,
+       CreditState down_credits = CreditState::default_endpoint(),
+       CreditState up_credits = CreditState::default_endpoint());
 
   const LinkParams& params() const { return params_; }
 
   // Handlers installed by the endpoints.
   void set_a_tlp_handler(std::function<void(const Tlp&)> h) { a_tlp_ = std::move(h); }
   void set_b_tlp_handler(std::function<void(const Tlp&)> h) { b_tlp_ = std::move(h); }
-  void set_a_dllp_handler(std::function<void(const Dllp&)> h) { a_dllp_ = std::move(h); }
-  void set_b_dllp_handler(std::function<void(const Dllp&)> h) { b_dllp_ = std::move(h); }
 
-  /// Transmits a TLP downstream (A -> B). The TLP's `dir` is stamped.
+  /// Queues a TLP for transmission in `dir`; the direction's pump issues
+  /// posted TLPs in order, each once its sender holds the credits.
+  void post(Direction dir, Tlp tlp);
+  /// Receiver side: returns the credits an arrived TLP consumed with an
+  /// UpdateFC to its sender. Completions travel ungated (send_*) and
+  /// release nothing.
+  void release_credits(const Tlp& tlp);
+
+  /// Transmits a TLP downstream (A -> B) without a credit check:
+  /// completions, and data-link tests. The TLP's `dir` is stamped.
   void send_downstream(Tlp tlp);
-  /// Transmits a TLP upstream (B -> A).
+  /// Transmits a TLP upstream (B -> A) without a credit check.
   void send_upstream(Tlp tlp);
-  void send_dllp_downstream(Dllp d);
-  void send_dllp_upstream(Dllp d);
 
-  /// Credit pumps: hands the endpoint every elided UpdateFC travelling in
-  /// `dir` (kUpstream for the Root Complex, kDownstream for the NIC)
-  /// whose arrival precedes the current event. Call before each
-  /// credit check.
-  void collect_credit_updates(Direction dir);
-  /// A pump about to wait for `dir`'s UpdateFCs passes true: the pending
-  /// ones become real events, and later ones stay events until it passes
-  /// false (it can send again).
-  void watch_credit_updates(Direction dir, bool waiting);
+  /// The credits of the sender posting in `dir`. Mid-run they may lag
+  /// UpdateFCs nothing waits for; at the end of a run they are current.
+  const CreditState& credits(Direction dir) const {
+    return dir_state(dir).credits;
+  }
+  /// Times a posted TLP in `dir` waited for credits.
+  std::uint64_t credit_stalls(Direction dir) const {
+    return dir_state(dir).credit_stalls;
+  }
+  /// Posted TLPs issued in `dir`.
+  std::uint64_t issued(Direction dir) const { return dir_state(dir).issued; }
 
   std::uint64_t tlps_delivered() const { return tlps_delivered_; }
-  /// TLPs handed to send_* (each counted once, however many attempts).
+  /// TLPs handed to the transmitter: sent, or posted and issued (each
+  /// counted once, however many attempts).
   std::uint64_t tlps_accepted() const { return tlps_accepted_; }
   /// Unacknowledged TLPs currently held for replay (both directions);
   /// zero at quiescence when every loss was recovered.
@@ -136,26 +157,35 @@ class Link {
   };
 
   struct DirState {
-    DirState(sim::Simulator& sim, sim::Deferred<Dllp>::Fn depart,
-             sim::Deferred<Dllp>::Fn arrive, sim::Timer::Fn replay_timeout,
-             void* link)
-        : replay_timer(sim, replay_timeout, link),
+    DirState(sim::Simulator& sim, CreditState initial,
+             sim::Deferred<Dllp>::Fn depart, sim::Deferred<Dllp>::Fn arrive,
+             sim::Timer::Fn replay_timeout, void* link)
+        : credits(initial),
+          posted(sim),
+          credit_avail(sim),
+          replay_timer(sim, replay_timeout, link),
           acks(sim, depart, link),
           updates(sim, arrive, link) {}
 
     // Transmitter state for TLPs sent *in* this direction.
+    CreditState credits;                  // the sender's credits
+    sim::Channel<Tlp> posted;             // posted, not yet issued
+    sim::Signal credit_avail;             // an UpdateFC refilled `credits`
+    bool credit_waiter = false;           // the pump waits for credits
+    std::uint64_t credit_stalls = 0;
+    std::uint64_t issued = 0;
     TimePs next_free = TimePs::zero();    // transmitter availability
     TimePs last_arrival = TimePs::zero(); // ordering enforcement
     std::uint64_t next_seq = 1;           // data-link sequence numbers
     std::deque<ReplayEntry> replay;       // unacknowledged TLPs, seq order
     sim::Timer replay_timer;              // REPLAY_TIMER
     // Receiver state for TLPs arriving from this direction.
+    CreditLedger ledger;           // credits released back to the sender
     std::uint64_t expected_seq = 1;
     bool nak_outstanding = false;  // one Nak per recovery window
     // Elided DLLPs travelling in this direction.
     sim::Deferred<Dllp> acks;     // fault-free Acks not yet departed
-    sim::Deferred<Dllp> updates;  // UpdateFCs not yet handed over
-    bool credit_waiter = false;   // the receiving pump waits for credits
+    sim::Deferred<Dllp> updates;  // UpdateFCs not yet applied
   };
 
   bool faults_on() const { return injector_ && injector_->enabled(); }
@@ -169,6 +199,11 @@ class Link {
                                        : Direction::kDownstream;
   }
 
+  /// Issues `dir`'s posted TLPs, each once credits allow.
+  sim::Task<void> pump(Direction dir);
+  /// An UpdateFC travelling in `dir` arrived: refill the opposite
+  /// direction's sender.
+  void on_update_fc(Direction dir, const Dllp& fc);
   /// Computes departure/arrival and schedules delivery of one attempt.
   void transmit_attempt(Direction dir, const Tlp& tlp, std::uint64_t seq,
                         int attempt);
@@ -187,7 +222,6 @@ class Link {
   static void depart_elided_ack(void* link, TimePs at, const Dllp& ack);
   template <Direction D>
   static void arrive_elided_update(void* link, TimePs at, const Dllp& fc);
-  void hand_to_endpoint(Direction dir, const Dllp& d);
   /// Sender-side processing of an arriving Ack/Nak for direction `dir`'s
   /// replay buffer.
   void on_ack_dllp(Direction dir, const Dllp& d);
@@ -200,6 +234,9 @@ class Link {
   DirState& dir_state(Direction d) {
     return d == Direction::kDownstream ? down_ : up_;
   }
+  const DirState& dir_state(Direction d) const {
+    return d == Direction::kDownstream ? down_ : up_;
+  }
 
   sim::Simulator& sim_;
   LinkParams params_;
@@ -208,7 +245,6 @@ class Link {
   DirState down_;
   DirState up_;
   std::function<void(const Tlp&)> a_tlp_, b_tlp_;
-  std::function<void(const Dllp&)> a_dllp_, b_dllp_;
   std::uint64_t tlps_delivered_ = 0;
   std::uint64_t tlps_accepted_ = 0;
 };

@@ -4,40 +4,13 @@
 
 namespace bb::pcie {
 
-RootComplex::RootComplex(sim::Simulator& sim, Link& link, RcParams params,
-                         CreditState credits)
-    : sim_(sim),
-      link_(link),
-      params_(params),
-      credits_(credits),
-      ingress_(sim),
-      credit_avail_(sim) {
+RootComplex::RootComplex(sim::Simulator& sim, Link& link, RcParams params)
+    : sim_(sim), link_(link), params_(params) {
   link_.set_a_tlp_handler([this](const Tlp& t) { on_upstream_tlp(t); });
-  link_.set_a_dllp_handler([this](const Dllp& d) { on_upstream_dllp(d); });
-  sim_.spawn(downstream_pump(), "rc-downstream-pump");
 }
 
 void RootComplex::post_mmio(Tlp tlp) {
-  tlp.dir = Direction::kDownstream;
-  ingress_.send(std::move(tlp));
-}
-
-sim::Task<void> RootComplex::downstream_pump() {
-  for (;;) {
-    Tlp tlp = co_await ingress_.receive();
-    // §2: a transaction may be issued only with sufficient credits;
-    // otherwise wait for an UpdateFC from the NIC.
-    link_.collect_credit_updates(Direction::kUpstream);
-    while (!credits_.can_send(tlp)) {
-      ++credit_stalls_;
-      link_.watch_credit_updates(Direction::kUpstream, true);
-      co_await credit_avail_.wait();
-    }
-    link_.watch_credit_updates(Direction::kUpstream, false);
-    credits_.consume(tlp);
-    ++mmio_issued_;
-    link_.send_downstream(std::move(tlp));
-  }
+  link_.post(Direction::kDownstream, std::move(tlp));
 }
 
 void RootComplex::on_upstream_tlp(const Tlp& tlp) {
@@ -59,7 +32,7 @@ void RootComplex::on_upstream_tlp(const Tlp& tlp) {
     rc.served = false;
     cpl.content = rc;
     link_.send_downstream(std::move(cpl));
-    link_.send_dllp_downstream(ledger_.release_for(tlp));
+    link_.release_credits(tlp);
     return;
   }
   switch (tlp.type) {
@@ -98,17 +71,8 @@ void RootComplex::on_upstream_tlp(const Tlp& tlp) {
     case TlpType::kCompletionData:
       BB_UNREACHABLE("RC does not expect upstream CplD in this topology");
   }
-  // Return the consumed credits to the NIC (cumulative totals: idempotent
-  // under loss-recovery re-emission).
-  link_.send_dllp_downstream(ledger_.release_for(tlp));
-}
-
-void RootComplex::on_upstream_dllp(const Dllp& d) {
-  if (d.type == DllpType::kUpdateFC) {
-    credits_.replenish(d);
-    credit_avail_.fire();
-  }
-  // Acks/Naks: the error-free link needs no replay logic.
+  // Return the consumed credits to the NIC.
+  link_.release_credits(tlp);
 }
 
 }  // namespace bb::pcie

@@ -3,16 +3,15 @@
 // fabric.
 //
 // Downstream: CPU cores deposit posted MMIO writes (DoorBell rings, PIO
-// descriptor copies); the RC issues them as MWr TLPs as soon as flow-
-// control credits allow. Its own generation cost is a few cycles and is
-// ignored, following §4.2.
+// descriptor copies), which the link issues as MWr TLPs as soon as flow-
+// control credits allow. The RC's own generation cost is a few cycles
+// and is ignored, following §4.2.
 //
 // Upstream: MWr TLPs from the NIC (completions, inbound payloads) are
 // committed to host memory after the RC-to-MEM(x B) latency and then
 // surfaced to the registered memory sink; MRd TLPs (NIC DMA reads of
 // descriptors/payloads) are answered with CplD after the memory read
-// latency. Every processed upstream TLP returns its credits to the NIC
-// via an UpdateFC DLLP.
+// latency. Every processed upstream TLP returns its credits to the NIC.
 
 #include <cstdint>
 #include <functional>
@@ -20,8 +19,6 @@
 #include "common/units.hpp"
 #include "pcie/credit.hpp"
 #include "pcie/link.hpp"
-#include "sim/channel.hpp"
-#include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 
 namespace bb::pcie {
@@ -48,8 +45,7 @@ class RootComplex {
   /// Serves NIC DMA reads of host-resident descriptors/payloads.
   using ReadProvider = std::function<ReadCompletion(const ReadRequest&)>;
 
-  RootComplex(sim::Simulator& sim, Link& link, RcParams params,
-              CreditState credits = CreditState::default_endpoint());
+  RootComplex(sim::Simulator& sim, Link& link, RcParams params);
   RootComplex(const RootComplex&) = delete;
   RootComplex& operator=(const RootComplex&) = delete;
 
@@ -67,31 +63,28 @@ class RootComplex {
   void post_mmio(Tlp tlp);
 
   const RcParams& params() const { return params_; }
-  const CreditState& credits() const { return credits_; }
+  const CreditState& credits() const {
+    return link_.credits(Direction::kDownstream);
+  }
 
-  std::uint64_t mmio_issued() const { return mmio_issued_; }
+  std::uint64_t mmio_issued() const {
+    return link_.issued(Direction::kDownstream);
+  }
   std::uint64_t mem_writes_committed() const { return mem_writes_committed_; }
-  std::uint64_t credit_stalls() const { return credit_stalls_; }
+  std::uint64_t credit_stalls() const {
+    return link_.credit_stalls(Direction::kDownstream);
+  }
 
  private:
-  sim::Task<void> downstream_pump();
   void on_upstream_tlp(const Tlp& tlp);
-  void on_upstream_dllp(const Dllp& d);
 
   sim::Simulator& sim_;
   Link& link_;
   RcParams params_;
-  CreditState credits_;
-  /// Cumulative released-credit totals for the UpdateFCs we send the NIC.
-  CreditLedger ledger_;
-  sim::Channel<Tlp> ingress_;
-  sim::Signal credit_avail_;
   MemorySink mem_sink_;
   std::function<void()> write_notice_;
   ReadProvider read_provider_;
-  std::uint64_t mmio_issued_ = 0;
   std::uint64_t mem_writes_committed_ = 0;
-  std::uint64_t credit_stalls_ = 0;
 };
 
 }  // namespace bb::pcie

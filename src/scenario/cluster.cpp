@@ -19,10 +19,7 @@ Cluster::Node::Node(sim::Simulator& sim, net::Fabric& fabric,
       worker(core, host, cfg.llp_worker),
       cq_interrupt(sim) {
   worker.set_profiler(&profiler);
-  if (cfg.fault.enabled()) {
-    nic.set_fault_stats(&injector.stats());
-    worker.set_fault_stats(&injector.stats());
-  }
+  if (cfg.fault.enabled()) nic.set_fault_stats(&injector.stats());
   host.set_commit_hook([this] { cq_interrupt.fire(); });
   rc.set_write_notice([this] { host.note_write_scheduled(); });
   rc.set_memory_sink([this](const pcie::Tlp& tlp, TimePs visible_at) {

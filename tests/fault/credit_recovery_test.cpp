@@ -20,12 +20,9 @@ TEST(CumulativeCredits, LedgerStampsAbsoluteTotals) {
   CreditLedger ledger;
   const Dllp fc1 = ledger.release_for(mwr(64));
   const Dllp fc2 = ledger.release_for(mwr(64));
-  EXPECT_TRUE(fc1.cumulative);
   EXPECT_EQ(fc1.header_total, 1u);
   EXPECT_EQ(fc2.header_total, 2u);
   EXPECT_EQ(fc2.data_total, fc1.data_total * 2);
-  // The legacy per-TLP delta still rides along for trace consumers.
-  EXPECT_EQ(fc2.header_credits, 1u);
   EXPECT_EQ(ledger.header_total(CreditClass::kPosted), 2u);
 }
 
@@ -68,17 +65,6 @@ TEST(CumulativeCredits, StaleReemissionAfterNewerTotalIsNoop) {
   cs.replenish(fc_a);
   EXPECT_EQ(cs.available(CreditClass::kPosted).header, after.header);
   EXPECT_EQ(cs.available(CreditClass::kPosted).data, after.data);
-}
-
-TEST(CumulativeCredits, LegacyDeltaUpdatesApplyVerbatim) {
-  CreditState cs = CreditState::default_endpoint();
-  const Tlp t = mwr(64);
-  cs.consume(t);
-  const Dllp delta = CreditState::release_for(t);  // non-cumulative
-  EXPECT_FALSE(delta.cumulative);
-  const CreditBudget before = cs.available(CreditClass::kPosted);
-  cs.replenish(delta);
-  EXPECT_EQ(cs.available(CreditClass::kPosted).header, before.header + 1);
 }
 
 }  // namespace

@@ -129,25 +129,25 @@ TEST(LinkRecovery, DroppedUpdateFcIsReemittedAfterTimeout) {
   cfg.scheduled.push_back(
       {fault::OneShot::Kind::kDropUpdateFC, fault::LinkDir::kDownstream, 1});
   Rig rig(cfg);
-  std::vector<double> fc_arrivals;
-  rig.link.set_b_dllp_handler([&](const Dllp& d) {
-    if (d.type == DllpType::kUpdateFC) {
-      fc_arrivals.push_back(rig.sim.now().to_ns());
-    }
-  });
-
-  Dllp fc;
-  fc.type = DllpType::kUpdateFC;
-  fc.credit_class = CreditClass::kPosted;
-  fc.header_credits = 1;
-  fc.cumulative = true;
-  fc.header_total = 1;
-  rig.link.send_dllp_downstream(fc);
+  // The A side returns the credits of an upstream write on arrival; that
+  // UpdateFC travels downstream and refills the B side's credits.
+  rig.link.set_a_tlp_handler(
+      [&](const Tlp& t) { rig.link.release_credits(t); });
+  const auto b_headers = [&] {
+    return rig.link.credits(Direction::kUpstream)
+        .available(CreditClass::kPosted)
+        .header;
+  };
+  const std::uint32_t full = b_headers();
+  std::uint32_t at_timeout = 0;
+  rig.sim.call_at(TimePs::from_ns(cfg.fc_reemit_timeout_ns),
+                  [&] { at_timeout = b_headers(); });
+  rig.link.post(Direction::kUpstream, write_tlp(1));
   rig.sim.run();
 
-  // Exactly one arrival, delayed past the credit timeout.
-  ASSERT_EQ(fc_arrivals.size(), 1u);
-  EXPECT_GT(fc_arrivals[0], cfg.fc_reemit_timeout_ns);
+  // Not refilled by the credit timeout; refilled after it.
+  EXPECT_EQ(at_timeout, full - 1);
+  EXPECT_EQ(b_headers(), full);
   EXPECT_EQ(rig.stats().updatefc_dropped, 1u);
   EXPECT_EQ(rig.stats().fc_reemissions, 1u);
 }

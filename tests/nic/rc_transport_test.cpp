@@ -270,7 +270,7 @@ TEST(RcTransport, ResetDuringRnrBackoffCancelsIt) {
 }
 
 TEST(RcTransport, ResetDuringRecoveryDelaySendsOneConnect) {
-  // A second qp_reset inside the first qp_connect's qp_recovery_ns
+  // A second qp_reset inside the first qp_connect's kQpRecoveryNs
   // withdraws that connect: only the second connect reaches the wire.
   Testbed tb(scenario::presets::deterministic());
   auto& ep = tb.add_endpoint(0);
@@ -282,7 +282,7 @@ TEST(RcTransport, ResetDuringRecoveryDelaySendsOneConnect) {
     const auto now = [&t] { return t.sim().now().ps(); };
     nic.qp_reset(e.qp());
     nic.qp_connect(e.qp(), 1);
-    co_await t.sim().delay(TimePs::from_ns(nic.params().qp_recovery_ns / 2));
+    co_await t.sim().delay(TimePs::from_ns(Nic::kQpRecoveryNs / 2));
     EXPECT_EQ(nic.qp_state(e.qp()), QpState::kConnecting);
     stamps.push_back(now());
     nic.qp_reset(e.qp());

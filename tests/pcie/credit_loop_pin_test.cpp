@@ -2,9 +2,9 @@
 // with a tiny posted-credit budget posting MMIO writes through a Link with
 // no analyzer, while the B side returns one UpdateFC per TLP and answers
 // every 4th TLP with an upstream MWr. Acks, UpdateFCs and TLPs contend on
-// the upstream transmitter and every credit return gates the RC's pump, so
-// any change to how DLLPs are delivered on this path shows up in the
-// arrival times, the stall count or the drained end time.
+// the upstream transmitter and every credit return gates the downstream
+// pump, so any change to how DLLPs are delivered on this path shows up in
+// the arrival times, the stall count or the drained end time.
 
 #include <gtest/gtest.h>
 
@@ -37,19 +37,18 @@ Tlp mwr64() {
 
 TEST(CreditLoop, UntappedPostedWritesAreTimingPinned) {
   sim::Simulator sim;
-  Link link(sim, LinkParams{});  // no analyzer, no fault injector
-  RootComplex rc(sim, link, RcParams{},
-                 CreditState::with_budget({2, 8}, {1, 1}, {2, 8}));
+  Link link(sim, LinkParams{}, nullptr, nullptr,  // no analyzer, no injector
+            CreditState::with_budget({2, 8}, {1, 1}, {2, 8}));
+  RootComplex rc(sim, link, RcParams{});
   std::uint64_t committed = 0;
   rc.set_memory_sink([&](const Tlp&, TimePs) { ++committed; });
 
-  CreditLedger ledger;
   Fnv arrivals;
   std::uint64_t at_b = 0;
   link.set_b_tlp_handler([&](const Tlp& tlp) {
     arrivals.mix(static_cast<std::uint64_t>(sim.now().ps()));
-    link.send_dllp_upstream(ledger.release_for(tlp));
-    if (++at_b % 4 == 0) link.send_upstream(mwr64());
+    link.release_credits(tlp);
+    if (++at_b % 4 == 0) link.post(Direction::kUpstream, mwr64());
   });
 
   constexpr int kWrites = 500;

@@ -58,21 +58,35 @@ TEST(Credit, DataCreditsCanBeTheBinder) {
 
 TEST(Credit, ReplenishRestoresAndRespectsBudget) {
   auto s = CreditState::with_budget({2, 8}, {1, 1}, {1, 4});
+  CreditLedger ledger;
   const Tlp t = mwr(64);
   s.consume(t);
+  s.consume(t);
+  EXPECT_EQ(s.outstanding_headers(CreditClass::kPosted), 2);
+  EXPECT_FALSE(s.can_send(t));
+  s.replenish(ledger.release_for(t));
   EXPECT_EQ(s.outstanding_headers(CreditClass::kPosted), 1);
-  s.replenish(CreditState::release_for(t));
-  EXPECT_EQ(s.outstanding_headers(CreditClass::kPosted), 0);
   EXPECT_TRUE(s.can_send(t));
+  s.replenish(ledger.release_for(t));
+  EXPECT_EQ(s.outstanding_headers(CreditClass::kPosted), 0);
+  EXPECT_EQ(s.available(CreditClass::kPosted).header, 2u);
+  EXPECT_EQ(s.available(CreditClass::kPosted).data, 8u);
 }
 
 TEST(Credit, ReleaseForMatchesConsumption) {
   const Tlp t = mwr(40);
-  const Dllp d = CreditState::release_for(t);
+  CreditLedger ledger;
+  const Dllp d = ledger.release_for(t);
   EXPECT_EQ(d.type, DllpType::kUpdateFC);
   EXPECT_EQ(d.credit_class, CreditClass::kPosted);
-  EXPECT_EQ(d.header_credits, 1u);
-  EXPECT_EQ(d.data_credits, data_credit_units(t));
+  EXPECT_EQ(d.header_total, 1u);
+  EXPECT_EQ(d.data_total, data_credit_units(t));
+  // A sender that consumed exactly `t` is made whole by it.
+  auto s = CreditState::with_budget({1, 3}, {1, 1}, {1, 4});
+  s.consume(t);
+  s.replenish(d);
+  EXPECT_EQ(s.available(CreditClass::kPosted).header, 1u);
+  EXPECT_EQ(s.available(CreditClass::kPosted).data, 3u);
 }
 
 TEST(Credit, DefaultEndpointNeverExhaustedBySingleCoreBurst) {

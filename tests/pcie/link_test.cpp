@@ -45,6 +45,53 @@ TEST(Link, DownstreamDeliveryTiming) {
   EXPECT_NEAR(arrival, p.tlp_latency(64).to_ns(), 1e-6);
 }
 
+TEST(Link, UpstreamPostWaitsForReleasedCredits) {
+  // The NIC side's budget holds one 64 B write. The second write waits
+  // for the UpdateFC the A side sends as the first one lands.
+  sim::Simulator sim;
+  LinkParams p;
+  Link link(sim, p, nullptr, nullptr, CreditState::default_endpoint(),
+            CreditState::with_budget({1, 4}, {1, 1}, {1, 4}));
+  std::vector<std::int64_t> arrivals;
+  link.set_a_tlp_handler([&](const Tlp& t) {
+    arrivals.push_back(sim.now().ps());
+    link.release_credits(t);
+  });
+  link.post(Direction::kUpstream, pio_post(1));
+  link.post(Direction::kUpstream, pio_post(2));
+  sim.run();
+
+  const TimePs l64 = p.tlp_latency(64);
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[0], l64.ps());
+  EXPECT_EQ(arrivals[1], (l64 + p.dllp_latency() + l64).ps());
+  EXPECT_EQ(link.credit_stalls(Direction::kUpstream), 1u);
+  EXPECT_EQ(link.credit_stalls(Direction::kDownstream), 0u);
+  EXPECT_EQ(link.issued(Direction::kUpstream), 2u);
+  EXPECT_EQ(link.credits(Direction::kUpstream)
+                .outstanding_headers(CreditClass::kPosted),
+            0);
+}
+
+TEST(Link, DestroyedWhileAPostWaitsForCredits) {
+  // Nothing returns credits: the upstream pump stays suspended on them,
+  // with a third write still queued, when the Link and then the
+  // Simulator (which owns the pump's frame) are torn down.
+  sim::Simulator sim;
+  Link link(sim, LinkParams{}, nullptr, nullptr,
+            CreditState::default_endpoint(),
+            CreditState::with_budget({1, 4}, {1, 1}, {1, 4}));
+  int delivered = 0;
+  link.set_a_tlp_handler([&](const Tlp&) { ++delivered; });
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    link.post(Direction::kUpstream, pio_post(i));
+  }
+  sim.run();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(link.credit_stalls(Direction::kUpstream), 1u);
+  EXPECT_EQ(link.issued(Direction::kUpstream), 1u);
+}
+
 TEST(Link, AckDelaysAnUpstreamWriteSentRightAfterArrival) {
   // No analyzer, no injector: nothing observes the Ack, yet it still
   // occupies the upstream transmitter from ack_processing_ns after the

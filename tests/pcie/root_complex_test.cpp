@@ -53,7 +53,7 @@ TEST(RootComplex, CommitsUpstreamWriteAfterRcToMem) {
   up.type = TlpType::kMemWrite;
   up.bytes = 8;
   up.content = PayloadWrite{1, 0, 8, 0, WireOp::kRdmaWrite};
-  f.link.send_upstream(up);
+  f.link.post(Direction::kUpstream, up);
   f.sim.run();
   const double arrival = f.link.params().tlp_latency(8).to_ns();
   EXPECT_NEAR(visible, arrival + 240.96, 1e-6);
@@ -79,7 +79,7 @@ TEST(RootComplex, ServesDmaReadWithCplD) {
   req.what = ReadRequest::What::kDescriptor;
   req.bytes = 64;
   rd.content = req;
-  f.link.send_upstream(rd);
+  f.link.post(Direction::kUpstream, rd);
   f.sim.run();
 
   ASSERT_EQ(at_b.size(), 1u);
@@ -93,28 +93,25 @@ TEST(RootComplex, ServesDmaReadWithCplD) {
 TEST(RootComplex, ReturnsCreditsForProcessedUpstreamTlps) {
   RcFixture f;
   f.rc.set_memory_sink([](const Tlp&, TimePs) {});
-  std::vector<Dllp> at_b;
-  f.link.set_b_dllp_handler([&](const Dllp& d) {
-    if (d.type == DllpType::kUpdateFC) at_b.push_back(d);
-  });
+  const CreditState& nic = f.link.credits(Direction::kUpstream);
+  const CreditBudget full = nic.available(CreditClass::kPosted);
   Tlp up;
   up.type = TlpType::kMemWrite;
   up.bytes = 64;
   up.content = CqeWrite{0, 1, 1};
-  f.link.send_upstream(up);
+  f.link.post(Direction::kUpstream, up);
   f.sim.run();
-  ASSERT_EQ(at_b.size(), 1u);
-  EXPECT_EQ(at_b[0].credit_class, CreditClass::kPosted);
-  EXPECT_EQ(at_b[0].header_credits, 1u);
-  EXPECT_EQ(at_b[0].data_credits, 4u);
+  EXPECT_EQ(nic.outstanding_headers(CreditClass::kPosted), 0);
+  EXPECT_EQ(nic.available(CreditClass::kPosted).header, full.header);
+  EXPECT_EQ(nic.available(CreditClass::kPosted).data, full.data);
 }
 
 TEST(RootComplex, StallsWhenCreditsExhaustedAndResumesOnUpdateFC) {
   sim::Simulator sim;
-  Link link(sim, LinkParams{});
   // Room for exactly one 64 B posted write.
-  auto credits = CreditState::with_budget({1, 4}, {1, 1}, {1, 4});
-  RootComplex rc(sim, link, RcParams{}, credits);
+  Link link(sim, LinkParams{}, nullptr, nullptr,
+            CreditState::with_budget({1, 4}, {1, 1}, {1, 4}));
+  RootComplex rc(sim, link, RcParams{});
   std::vector<double> arrivals;
   link.set_b_tlp_handler([&](const Tlp&) {
     arrivals.push_back(sim.now().to_ns());
@@ -128,14 +125,7 @@ TEST(RootComplex, StallsWhenCreditsExhaustedAndResumesOnUpdateFC) {
   rc.post_mmio(pio);  // must stall until credits return
 
   // The NIC side returns credits at t = 3000 ns.
-  sim.call_at(3000_ns, [&] {
-    Dllp fc;
-    fc.type = DllpType::kUpdateFC;
-    fc.credit_class = CreditClass::kPosted;
-    fc.header_credits = 1;
-    fc.data_credits = 4;
-    link.send_dllp_upstream(fc);
-  });
+  sim.call_at(3000_ns, [&] { link.release_credits(pio); });
   sim.run();
 
   ASSERT_EQ(arrivals.size(), 2u);
@@ -154,14 +144,13 @@ TEST(RootComplex, PumpThatStallsOnAnInFlightCreditReturnWakesAtItsArrival) {
   // The third is posted after its predecessor's UpdateFC landed and does
   // not stall.
   sim::Simulator sim;
-  Link link(sim, LinkParams{});
-  RootComplex rc(sim, link, RcParams{},
-                 CreditState::with_budget({1, 4}, {1, 1}, {1, 4}));
-  CreditLedger ledger;
+  Link link(sim, LinkParams{}, nullptr, nullptr,
+            CreditState::with_budget({1, 4}, {1, 1}, {1, 4}));
+  RootComplex rc(sim, link, RcParams{});
   std::vector<std::int64_t> arrivals;
   link.set_b_tlp_handler([&](const Tlp& t) {
     arrivals.push_back(sim.now().ps());
-    link.send_dllp_upstream(ledger.release_for(t));
+    link.release_credits(t);
   });
   Tlp pio;
   pio.type = TlpType::kMemWrite;
