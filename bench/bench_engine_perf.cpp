@@ -184,7 +184,8 @@ struct ParkedWaitNode {
   sim::Simulator sim;
   cpu::Core core{sim, cpu::CpuCostModel{}};
   nic::HostMemory host;
-  llp::Worker worker{core, host};
+  prof::Profiler profiler{core};
+  llp::Worker worker{core, host, profiler};
   pcie::Tlp payload;
   std::uint64_t target = 0;
 

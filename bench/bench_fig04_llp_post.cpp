@@ -15,9 +15,8 @@ int main() {
                  "Fig. 4 (§4.1)");
 
   // Measure the substeps with the profiler, as §4.1 does.
-  auto cfg = scenario::presets::thunderx2_cx4();
-  cfg.endpoint.profile_level = 2;
-  scenario::Testbed tb(cfg);
+  scenario::Testbed tb(scenario::presets::thunderx2_cx4());
+  tb.node(0).profiler.wrap({prof::Site::kLlpPostSteps, prof::Site::kBusyPost});
   auto& ep = tb.add_endpoint(0);
   tb.sim().spawn([](scenario::Testbed::Node& n,
                     llp::Endpoint& e) -> sim::Task<void> {

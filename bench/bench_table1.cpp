@@ -36,9 +36,9 @@ LlpMeasurement measure_llp() {
   LlpMeasurement out{};
   // Substeps (one-at-a-time rule: a dedicated run).
   {
-    auto cfg = scenario::presets::thunderx2_cx4();
-    cfg.endpoint.profile_level = 2;
-    Testbed tb(cfg);
+    Testbed tb(scenario::presets::thunderx2_cx4());
+    tb.node(0).profiler.wrap(
+        {prof::Site::kLlpPostSteps, prof::Site::kBusyPost});
     auto& ep = tb.add_endpoint(0);
     tb.sim().spawn([](Testbed::Node& n, llp::Endpoint& e) -> sim::Task<void> {
       for (int i = 0; i < kSamples; ++i) {
@@ -58,12 +58,12 @@ LlpMeasurement measure_llp() {
     out.misc = prof.mean_ns("Other");
   }
 
-  // LLP_post total + busy posts (profile level 1).
+  // LLP_post total + busy posts.
   {
     auto cfg = scenario::presets::thunderx2_cx4();
-    cfg.endpoint.profile_level = 1;
     cfg.endpoint.txq_depth = 16;  // force steady-state busy posts
     Testbed tb(cfg);
+    tb.node(0).profiler.wrap({prof::Site::kLlpPost, prof::Site::kBusyPost});
     auto& ep = tb.add_endpoint(0);
     tb.sim().spawn([](Testbed::Node& n, llp::Endpoint& e) -> sim::Task<void> {
       for (int i = 0; i < kSamples; ++i) {
@@ -83,7 +83,7 @@ LlpMeasurement measure_llp() {
     auto cfg = scenario::presets::thunderx2_cx4();
     Testbed tb(cfg);
     auto& ep = tb.add_endpoint(0);
-    tb.node(0).worker.set_wrap("LLP_prog");
+    tb.node(0).profiler.wrap({prof::Site::kLlpProg});
     tb.sim().spawn([](Testbed::Node& n, llp::Endpoint& e) -> sim::Task<void> {
       for (int i = 0; i < kSamples; ++i) {
         while (co_await e.put_short(8) != llp::Status::kOk) {
@@ -155,15 +155,12 @@ HlpMeasurement measure_hlp() {
   HlpMeasurement out{};
   // A "successful wait" scenario generator: sender fires a message, the
   // receiver idles past its arrival, then waits. One wrap per run.
-  auto run_rx = [&](const std::string& mpi_wrap, const std::string& ucp_wrap,
-                    const std::string& uct_wrap, const std::string& region) {
+  auto run_rx = [&](prof::Site site) {
     Testbed tb(scenario::presets::thunderx2_cx4());
     MpiStack tx(tb, 0);
     MpiStack rx(tb, 1);
     tb.node(1).nic.post_receives(kIters + 2);
-    if (!mpi_wrap.empty()) rx.mpi().set_wrap(mpi_wrap);
-    if (!ucp_wrap.empty()) rx.ucp().set_wrap(ucp_wrap);
-    if (!uct_wrap.empty()) tb.node(1).worker.set_wrap(uct_wrap);
+    tb.node(1).profiler.wrap({site});
 
     // Absolute-time schedule so the two loops cannot drift: in cycle i the
     // sender fires at i*10us, the message lands ~1.5us later, and the
@@ -190,28 +187,25 @@ HlpMeasurement measure_hlp() {
       }
     }(tb, rx, until));
     tb.sim().run();
-    return tb.node(1).profiler.mean_ns(region);
+    return tb.node(1).profiler.mean_ns(prof::region_name(site));
   };
 
-  const double wait_total = run_rx("MPI_Wait", "", "", "MPI_Wait");
-  const double ucp_prog =
-      run_rx("", "ucp_worker_progress", "", "ucp_worker_progress");
-  const double uct_prog =
-      run_rx("", "", "uct_worker_progress", "uct_worker_progress");
-  out.mpich_cb = run_rx("MPICH callback", "", "", "MPICH callback");
-  out.ucp_cb = run_rx("", "UCP callback", "", "UCP callback");
-  out.mpich_after =
-      run_rx("MPICH after progress", "", "", "MPICH after progress");
+  const double wait_total = run_rx(prof::Site::kMpiWait);
+  const double ucp_prog = run_rx(prof::Site::kUcpWorkerProgress);
+  const double uct_prog = run_rx(prof::Site::kUctWorkerProgress);
+  out.mpich_cb = run_rx(prof::Site::kMpichCallback);
+  out.ucp_cb = run_rx(prof::Site::kUcpCallback);
+  out.mpich_after = run_rx(prof::Site::kMpichAfterProgress);
   // §5: layer time = upper total - lower total + upper's callback.
   out.mpich_wait = wait_total - ucp_prog + out.mpich_cb;
   out.ucp_wait = ucp_prog - uct_prog + out.ucp_cb;
 
   // Isend split (dedicated runs, sender side).
-  auto run_tx = [&](const std::string& wrap, const std::string& region) {
+  auto run_tx = [&](prof::Site site) {
     Testbed tb(scenario::presets::thunderx2_cx4());
     MpiStack tx(tb, 0);
     tb.node(1).nic.post_receives(kIters + 8);
-    tx.mpi().set_wrap(wrap);
+    tb.node(0).profiler.wrap({site});
     tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
       std::vector<hlp::Request*> reqs;
       for (int i = 0; i < kIters; ++i) {
@@ -227,10 +221,10 @@ HlpMeasurement measure_hlp() {
       co_await st.mpi().waitall(reqs);
     }(tx));
     tb.sim().run();
-    return tb.node(0).profiler.mean_ns(region);
+    return tb.node(0).profiler.mean_ns(prof::region_name(site));
   };
-  const double isend_total = run_tx("MPI_Isend", "MPI_Isend");
-  const double ucp_send = run_tx("ucp_tag_send_nb", "ucp_tag_send_nb");
+  const double isend_total = run_tx(prof::Site::kMpiIsend);
+  const double ucp_send = run_tx(prof::Site::kUcpTagSendNb);
 
   // uct share of the send path: measured in the LLP run (LLP_post).
   Testbed tb(scenario::presets::deterministic());

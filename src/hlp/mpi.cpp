@@ -8,31 +8,27 @@ MpiComm::MpiComm(UcpWorker& ucp, double wait_timeout_us)
   // the UCP callback, before uct_worker_progress returns (§5).
   ucp_.set_upper_rx_callback([this](Request*) {
     cpu::Core& c = core();
-    prof::Profiler* prof = ucp_.profiler();
-    prof::Profiler::Region r;
-    if (prof && wrap_ == "MPICH callback") r = prof->begin("MPICH callback");
+    prof::Profiler& prof = ucp_.profiler();
+    auto r = prof.begin(prof::Site::kMpichCallback);
     c.consume(c.costs().mpich_rx_callback);
-    if (prof && wrap_ == "MPICH callback") prof->end(r);
+    prof.end(r);
   });
 }
 
 sim::Task<common::Expected<Request*>> MpiComm::isend(int peer,
                                                      std::uint32_t bytes) {
   cpu::Core& c = core();
-  prof::Profiler* prof = ucp_.profiler();
-  prof::Profiler::Region r_mpi, r_ucp;
-  if (prof && wrap_ == "MPI_Isend") r_mpi = prof->begin("MPI_Isend");
+  prof::Profiler& prof = ucp_.profiler();
+  auto r_mpi = prof.begin(prof::Site::kMpiIsend);
 
   // MPICH: datatype checks, interface selection, request setup.
   c.consume(c.costs().mpich_isend);
 
-  if (prof && wrap_ == "ucp_tag_send_nb") {
-    r_ucp = prof->begin("ucp_tag_send_nb");
-  }
+  auto r_ucp = prof.begin(prof::Site::kUcpTagSendNb);
   common::Expected<Request*> req = co_await ucp_.tag_send_nb(peer, bytes);
-  if (prof && wrap_ == "ucp_tag_send_nb") prof->end(r_ucp);
+  prof.end(r_ucp);
 
-  if (prof && wrap_ == "MPI_Isend") prof->end(r_mpi);
+  prof.end(r_mpi);
   ++isends_;
   co_return req;
 }
@@ -72,9 +68,8 @@ sim::Task<common::Status> MpiComm::progress_until(const Done& done) {
 
 sim::Task<common::Status> MpiComm::wait(Request* req) {
   cpu::Core& c = core();
-  prof::Profiler* prof = ucp_.profiler();
-  prof::Profiler::Region r_wait;
-  if (prof && wrap_ == "MPI_Wait") r_wait = prof->begin("MPI_Wait");
+  prof::Profiler& prof = ucp_.profiler();
+  auto r_wait = prof.begin(prof::Site::kMpiWait);
 
   // Fixed blocking-wait work: entry, request inspection, loop control.
   c.consume(c.costs().mpich_wait_fixed);
@@ -85,14 +80,11 @@ sim::Task<common::Status> MpiComm::wait(Request* req) {
   if (st != common::Status::kOk) co_return st;
 
   // MPICH work after the successful ucp_worker_progress returns.
-  prof::Profiler::Region r_after;
-  if (prof && wrap_ == "MPICH after progress") {
-    r_after = prof->begin("MPICH after progress");
-  }
+  auto r_after = prof.begin(prof::Site::kMpichAfterProgress);
   c.consume(c.costs().mpich_after_progress);
-  if (prof && wrap_ == "MPICH after progress") prof->end(r_after);
+  prof.end(r_after);
 
-  if (prof && wrap_ == "MPI_Wait") prof->end(r_wait);
+  prof.end(r_wait);
   ++waits_;
   co_await c.flush();
   co_return req->status;

@@ -13,7 +13,6 @@
 // engine drives the protocol state toward every connected peer, so a
 // rendezvous CTS for peer A is answered while the rank waits on peer B.
 
-#include <string>
 #include <vector>
 
 #include "hlp/request.hpp"
@@ -51,10 +50,6 @@ class MpiComm {
   /// the first non-OK request status in window order.
   sim::Task<common::Status> waitall(const std::vector<Request*>& reqs);
 
-  /// Profiler wrap point (one region at a time, §3): one of
-  /// {"MPI_Isend", "ucp_tag_send_nb", "MPI_Wait", "MPICH after progress"}.
-  void set_wrap(std::string region) { wrap_ = std::move(region); }
-
   std::uint64_t isends() const { return isends_; }
   std::uint64_t waits() const { return waits_; }
 
@@ -66,7 +61,6 @@ class MpiComm {
 
   UcpWorker& ucp_;
   double wait_timeout_us_;
-  std::string wrap_;
   std::uint64_t isends_ = 0;
   std::uint64_t waits_ = 0;
 };

@@ -103,50 +103,50 @@ sim::Task<common::Expected<Request*>> UcpWorker::tag_send_nb(
 
 void UcpWorker::complete_recv(Request* req, common::Status st) {
   cpu::Core& c = core();
-  prof::Profiler* prof = uct_worker_.profiler();
+  prof::Profiler& prof = uct_worker_.profiler();
 
   // UCP's registered callback: match, update request state.
-  prof::Profiler::Region r1;
-  if (prof && wrap_ == "UCP callback") r1 = prof->begin("UCP callback");
+  auto r1 = prof.begin(prof::Site::kUcpCallback);
   c.consume(c.costs().ucp_rx_callback);
   req->complete = true;
   req->status = st;
   ++recvs_completed_;
-  if (prof && wrap_ == "UCP callback") prof->end(r1);
+  prof.end(r1);
 
   // The upper (MPICH) registered callback runs inside UCP's (§5).
   if (upper_rx_cb_) upper_rx_cb_(req);
 }
 
-void UcpWorker::accept_rts(Peer& p, std::uint64_t rts, Request* req) {
-  p.rndv_rx_waiting[seq_of(rts)] = req;
-  p.pending_ctrl.push_back(header(Ctrl::kCts, seq_of(rts)));
+void UcpWorker::match(Peer& p, const nic::Cqe& cqe, Request* req) {
+  if (ctrl_of(cqe.user_data) == Ctrl::kEager) {
+    complete_recv(req, cqe.status);  // the payload already landed
+    return;
+  }
+  p.rndv_rx_waiting[seq_of(cqe.user_data)] = req;
+  p.pending_ctrl.push_back(header(Ctrl::kCts, seq_of(cqe.user_data)));
 }
 
 common::Expected<Request*> UcpWorker::tag_recv_nb(int peer_rank,
                                                   std::uint32_t bytes) {
   Peer& p = peer(peer_rank);
   Request* req = new_request(Request::Kind::kRecv, bytes);
-  if (!p.unexpected.empty()) {
-    // Unexpected eager message: the payload already landed.
-    const common::Status st = p.unexpected.front().status;
-    p.unexpected.pop_front();
-    complete_recv(req, st);
+  if (p.unexpected.empty()) {
+    p.posted_recvs.push_back(req);
     return req;
   }
-  if (!p.unexpected_rts.empty()) {
-    // Unexpected rendezvous advertisement: answer it now.
-    accept_rts(p, p.unexpected_rts.front(), req);
-    p.unexpected_rts.pop_front();
-    return req;
-  }
-  p.posted_recvs.push_back(req);
+  const nic::Cqe cqe = p.unexpected.front();
+  p.unexpected.pop_front();
+  match(p, cqe, req);
   return req;
 }
 
 void UcpWorker::on_rx_completion(const nic::Cqe& cqe) {
   Peer& p = peer(src_of(cqe.user_data));
   switch (ctrl_of(cqe.user_data)) {
+    case Ctrl::kRts:
+      // Sender advertised a large message.
+      core().consume(core().costs().ucp_progress_iter);  // header decode
+      [[fallthrough]];
     case Ctrl::kEager: {
       if (p.posted_recvs.empty()) {
         p.unexpected.push_back(cqe);
@@ -154,18 +154,7 @@ void UcpWorker::on_rx_completion(const nic::Cqe& cqe) {
       }
       Request* req = p.posted_recvs.front();
       p.posted_recvs.pop_front();
-      complete_recv(req, cqe.status);
-      return;
-    }
-    case Ctrl::kRts: {
-      // Sender advertised a large message.
-      core().consume(core().costs().ucp_progress_iter);  // header decode
-      if (p.posted_recvs.empty()) {
-        p.unexpected_rts.push_back(cqe.user_data);
-        return;
-      }
-      accept_rts(p, cqe.user_data, p.posted_recvs.front());
-      p.posted_recvs.pop_front();
+      match(p, cqe, req);
       return;
     }
     case Ctrl::kCts: {
@@ -200,9 +189,9 @@ sim::Task<void> UcpWorker::progress_rndv(Peer& p) {
     }
     p.pending_ctrl.pop_front();
   }
-  // Rendezvous payload transfers: a one-sided put, then the FIN. The
-  // fabric delivers in order per sender, so the FIN arrives after the
-  // payload is on its way to the receiver's memory.
+  // Rendezvous payload transfers: a one-sided put, then the FIN. The NIC
+  // injects the inline FIN while it still fetches the put's payload, so
+  // the FIN overtakes it (ROADMAP item 2; RC must run WQEs in order).
   while (!p.rndv_tx_ready.empty()) {
     RndvData& op = p.rndv_tx_ready.front();
     if (!op.data_sent) {
@@ -223,12 +212,10 @@ sim::Task<void> UcpWorker::progress_rndv(Peer& p) {
 
 sim::Task<std::uint32_t> UcpWorker::progress(const llp::IdleLoop* idle) {
   cpu::Core& c = core();
-  prof::Profiler* prof = uct_worker_.profiler();
-  prof::Profiler::Region r;
-  if (prof && wrap_ == "ucp_worker_progress") {
-    r = prof->begin("ucp_worker_progress");
-    idle = nullptr;  // the region's closing overhead is not a pass cost
-  }
+  prof::Profiler& prof = uct_worker_.profiler();
+  auto r = prof.begin(prof::Site::kUcpWorkerProgress);
+  // A measured pass never parks: its closing overhead is no pass cost.
+  if (prof.wraps(prof::Site::kUcpWorkerProgress)) idle = nullptr;
 
   c.consume(c.costs().ucp_progress_iter);
 
@@ -248,7 +235,7 @@ sim::Task<std::uint32_t> UcpWorker::progress(const llp::IdleLoop* idle) {
     if (p->has_rndv_work()) co_await progress_rndv(*p);
   }
 
-  if (prof && wrap_ == "ucp_worker_progress") prof->end(r);
+  prof.end(r);
   co_return n;
 }
 

@@ -25,7 +25,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/status.hpp"
@@ -61,8 +60,7 @@ class UcpWorker {
   int sole_peer() const;
 
   cpu::Core& core() { return uct_worker_.core(); }
-  llp::Worker& uct_worker() { return uct_worker_; }
-  prof::Profiler* profiler() { return uct_worker_.profiler(); }
+  prof::Profiler& profiler() { return uct_worker_.profiler(); }
 
   /// Registered upper-layer callback for completed receives (MPICH's).
   /// Runs after the UCP callback, inside progress.
@@ -89,7 +87,7 @@ class UcpWorker {
   /// every peer's rendezvous control and data; peers go in rank order.
   /// Returns the number of UCT completions processed. `idle` (a blocking
   /// wait loop's description) lets an empty pass park the loop; a pass
-  /// wrapped in a "ucp_worker_progress" profiler region never parks.
+  /// measured at prof::Site::kUcpWorkerProgress never parks.
   sim::Task<std::uint32_t> progress(const llp::IdleLoop* idle = nullptr);
   /// What one empty progress pass costs, in draw order: the UCP pass
   /// plus the empty UCT poll (the IdleLoop cost list of a wait loop).
@@ -106,11 +104,6 @@ class UcpWorker {
   std::uint64_t sends_completed() const { return sends_completed_; }
   std::uint64_t recvs_completed() const { return recvs_completed_; }
   std::uint64_t rndv_sends() const { return rndv_sends_; }
-
-  /// Profiler wrap points (one at a time, per §3): region names among
-  /// {"ucp_worker_progress", "UCP callback", "MPICH callback"}.
-  void set_wrap(std::string region) { wrap_ = std::move(region); }
-  const std::string& wrap() const { return wrap_; }
 
  private:
   // Control headers ride in the messages' immediate data. Layout:
@@ -141,13 +134,12 @@ class UcpWorker {
     llp::Endpoint& endpoint;
     std::deque<Request*> pending_sends;
     std::deque<Request*> posted_recvs;
-    std::deque<nic::Cqe> unexpected;
+    std::deque<nic::Cqe> unexpected;  // eager + RTS with no recv, in order
     // Rendezvous state.
     std::deque<std::uint64_t> pending_ctrl;            // headers to send
     std::map<std::uint64_t, Request*> rndv_tx_waiting; // RTS out, await CTS
     std::deque<RndvData> rndv_tx_ready;                // CTS in: put + FIN
     std::map<std::uint64_t, Request*> rndv_rx_waiting; // CTS out, await FIN
-    std::deque<std::uint64_t> unexpected_rts;          // RTS with no recv
     std::uint64_t next_rndv_seq = 1;
 
     bool has_rndv_work() const {
@@ -162,8 +154,9 @@ class UcpWorker {
   /// propagating the transport status into the request.
   void complete_recv(Request* req,
                      common::Status st = common::Status::kOk);
-  /// Answers an RTS from `p` with a CTS once `req` is matched to it.
-  void accept_rts(Peer& p, std::uint64_t rts, Request* req);
+  /// Matches receive `req` to `cqe` from `p`: an eager message completes
+  /// it, an RTS is answered with a CTS.
+  void match(Peer& p, const nic::Cqe& cqe, Request* req);
   /// Drives `p`'s queued control messages and rendezvous data transfers.
   sim::Task<void> progress_rndv(Peer& p);
 
@@ -171,7 +164,6 @@ class UcpWorker {
   UcpConfig cfg_;
   int node_ = -1;  // the sending node, learned from the first endpoint
   std::function<void(Request*)> upper_rx_cb_;
-  std::string wrap_;
 
   std::deque<std::unique_ptr<Request>> requests_;  // stable ownership
   // Connected peers in rank order, and the same records by rank.

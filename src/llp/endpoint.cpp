@@ -50,27 +50,23 @@ sim::Task<Status> Endpoint::post(pcie::WireOp op, std::uint32_t bytes,
                                  std::uint64_t user_data) {
   cpu::Core& core = worker_.core();
   const cpu::CpuCostModel& costs = core.costs();
-  prof::Profiler* prof = worker_.profiler();
+  prof::Profiler& prof = worker_.profiler();
 
   if (outstanding_ >= cfg_.txq_depth) {
     // Busy post: early-exit before any descriptor work (§4.2).
     ++busy_posts_;
-    prof::Profiler::Region rb;
-    if (prof && cfg_.profile_level >= 1) rb = prof->begin("Busy post");
+    auto rb = prof.begin(prof::Site::kBusyPost);
     core.consume(costs.busy_post);
-    if (prof) prof->end(rb);
+    prof.end(rb);
     co_return Status::kNoResource;
   }
 
-  const bool substeps = prof && cfg_.profile_level >= 2;
-  prof::Profiler::Region r_total;
-  if (prof && cfg_.profile_level == 1) r_total = prof->begin("LLP_post");
+  auto r_total = prof.begin(prof::Site::kLlpPost);
 
   auto step = [&](const char* name, const cpu::CostSpec& spec) {
-    prof::Profiler::Region r;
-    if (substeps) r = prof->begin(name);
+    auto r = prof.begin(prof::Site::kLlpPostSteps, name);
     core.consume(spec);
-    if (substeps) prof->end(r);
+    prof.end(r);
   };
 
   // (1) Prepare the MD; includes the inline-payload memcpy.
@@ -123,7 +119,7 @@ sim::Task<Status> Endpoint::post(pcie::WireOp op, std::uint32_t bytes,
   ++outstanding_;
   ++posted_;
 
-  if (prof && cfg_.profile_level == 1) prof->end(r_total);
+  prof.end(r_total);
 
   // Interaction point: materialize the accrued CPU time, then hand the
   // posted write to the Root Complex.

@@ -42,10 +42,6 @@ struct EndpointConfig {
   /// chunking: an 8-byte payload still fills one 64-byte chunk).
   std::uint32_t md_overhead_bytes = 32;
   SignalPolicy signal;
-  /// Wrap posts in profiler regions: 0 = none, 1 = total ("LLP_post"),
-  /// 2 = per-substep (Fig. 4). Levels are exclusive, following §3's
-  /// one-component-at-a-time rule.
-  int profile_level = 0;
 };
 
 class Endpoint {

@@ -6,9 +6,11 @@
 
 namespace bb::llp {
 
-Worker::Worker(cpu::Core& core, nic::HostMemory& host, WorkerConfig cfg)
+Worker::Worker(cpu::Core& core, nic::HostMemory& host,
+               prof::Profiler& profiler, WorkerConfig cfg)
     : core_(core),
       host_(host),
+      profiler_(profiler),
       cfg_(cfg),
       deadline_(core.simulator(),
                 [](void* w) {
@@ -30,10 +32,8 @@ sim::Task<std::uint32_t> Worker::progress(std::uint32_t max_completions,
       max_completions == 0 ? cfg_.batch_limit : max_completions;
   const cpu::CpuCostModel& costs = core_.costs();
 
-  const bool wrap_pass = profiler_ && wrap_ == "uct_worker_progress";
-  prof::Profiler::Region r_pass;
-  if (wrap_pass) r_pass = profiler_->begin("uct_worker_progress");
-  const bool wrap_prog = profiler_ && wrap_ == "LLP_prog";
+  const bool wrap_pass = profiler_.wraps(prof::Site::kUctWorkerProgress);
+  auto r_pass = profiler_.begin(prof::Site::kUctWorkerProgress);
 
   std::uint32_t n = 0;
   bool found = true;
@@ -43,10 +43,9 @@ sim::Task<std::uint32_t> Worker::progress(std::uint32_t max_completions,
 
     // RX CQ first: inbound completions unblock the latency-critical path.
     if (auto cqe = host_.rx_cq().poll(now)) {
-      prof::Profiler::Region r;
-      if (wrap_prog) r = profiler_->begin("LLP_prog");
+      auto r = profiler_.begin(prof::Site::kLlpProg);
       core_.consume(costs.llp_prog);
-      if (wrap_prog) profiler_->end(r);
+      profiler_.end(r);
       ++rx_completions_;
       if (cqe->status != common::Status::kOk) ++error_completions_;
       if (cqe->status == common::Status::kFlushed) ++flushed_completions_;
@@ -60,10 +59,9 @@ sim::Task<std::uint32_t> Worker::progress(std::uint32_t max_completions,
     if (host_.tx_cqes_present() == 0) break;
     for (Endpoint* ep : endpoints_) {
       if (auto cqe = ep->tx_cq().poll(now)) {
-        prof::Profiler::Region r;
-        if (wrap_prog) r = profiler_->begin("LLP_prog");
+        auto r = profiler_.begin(prof::Site::kLlpProg);
         core_.consume(costs.llp_prog);
-        if (wrap_prog) profiler_->end(r);
+        profiler_.end(r);
         ++tx_cqes_polled_;
         tx_ops_retired_ += cqe->completes;
         if (cqe->status != common::Status::kOk) ++error_completions_;
@@ -87,7 +85,7 @@ sim::Task<std::uint32_t> Worker::progress(std::uint32_t max_completions,
     }
   }
 
-  if (wrap_pass) profiler_->end(r_pass);
+  profiler_.end(r_pass);
 
   // Materialize the consumed time so subsequent polls observe later CQEs.
   co_await core_.flush();

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "cpu/core.hpp"
@@ -63,7 +62,9 @@ struct IdleLoop {
 
 class Worker final : private sim::Parked {
  public:
-  Worker(cpu::Core& core, nic::HostMemory& host, WorkerConfig cfg = {});
+  /// `profiler`'s wrapped sites choose what every layer on it measures.
+  Worker(cpu::Core& core, nic::HostMemory& host, prof::Profiler& profiler,
+         WorkerConfig cfg = {});
   ~Worker();
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
@@ -71,13 +72,7 @@ class Worker final : private sim::Parked {
   cpu::Core& core() { return core_; }
   nic::HostMemory& host() { return host_; }
 
-  /// Optional profiler wrapped around LLP-internal operations.
-  void set_profiler(prof::Profiler* p) { profiler_ = p; }
-  prof::Profiler* profiler() { return profiler_; }
-
-  /// Profiler wrap point (one at a time, §3): "uct_worker_progress"
-  /// (whole pass) or "LLP_prog" (each CQE dequeue).
-  void set_wrap(std::string region) { wrap_ = std::move(region); }
+  prof::Profiler& profiler() { return profiler_; }
 
   /// Callback invoked for every receive completion (HLP registers its
   /// tag-matching here; §5's "registered callback" chain).
@@ -127,9 +122,8 @@ class Worker final : private sim::Parked {
 
   cpu::Core& core_;
   nic::HostMemory& host_;
+  prof::Profiler& profiler_;
   WorkerConfig cfg_;
-  prof::Profiler* profiler_ = nullptr;
-  std::string wrap_;
   std::vector<Endpoint*> endpoints_;
   std::function<void(const nic::Cqe&)> rx_handler_;
   std::uint64_t tx_cqes_polled_ = 0;

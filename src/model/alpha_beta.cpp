@@ -87,11 +87,11 @@ double PtPtModel::transit_ns(std::uint32_t m) const {
        rc.mem_read_ns + l.tlp_latency(m).to_ns();
   t += n.tx_proc_ns + cfg_.net.network_latency().to_ns() + n.rx_proc_ns +
        l.tlp_latency(m).to_ns();
-  // The FIN rides right behind the payload (its CPU post and NIC pass
-  // overlap the put's DMA fetch, and the fabric keeps per-sender order),
-  // and the RC commits each MemWrite independently -- so the receiver's
-  // completion waits only for the FIN's own 8-byte commit, not for the
-  // payload's rc_to_mem(m).
+  // The FIN follows the payload, as an RC QP's in-order WQEs require,
+  // and adds only its own 8-byte commit. The simulation does not keep
+  // that order yet: its inline FIN overtakes the put's DMA fetch, and its
+  // RC commits a later 8-byte write before an earlier large one, so a
+  // rendezvous receive completes before the payload lands (ROADMAP 2).
   t += rc.rc_to_mem(8).to_ns();
   return t;
 }

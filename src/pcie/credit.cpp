@@ -31,9 +31,9 @@ std::string to_string(CreditClass c) {
 }
 
 CreditState CreditState::default_endpoint() {
-  // Generous budgets typical of a x8 port: 64 posted headers with 1 KiB of
-  // data credits, 32 non-posted headers, 64 completion headers.
-  return with_budget({64, 1024 / 16 * 16}, {32, 32}, {64, 1024});
+  // Generous budgets typical of a x8 port: 64 posted headers with 1024
+  // data units (16 KiB), 32 non-posted headers, 64 completion headers.
+  return with_budget({64, 1024}, {32, 32}, {64, 1024});
 }
 
 CreditState CreditState::with_budget(CreditBudget posted,

@@ -31,6 +31,12 @@ class CreditState {
 
   /// Whether `tlp` can be issued right now.
   bool can_send(const Tlp& tlp) const;
+  /// Whether `tlp` can ever be issued: it needs no more credits than its
+  /// class's advertised budget.
+  bool fits(const Tlp& tlp) const {
+    const PerClass& c = cls(class_of(tlp));
+    return c.limit.header >= 1 && c.limit.data >= data_credit_units(tlp);
+  }
   /// Consumes credits for `tlp`; caller must have checked can_send.
   void consume(const Tlp& tlp);
   /// Applies an UpdateFC replenishment. Its absolute released-credit

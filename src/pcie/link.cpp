@@ -53,6 +53,8 @@ sim::Task<void> Link::pump(Direction dir) {
     // are events.
     back.updates.settle();
     while (!st.credits.can_send(tlp)) {
+      BB_ASSERT_MSG(st.credits.fits(tlp),
+                    "TLP needs more credits than its class's budget");
       ++st.credit_stalls;
       back.updates.settle();
       back.updates.promote();

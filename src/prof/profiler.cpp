@@ -1,7 +1,5 @@
 #include "prof/profiler.hpp"
 
-#include "common/assert.hpp"
-
 namespace bb::prof {
 
 void ProfileData::merge(const ProfileData& o) {
@@ -48,8 +46,7 @@ Profiler::Region Profiler::begin(std::string name) {
   return r;
 }
 
-void Profiler::end(Region& r) {
-  if (!r.active) return;
+void Profiler::close(Region& r) {
   r.active = false;
   core_.consume(r.deferred_overhead);
   const TimePs raw = core_.virtual_now() - r.t0;

@@ -14,15 +14,37 @@
 // our measured component times, exactly as on real hardware.
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 
+#include "common/assert.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "cpu/core.hpp"
 
 namespace bb::prof {
+
+/// The code sites a region can be measured at, one per component the
+/// paper times (§4.1, §5), grouped by the class that holds them.
+enum class Site : std::uint8_t {
+  kLlpPost, kLlpPostSteps, kBusyPost,             // llp::Endpoint
+  kUctWorkerProgress, kLlpProg,                   // llp::Worker
+  kUcpWorkerProgress, kUcpCallback,               // hlp::UcpWorker
+  kMpiIsend, kUcpTagSendNb, kMpiWait, kMpichCallback,
+  kMpichAfterProgress,                            // hlp::MpiComm
+};
+
+/// The region name a site records under. kLlpPostSteps has none: it
+/// records each Fig. 4 substep of LLP_post under its own.
+constexpr const char* region_name(Site site) {
+  constexpr const char* kNames[] = {
+      "LLP_post", nullptr, "Busy post", "uct_worker_progress", "LLP_prog",
+      "ucp_worker_progress", "UCP callback", "MPI_Isend", "ucp_tag_send_nb",
+      "MPI_Wait", "MPICH callback", "MPICH after progress"};
+  return kNames[static_cast<int>(site)];
+}
 
 /// A profiler's recorded state, detached from the live Core/Simulator
 /// that produced it. Counters are per-Profiler (and therefore
@@ -67,7 +89,28 @@ class Profiler {
 
   Region begin(std::string name);
   /// Closes the region and records the compensated duration.
-  void end(Region& r);
+  void end(Region& r) {
+    if (r.active) close(r);
+  }
+
+  /// Replaces the set of wrapped sites; wrap({}) measures none, the
+  /// default. The paper wraps one component at a time (§3).
+  void wrap(std::initializer_list<Site> sites) {
+    wrapped_ = 0;
+    for (Site s : sites) wrapped_ |= 1u << static_cast<unsigned>(s);
+  }
+  bool wraps(Site site) const {
+    return (wrapped_ >> static_cast<unsigned>(site)) & 1u;
+  }
+  /// begin() at `site`, under its region name or, for a kLlpPostSteps
+  /// substep, under `name`. Unless the site is wrapped, the region is
+  /// inactive and costs nothing.
+  Region begin(Site site, const char* name = nullptr) {
+    if (!wraps(site)) return Region{};
+    if (name == nullptr) name = region_name(site);
+    BB_ASSERT_MSG(name != nullptr, "a kLlpPostSteps region names its substep");
+    return begin(std::string(name));
+  }
 
   /// Records an externally measured duration under `name` (used when a
   /// component is derived by subtraction, mirroring §5's methodology).
@@ -81,9 +124,6 @@ class Profiler {
   std::uint64_t counter(const std::string& name) const {
     auto it = data_.counters.find(name);
     return it == data_.counters.end() ? 0 : it->second;
-  }
-  const std::map<std::string, std::uint64_t>& counters() const {
-    return data_.counters;
   }
 
   bool has(const std::string& name) const;
@@ -106,8 +146,11 @@ class Profiler {
   std::string report() const;
 
  private:
+  void close(Region& r);
+
   cpu::Core& core_;
   bool enabled_ = true;
+  std::uint32_t wrapped_ = 0;
   ProfileData data_;
 };
 

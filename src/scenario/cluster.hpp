@@ -35,11 +35,14 @@ class Cluster {
   /// (every core communicating independently through the shared NIC).
   struct WorkerCore {
     cpu::Core core;
+    prof::Profiler profiler;
     llp::Worker worker;
     WorkerCore(sim::Simulator& sim, const cpu::CpuCostModel& m,
                nic::HostMemory& host, const llp::WorkerConfig& wc,
                std::string name)
-        : core(sim, m, std::move(name)), worker(core, host, wc) {}
+        : core(sim, m, std::move(name)),
+          profiler(core),
+          worker(core, host, profiler, wc) {}
   };
 
   struct Node {

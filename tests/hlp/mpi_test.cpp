@@ -131,7 +131,7 @@ TEST(Mpi, WrapMpiIsendMeasures201_98) {
   Testbed tb(scenario::presets::deterministic());
   MpiStack s(tb, 0);
   tb.node(1).nic.post_receives(16);
-  s.mpi().set_wrap("MPI_Isend");
+  tb.node(0).profiler.wrap({prof::Site::kMpiIsend});
   tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
     for (int i = 0; i < 5; ++i) (void)co_await st.mpi().isend(8);
   }(s));
@@ -144,7 +144,7 @@ TEST(Mpi, WrapUcpSendAllowsMpichDerivation) {
   Testbed tb(scenario::presets::deterministic());
   MpiStack s(tb, 0);
   tb.node(1).nic.post_receives(16);
-  s.mpi().set_wrap("ucp_tag_send_nb");
+  tb.node(0).profiler.wrap({prof::Site::kUcpTagSendNb});
   tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
     for (int i = 0; i < 5; ++i) (void)co_await st.mpi().isend(8);
   }(s));

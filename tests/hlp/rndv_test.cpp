@@ -76,6 +76,33 @@ TEST(Rndv, UnexpectedRtsMatchedByLateRecv) {
   EXPECT_EQ(p.tb.node(1).host.payload_bytes_delivered(), 4096u + 16u);
 }
 
+TEST(Rndv, UnexpectedRtsMatchesBeforeALaterEagerMessage) {
+  // Both messages arrive before any receive is posted: the RTS first,
+  // then the eager one. Receives match in arrival order, so the first
+  // receive answers the RTS and the second takes the eager payload.
+  Pair p(scenario::presets::deterministic());
+  p.tb.sim().spawn([](Pair& pr) -> sim::Task<void> {
+    Request* large = (co_await pr.a.ucp().tag_send_nb(1, 2048)).value();
+    (void)co_await pr.a.ucp().tag_send_nb(1, 8);
+    while (!large->complete) co_await pr.a.ucp().progress();
+  }(p));
+  p.tb.sim().spawn([](Pair& pr) -> sim::Task<void> {
+    for (int i = 0; i < 200; ++i) co_await pr.b.ucp().progress();
+    EXPECT_EQ(pr.b.ucp().recvs_completed(), 0u);
+    Request* large = pr.b.ucp().tag_recv_nb(0, 2048).value();
+    EXPECT_FALSE(large->complete);  // a CTS is owed first
+    Request* small = pr.b.ucp().tag_recv_nb(0, 8).value();
+    EXPECT_TRUE(small->complete);  // the eager payload already landed
+    while (!large->complete || !small->complete) {
+      co_await pr.b.ucp().progress();
+    }
+  }(p));
+  p.tb.sim().run();
+  EXPECT_EQ(p.b.ucp().recvs_completed(), 2u);
+  // The 2048 B payload, the 8 B message, and the 8 B RTS and FIN.
+  EXPECT_EQ(p.tb.node(1).host.payload_bytes_delivered(), 2048u + 8u + 16u);
+}
+
 TEST(Rndv, MpiWaitDrivesRendezvousSend) {
   Pair p(scenario::presets::deterministic());
   p.tb.sim().spawn([](Pair& pr) -> sim::Task<void> {

@@ -14,18 +14,13 @@ using scenario::Testbed;
 using namespace bb::literals;
 
 /// One successful-wait cycle: sender fires, receiver idles past arrival,
-/// then waits. Returns the profiler mean for `region` on node 1.
-double measure_rx_region(const std::string& mpi_wrap,
-                         const std::string& ucp_wrap,
-                         const std::string& uct_wrap,
-                         const std::string& region) {
+/// then waits. Returns the profiler mean for `site` on node 1.
+double measure_rx_region(prof::Site site) {
   Testbed tb(scenario::presets::deterministic());
   MpiStack tx(tb, 0);
   MpiStack rx(tb, 1);
   tb.node(1).nic.post_receives(8);
-  if (!mpi_wrap.empty()) rx.mpi().set_wrap(mpi_wrap);
-  if (!ucp_wrap.empty()) rx.ucp().set_wrap(ucp_wrap);
-  if (!uct_wrap.empty()) tb.node(1).worker.set_wrap(uct_wrap);
+  tb.node(1).profiler.wrap({site});
 
   tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
     for (int i = 0; i < 4; ++i) {
@@ -45,40 +40,34 @@ double measure_rx_region(const std::string& mpi_wrap,
     }
   }(tb, rx));
   tb.sim().run();
-  return tb.node(1).profiler.mean_ns(region);
+  return tb.node(1).profiler.mean_ns(prof::region_name(site));
 }
 
 TEST(HlpWraps, MpiWaitTotalIs505_43) {
   // 208.41 + 10.73 + 61.63 + 139.78 + 47.99 + 36.89.
-  EXPECT_NEAR(measure_rx_region("MPI_Wait", "", "", "MPI_Wait"), 505.43,
-              1e-6);
+  EXPECT_NEAR(measure_rx_region(prof::Site::kMpiWait), 505.43, 1e-6);
 }
 
 TEST(HlpWraps, UcpProgressIncludesNestedUctPass) {
   // ucp_progress_iter 10.73 + the full UCT pass (LLP_prog 61.63 and both
   // registered callbacks 139.78 + 47.99, which §5 notes execute before
   // uct_worker_progress returns) = 260.13.
-  EXPECT_NEAR(measure_rx_region("", "ucp_worker_progress", "",
-                                "ucp_worker_progress"),
-              260.13, 1e-6);
+  EXPECT_NEAR(measure_rx_region(prof::Site::kUcpWorkerProgress), 260.13,
+              1e-6);
 }
 
 TEST(HlpWraps, UctProgressIncludesCallbackChain) {
-  const double uct = measure_rx_region("", "", "uct_worker_progress",
-                                       "uct_worker_progress");
+  const double uct = measure_rx_region(prof::Site::kUctWorkerProgress);
   // LLP_prog + UCP callback + MPICH callback execute inside the pass.
   EXPECT_NEAR(uct, 61.63 + 139.78 + 47.99, 1e-6);
 }
 
 TEST(HlpWraps, SubtractionRecoversPaperLayerTimes) {
-  const double wait = measure_rx_region("MPI_Wait", "", "", "MPI_Wait");
-  const double ucp = measure_rx_region("", "ucp_worker_progress", "",
-                                       "ucp_worker_progress");
-  const double uct = measure_rx_region("", "", "uct_worker_progress",
-                                       "uct_worker_progress");
-  const double mpich_cb =
-      measure_rx_region("MPICH callback", "", "", "MPICH callback");
-  const double ucp_cb = measure_rx_region("", "UCP callback", "", "UCP callback");
+  const double wait = measure_rx_region(prof::Site::kMpiWait);
+  const double ucp = measure_rx_region(prof::Site::kUcpWorkerProgress);
+  const double uct = measure_rx_region(prof::Site::kUctWorkerProgress);
+  const double mpich_cb = measure_rx_region(prof::Site::kMpichCallback);
+  const double ucp_cb = measure_rx_region(prof::Site::kUcpCallback);
 
   // §5's arithmetic: MPICH share = wait - ucp + MPICH callback = 293.29;
   // UCP share = ucp - uct + UCP-alone callback... the published 150.51
@@ -88,12 +77,9 @@ TEST(HlpWraps, SubtractionRecoversPaperLayerTimes) {
 }
 
 TEST(HlpWraps, CallbackRegionsMatchTable1) {
-  EXPECT_NEAR(measure_rx_region("MPICH callback", "", "", "MPICH callback"),
-              47.99, 1e-6);
-  EXPECT_NEAR(measure_rx_region("", "UCP callback", "", "UCP callback"),
-              139.78, 1e-6);
-  EXPECT_NEAR(measure_rx_region("MPICH after progress", "", "",
-                                "MPICH after progress"),
+  EXPECT_NEAR(measure_rx_region(prof::Site::kMpichCallback), 47.99, 1e-6);
+  EXPECT_NEAR(measure_rx_region(prof::Site::kUcpCallback), 139.78, 1e-6);
+  EXPECT_NEAR(measure_rx_region(prof::Site::kMpichAfterProgress),
               36.89, 1e-6);
 }
 

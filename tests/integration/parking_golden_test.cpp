@@ -155,7 +155,8 @@ struct CommitOnPassStart {
                    return m;
                  }()};
   nic::HostMemory host;
-  llp::Worker worker{core, host};
+  prof::Profiler profiler{core};
+  llp::Worker worker{core, host, profiler};
   TimePs seen_at;
 
   TimePs pass() const {
@@ -339,8 +340,8 @@ TEST(ParkingGolden, ProfilerWrappedPassesNeverPark) {
   scenario::MpiStack b(tb, 1);
   tb.node(0).nic.post_receives(256);
   tb.node(1).nic.post_receives(256);
-  tb.node(0).worker.set_wrap("uct_worker_progress");
-  b.ucp().set_wrap("ucp_worker_progress");
+  tb.node(0).profiler.wrap({prof::Site::kUctWorkerProgress});
+  tb.node(1).profiler.wrap({prof::Site::kUcpWorkerProgress});
   Fnv fa, fb;
   tb.sim().spawn(ping(a, 60, fa), "ping");
   tb.sim().spawn(pong(b, 60, fb), "pong");

@@ -147,9 +147,8 @@ TEST(Endpoint, FlushIsNoopWhenIdle) {
 }
 
 TEST(Endpoint, ProfiledSubstepsMatchFig4Constituents) {
-  auto cfg = scenario::presets::deterministic();
-  cfg.endpoint.profile_level = 2;
-  Testbed tb(cfg);
+  Testbed tb(scenario::presets::deterministic());
+  tb.node(0).profiler.wrap({prof::Site::kLlpPostSteps, prof::Site::kBusyPost});
   auto& ep = tb.add_endpoint(0);
   tb.sim().spawn([](Endpoint& e) -> sim::Task<void> {
     for (int i = 0; i < 5; ++i) (void)co_await e.put_short(8);
@@ -164,9 +163,8 @@ TEST(Endpoint, ProfiledSubstepsMatchFig4Constituents) {
 }
 
 TEST(Endpoint, ProfiledTotalMatchesTable1) {
-  auto cfg = scenario::presets::deterministic();
-  cfg.endpoint.profile_level = 1;
-  Testbed tb(cfg);
+  Testbed tb(scenario::presets::deterministic());
+  tb.node(0).profiler.wrap({prof::Site::kLlpPost, prof::Site::kBusyPost});
   auto& ep = tb.add_endpoint(0);
   tb.sim().spawn([](Endpoint& e) -> sim::Task<void> {
     for (int i = 0; i < 5; ++i) (void)co_await e.put_short(8);

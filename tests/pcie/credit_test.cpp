@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace bb::pcie {
 namespace {
 
@@ -99,6 +101,21 @@ TEST(Credit, DefaultEndpointNeverExhaustedBySingleCoreBurst) {
     s.consume(mwr(64));
   }
   EXPECT_TRUE(s.can_send(mwr(64)));
+}
+
+TEST(Credit, DefaultEndpointBudgets) {
+  const auto s = CreditState::default_endpoint();
+  const CreditBudget p = s.available(CreditClass::kPosted);
+  const CreditBudget np = s.available(CreditClass::kNonPosted);
+  const CreditBudget cpl = s.available(CreditClass::kCompletion);
+  EXPECT_EQ(std::pair(p.header, p.data), std::pair(64u, 1024u));
+  EXPECT_EQ(std::pair(np.header, np.data), std::pair(32u, 32u));
+  EXPECT_EQ(std::pair(cpl.header, cpl.data), std::pair(64u, 1024u));
+  // 1024 data units of 16 B: a 16 KiB write fits, one unit more never does.
+  EXPECT_TRUE(s.can_send(mwr(16384)));
+  EXPECT_FALSE(s.can_send(mwr(16392)));
+  EXPECT_TRUE(s.fits(mwr(16384)));
+  EXPECT_FALSE(s.fits(mwr(16392)));
 }
 
 TEST(Credit, IndependentClasses) {

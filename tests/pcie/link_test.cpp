@@ -92,6 +92,22 @@ TEST(Link, DestroyedWhileAPostWaitsForCredits) {
   EXPECT_EQ(link.issued(Direction::kUpstream), 1u);
 }
 
+TEST(LinkDeathTest, PostedWritePastItsClassBudgetAborts) {
+  // 16,392 B needs 1025 posted data units; the budget advertises 1024, so
+  // the write could never issue. The pump fails instead of waiting.
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        Link link(sim, LinkParams{});
+        Tlp t;
+        t.type = TlpType::kMemWrite;
+        t.bytes = 16392;
+        link.post(Direction::kUpstream, std::move(t));
+        sim.run();
+      },
+      "more credits than its class's budget");
+}
+
 TEST(Link, AckDelaysAnUpstreamWriteSentRightAfterArrival) {
   // No analyzer, no injector: nothing observes the Ack, yet it still
   // occupies the upstream transmitter from ack_processing_ns after the

@@ -48,6 +48,74 @@ TEST(Profiler, DisabledCostsAndRecordsNothing) {
   EXPECT_FALSE(f.prof.has("work"));
 }
 
+cpu::CpuCostModel noisy_timer_model() {
+  cpu::CpuCostModel m = deterministic_model();
+  m.timer_read = cpu::CostSpec{49.69, 1.48 / 49.69, 0.0, 0.0};  // paper §3
+  return m;
+}
+
+TEST(Profiler, UnwrappedSiteRecordsNothingAndLeavesCoreUntouched) {
+  Fixture f(noisy_timer_model());
+  Fixture untouched(noisy_timer_model());
+  f.prof.wrap({Site::kMpiWait});
+  auto r = f.prof.begin(Site::kMpiIsend);
+  f.core.consume(100_ns);
+  f.prof.end(r);
+  EXPECT_FALSE(f.prof.has("MPI_Isend"));
+  EXPECT_NEAR(f.core.virtual_now().to_ns(), 100.0, 1e-9);
+  // No overhead sample was drawn from the core's stream.
+  EXPECT_EQ(f.core.rng().next_u64(), untouched.core.rng().next_u64());
+}
+
+TEST(Profiler, WrapMeasuresEverySiteInTheSet) {
+  Fixture f(deterministic_model());
+  f.prof.wrap({Site::kMpiIsend, Site::kUcpTagSendNb});
+  EXPECT_TRUE(f.prof.wraps(Site::kMpiIsend));
+  EXPECT_TRUE(f.prof.wraps(Site::kUcpTagSendNb));
+  EXPECT_FALSE(f.prof.wraps(Site::kMpiWait));
+  auto outer = f.prof.begin(Site::kMpiIsend);
+  f.core.consume(20_ns);
+  auto inner = f.prof.begin(Site::kUcpTagSendNb);
+  f.core.consume(30_ns);
+  f.prof.end(inner);
+  f.prof.end(outer);
+  EXPECT_NEAR(f.prof.mean_ns("ucp_tag_send_nb"), 30.0, 1e-6);
+  EXPECT_NEAR(f.prof.mean_ns("MPI_Isend"), 50.0 + 49.69, 1e-6);
+}
+
+TEST(Profiler, SubstepSiteRecordsUnderEachSubstepName) {
+  Fixture f(deterministic_model());
+  f.prof.wrap({Site::kLlpPostSteps});
+  auto r = f.prof.begin(Site::kLlpPostSteps, "MD setup");
+  f.core.consume(27.78_ns);
+  f.prof.end(r);
+  EXPECT_NEAR(f.prof.mean_ns("MD setup"), 27.78, 1e-6);
+}
+
+TEST(Profiler, WrapOfNoSitesClearsTheSet) {
+  Fixture f(deterministic_model());
+  f.prof.wrap({Site::kLlpProg, Site::kBusyPost});
+  f.prof.wrap({});
+  EXPECT_FALSE(f.prof.wraps(Site::kLlpProg));
+  EXPECT_FALSE(f.prof.wraps(Site::kBusyPost));
+  auto r = f.prof.begin(Site::kLlpProg);
+  f.core.consume(60_ns);
+  f.prof.end(r);
+  EXPECT_FALSE(f.prof.has("LLP_prog"));
+  EXPECT_NEAR(f.core.virtual_now().to_ns(), 60.0, 1e-9);
+}
+
+TEST(Profiler, DisabledProfilerRecordsNothingAtAWrappedSite) {
+  Fixture f(deterministic_model());
+  f.prof.wrap({Site::kUcpCallback});
+  f.prof.set_enabled(false);
+  auto r = f.prof.begin(Site::kUcpCallback);
+  f.core.consume(100_ns);
+  f.prof.end(r);
+  EXPECT_FALSE(f.prof.has("UCP callback"));
+  EXPECT_NEAR(f.core.virtual_now().to_ns(), 100.0, 1e-9);
+}
+
 TEST(Profiler, NestedRegionsInnerInflatesOuterRaw) {
   // The outer region's raw span contains the inner region's overhead --
   // the reason §3 measures one component at a time. Here the outer mean

@@ -72,7 +72,7 @@ TEST(Testbed, EndpointsOnOneNodeGetDistinctQps) {
 
 TEST(Testbed, ProfilerWiredIntoWorker) {
   Testbed tb(presets::deterministic());
-  EXPECT_EQ(tb.node(0).worker.profiler(), &tb.node(0).profiler);
+  EXPECT_EQ(&tb.node(0).worker.profiler(), &tb.node(0).profiler);
 }
 
 TEST(MpiStack, BundlesFullStack) {
