@@ -174,6 +174,23 @@ void BM_ChannelPingPongSteady(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelPingPongSteady)->Arg(10000);
 
+// One jittered cost draw through Core::consume: the draw a parked loop
+// makes for each cost of each replayed pass, and so the replay's hot
+// path (docs/SIM_ENGINE.md "Exact draws, fast"). Items = draws.
+void BM_JitteredDraw(benchmark::State& state) {
+  sim::Simulator sim;
+  cpu::Core core(sim, cpu::CpuCostModel{});
+  const cpu::CostSpec& spec = core.costs().llp_empty_progress;
+  const auto draws = state.range(0);
+  for (auto _ : state) {
+    for (std::int64_t i = 0; i < draws; ++i) core.consume(spec);
+    benchmark::DoNotOptimize(core.busy_time());
+  }
+  state.SetItemsProcessed(state.iterations() * draws);
+  state.SetLabel("cost draws");
+}
+BENCHMARK(BM_JitteredDraw)->Arg(10000);
+
 // A blocking wait parked on its empty passes (docs/SIM_ENGINE.md "Parked
 // waiters"): RDMA writes land in the node every 2 us, each committing
 // 6 us after its notice (a 16 KiB payload's RC-to-MEM), so up to three

@@ -9,6 +9,8 @@
 #include <array>
 #include <cstdint>
 
+#include "common/units.hpp"
+
 namespace bb {
 
 /// Mixes a 64-bit seed into a well-distributed stream (used for seeding).
@@ -69,9 +71,23 @@ class Rng {
     return Rng(derive_seed(seed_, label));
   }
 
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    // xoshiro256** 1.0 (Blackman & Vigna), public domain reference
+    // algorithm.
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
   /// Uniform in [0, 1) with 53 bits of precision.
-  double uniform01();
+  double uniform01() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
   /// Uniform in [lo, hi).
   double uniform(double lo, double hi);
   /// Uniform integer in [0, n).
@@ -89,6 +105,15 @@ class Rng {
   /// distribution derive them once and draw with lognormal(params).
   static LognormalParams lognormal_params(double mean, double stddev);
   double lognormal(const LognormalParams& p);
+  /// `TimePs::from_ns(lognormal(p))`, bit for bit, drawing the same
+  /// stream, but without libm on the common path: the draw is
+  /// approximated and kept only when the approximation's error bracket
+  /// rounds to a single picosecond count (docs/SIM_ENGINE.md "Exact
+  /// draws, fast"); otherwise it is evaluated exactly.
+  TimePs lognormal_ps(const LognormalParams& p);
+  /// How many lognormal_ps() draws the bracket left open, so that they
+  /// were evaluated exactly.
+  std::uint64_t exact_fallbacks() const { return exact_fallbacks_; }
   /// Lognormal such that the *resulting* distribution has the given
   /// mean and standard deviation (moment-matched).
   double lognormal_by_moments(double mean, double stddev) {
@@ -99,10 +124,31 @@ class Rng {
   bool bernoulli(double p);
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+  /// Box-Muller's u1, kept away from 0 so its log is finite.
+  double uniform01_for_log() {
+    double u1;
+    do {
+      u1 = uniform01();
+    } while (u1 <= 1e-300);
+    return u1;
+  }
+
+  // The second variate of the last Box-Muller pair, until it is drawn.
+  // kExact holds its value in spare_z_. kLazy holds the pair's uniforms
+  // and, in spare_z_, only an approximation (left by lognormal_ps); the
+  // exact value is computed when something needs it.
+  enum class Spare : std::uint8_t { kNone, kExact, kLazy };
+
   std::uint64_t seed_ = 0;
   std::array<std::uint64_t, 4> s_{};
-  double cached_normal_ = 0.0;
-  bool has_cached_normal_ = false;
+  Spare spare_ = Spare::kNone;
+  double spare_z_ = 0.0;
+  double spare_u1_ = 0.0;
+  double spare_u2_ = 0.0;
+  std::uint64_t exact_fallbacks_ = 0;
 };
 
 }  // namespace bb

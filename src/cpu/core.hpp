@@ -41,6 +41,13 @@ class Core {
   /// returns the accrued duration.
   TimePs consume(const CostSpec& spec);
 
+  /// Samples `spec` from this core's stream without the speed factor and
+  /// without accruing it, waking a parked loop first (see set_parked).
+  TimePs draw(const CostSpec& spec) {
+    wake_parked();
+    return spec.sample(rng_);
+  }
+
   /// Arithmetic replay of skipped idle passes (docs/SIM_ENGINE.md
   /// "Parked waiters"). Passes start back to back at `start`; each draws
   /// every cost in `costs`, in order, exactly as consume()
@@ -56,8 +63,9 @@ class Core {
 
   /// The progress loop parked on this core, if any. Its skipped passes
   /// draw from this core's RNG and would flush its pending work, so any
-  /// other use of the core (consume, set_speed_factor) wakes it first:
-  /// two processes sharing a core keep their interleaved draw order.
+  /// other use of the core (consume, draw, set_speed_factor) wakes it
+  /// first: two processes sharing a core keep their interleaved draw
+  /// order. Drawing from rng() directly bypasses this; use draw().
   void set_parked(sim::Parked* p) { parked_ = p; }
   sim::Parked* parked() const { return parked_; }
 

@@ -32,14 +32,15 @@ struct CostSpec {
   TimePs mean() const { return TimePs::from_ns(mean_ns); }
 
   TimePs sample(Rng& rng) const {
-    double v = mean_ns;
-    if (cv > 0.0 && mean_ns > 0.0) {
-      v = rng.lognormal(lognormal());
+    const bool jitter = cv > 0.0 && mean_ns > 0.0;
+    if (tail_prob > 0.0) {
+      double v = jitter ? rng.lognormal(lognormal()) : mean_ns;
+      if (rng.bernoulli(tail_prob)) v += rng.exponential(tail_mean_ns);
+      return TimePs::from_ns(v);
     }
-    if (tail_prob > 0.0 && rng.bernoulli(tail_prob)) {
-      v += rng.exponential(tail_mean_ns);
-    }
-    return TimePs::from_ns(v);
+    // Without a tail the body alone is the sample: the hot case, drawn
+    // by the libm-free path that is exact to the picosecond.
+    return jitter ? rng.lognormal_ps(lognormal()) : TimePs::from_ns(mean_ns);
   }
 
   /// Returns a copy with the mean scaled by `f` (what-if experiments).

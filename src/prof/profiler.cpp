@@ -39,7 +39,9 @@ Profiler::Region Profiler::begin(std::string name) {
   r.t0 = core_.virtual_now();
   // One overhead sample per region, half charged at each edge; the raw
   // span t1 - t0 then contains exactly one sampled overhead.
-  const TimePs overhead = core_.costs().timer_read.sample(core_.rng());
+  // draw() wakes a loop parked on the core before the draw, so its
+  // replayed passes keep their place in the stream.
+  const TimePs overhead = core_.draw(core_.costs().timer_read);
   const TimePs half = overhead / 2;
   r.deferred_overhead = overhead - half;
   core_.consume(half);

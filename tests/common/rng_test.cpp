@@ -109,6 +109,21 @@ TEST(Rng, LognormalFromParamsIsBitwiseLognormalByMoments) {
   }
 }
 
+TEST(Rng, SecondVariateIsExactAfterAFastDraw) {
+  // lognormal_ps leaves the pair's second variate approximated; normal()
+  // must still return its exact value, and the streams stay in step.
+  const Rng::LognormalParams p = Rng::lognormal_params(18.0, 2.7);
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    Rng fast(seed), ref(seed);
+    ASSERT_EQ(fast.lognormal_ps(p), TimePs::from_ns(ref.lognormal(p)))
+        << "seed " << seed;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(fast.normal()),
+              std::bit_cast<std::uint64_t>(ref.normal()))
+        << "seed " << seed;
+    ASSERT_EQ(fast.next_u64(), ref.next_u64()) << "seed " << seed;
+  }
+}
+
 TEST(Rng, LognormalMedianBelowMean) {
   // Positively skewed: median < mean, as the paper observes (266 < 282).
   Rng r(17);

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "cpu/core.hpp"
+
 namespace bb::cpu {
 namespace {
 
@@ -40,6 +46,68 @@ TEST(CostSpec, KeptParametersFollowEditsAndMatchPerDrawDerivation) {
     if (round == 0) spec.mean_ns *= 1.5;
     if (round == 1) spec.cv = 0.05;
   }
+}
+
+TEST(CostSpec, FastDrawIsBitwiseExact) {
+  // A tail-free jittered spec samples through Rng::lognormal_ps. Through
+  // a Core at several speed factors, with normal() and lognormal() draws
+  // interleaved on the same stream, every sample must equal the
+  // reference expression's, and so must every interleaved value.
+  const CpuCostModel m;
+  const std::vector<CostSpec> specs = {
+      m.interrupt_wakeup,  m.llp_empty_progress,   m.md_setup,
+      m.barrier_store_md,  m.barrier_store_dbc,    m.pio_copy_64b,
+      m.llp_post_misc,     m.llp_prog,             m.busy_post,
+      m.doorbell_write_8b, m.timer_read,           m.memcpy_normal_64b,
+      m.mpich_isend,       m.ucp_isend,            m.mpich_rx_callback,
+      m.ucp_rx_callback,   m.mpich_after_progress, m.mpich_wait_fixed,
+      m.ucp_progress_iter, m.hlp_tx_prog,          CostSpec::jittered(0.5, 3.0),
+      CostSpec::jittered(1e5, 0.5)};
+  constexpr std::size_t kWakeup = 0;         // 2400 ns
+  constexpr std::size_t kEmptyProgress = 1;  // 18 ns
+  for (const CostSpec& spec : specs) {
+    ASSERT_GT(spec.cv, 0.0);
+    ASSERT_EQ(spec.tail_prob, 0.0);
+  }
+#ifdef NDEBUG
+  constexpr int kRounds = 160000;  // 10.56M draws over three factors
+#else
+  constexpr int kRounds = 5000;
+#endif
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const Rng::LognormalParams extra = Rng::lognormal_params(282.0, 58.0);
+  std::vector<std::uint64_t> fallbacks(specs.size(), 0);
+  for (const double factor : {1.0, 1.007, 0.93}) {
+    sim::Simulator sim;
+    Core core(sim, m);
+    core.set_speed_factor(factor);
+    Rng ref = core.rng();
+    for (int round = 0; round < kRounds; ++round) {
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        const CostSpec& spec = specs[i];
+        const std::uint64_t before = core.rng().exact_fallbacks();
+        TimePs want = TimePs::from_ns(ref.lognormal(spec.lognormal()));
+        if (factor != 1.0) want = want.scaled(factor);
+        ASSERT_EQ(core.consume(spec), want)
+            << "mean " << spec.mean_ns << " cv " << spec.cv << " factor "
+            << factor << " round " << round;
+        fallbacks[i] += core.rng().exact_fallbacks() - before;
+      }
+      if (round % 3 == 0) {
+        ASSERT_EQ(bits(core.rng().normal()), bits(ref.normal()));
+      }
+      if (round % 5 == 0) {
+        ASSERT_EQ(bits(core.rng().lognormal(extra)),
+                  bits(ref.lognormal(extra)));
+      }
+    }
+  }
+  // At 2400 ns the bracket straddles a picosecond boundary about once in
+  // 1000 draws, so the exact branch ran; at 18 ns that is rarer than once
+  // in 10^4 draws.
+  constexpr std::uint64_t kDrawsPerSpec = 3 * kRounds;
+  EXPECT_GT(fallbacks[kWakeup], 0u);
+  EXPECT_LT(fallbacks[kEmptyProgress] * 10000, kDrawsPerSpec);
 }
 
 TEST(CostSpec, SamplesAreAlwaysPositive) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 namespace bb::prof {
 namespace {
 
@@ -65,6 +67,30 @@ TEST(Profiler, UnwrappedSiteRecordsNothingAndLeavesCoreUntouched) {
   EXPECT_NEAR(f.core.virtual_now().to_ns(), 100.0, 1e-9);
   // No overhead sample was drawn from the core's stream.
   EXPECT_EQ(f.core.rng().next_u64(), untouched.core.rng().next_u64());
+}
+
+TEST(Profiler, BeginWakesAParkedLoopBeforeItsDraw) {
+  // A loop parked on the core replays its skipped passes when woken,
+  // drawing from the core's stream; begin()'s overhead draw must come
+  // after them, as it would after a spinning loop's passes.
+  struct Loop final : sim::Parked {
+    cpu::Core* core = nullptr;
+    std::optional<Rng> rng_at_wake;
+    void wake(sim::Tie tie) override {
+      EXPECT_EQ(tie, sim::Tie::kPassFirst);
+      rng_at_wake = core->rng();
+      core->set_parked(nullptr);
+    }
+  };
+  Fixture f(noisy_timer_model());
+  Loop loop;
+  loop.core = &f.core;
+  Rng parked_at = f.core.rng();
+  f.core.set_parked(&loop);
+  auto r = f.prof.begin("work");
+  ASSERT_TRUE(loop.rng_at_wake.has_value());
+  EXPECT_EQ(loop.rng_at_wake->next_u64(), parked_at.next_u64());
+  f.prof.end(r);
 }
 
 TEST(Profiler, WrapMeasuresEverySiteInTheSet) {
