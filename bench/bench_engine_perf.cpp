@@ -191,6 +191,32 @@ void BM_JitteredDraw(benchmark::State& state) {
 }
 BENCHMARK(BM_JitteredDraw)->Arg(10000);
 
+// Core::replay_until over the idle pass of a parked wait loop (the UCP
+// progress iteration plus the empty LLP poll), for gaps between wakes
+// drawn exponential with a mean of 37 passes: the mean per wake of
+// pingpong_mix_lossy. Items = replayed passes.
+void BM_ReplayUntil(benchmark::State& state) {
+  sim::Simulator sim;
+  cpu::Core core(sim, cpu::CpuCostModel{});
+  const cpu::CostSpec* const pass[] = {&core.costs().ucp_progress_iter,
+                                       &core.costs().llp_empty_progress};
+  const double pass_ns = pass[0]->mean_ns + pass[1]->mean_ns;
+  Rng gap_rng(37);
+  std::vector<TimePs> gaps(static_cast<std::size_t>(state.range(0)));
+  for (TimePs& g : gaps) g = TimePs::from_ns(gap_rng.exponential(37 * pass_ns));
+  TimePs start = TimePs::zero();
+  std::uint64_t passes = 0;
+  for (auto _ : state) {
+    for (const TimePs gap : gaps) {
+      start = core.replay_until(pass, start, start + gap, false, passes);
+    }
+    benchmark::DoNotOptimize(start);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(passes));
+  state.SetLabel("replayed passes");
+}
+BENCHMARK(BM_ReplayUntil)->Arg(1000);
+
 // A blocking wait parked on its empty passes (docs/SIM_ENGINE.md "Parked
 // waiters"): RDMA writes land in the node every 2 us, each committing
 // 6 us after its notice (a 16 KiB payload's RC-to-MEM), so up to three

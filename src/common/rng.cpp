@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
+#include "common/lognormal_block.hpp"
 
 namespace bb {
 
@@ -34,114 +35,64 @@ NormalPair box_muller(double u1, double u2) {
 // --- Bounded approximations for lognormal_ps() ------------------------------
 //
 // Branch-free; their error bounds, against the libm results the exact path
-// computes, are in docs/SIM_ENGINE.md "Exact draws, fast".
+// computes, are in docs/SIM_ENGINE.md "Exact draws, fast". The polynomials
+// and exp are shared with the block kernels (lognormal_block.hpp); the
+// scalar reductions below pick by table where the kernels select per lane.
 
-constexpr double kLn2 = 0x1.62e42fefa39efp-1;
 // Table selects (namespace scope, so they are not rebuilt per call).
 constexpr double kFoldScale[2] = {1.0, 0.5};
 constexpr double kSinSign[4] = {1.0, 1.0, -1.0, -1.0};
 constexpr double kCosSign[4] = {1.0, -1.0, -1.0, 1.0};
 
-// Polynomials below are evaluated in Estrin's scheme: independent pairs
-// first, then powers of the variable, so the dependency chain is about
-// log2(degree) multiply-adds long instead of one per term.
-
 // ln(u) for a normal u > 0, with a small *relative* error also near u = 1.
 // u = m 2^e with m folded to [sqrt(1/2), sqrt(2)); then m - 1 is exact and
-// ln m = 2 atanh(s), s = (m - 1)/(m + 1), |s| <= 0.1716. 2 atanh(s) is
-// 2s + s R(s^2), with fdlibm's minimax R (error below 2^-58.45).
+// ln m = 2 atanh((m - 1)/(m + 1)).
 double approx_log(double u) {
-  constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
-  constexpr std::uint64_t kOne = std::bit_cast<std::uint64_t>(1.0);
-  constexpr std::uint64_t kSqrt2 =
-      std::bit_cast<std::uint64_t>(0x1.6a09e667f3bcdp0);
-  constexpr double kLg1 = 6.666666666666735130e-01,
-                   kLg2 = 3.999999999940941908e-01,
-                   kLg3 = 2.857142874366239149e-01,
-                   kLg4 = 2.222219843214978396e-01,
-                   kLg5 = 1.818357216161805012e-01,
-                   kLg6 = 1.531383769920937332e-01,
-                   kLg7 = 1.479819860511658591e-01;
   const std::uint64_t bits = std::bit_cast<std::uint64_t>(u);
-  const std::uint64_t m_bits = (bits & kMantissa) | kOne;
-  const int fold = m_bits >= kSqrt2 ? 1 : 0;
+  const std::uint64_t m_bits =
+      (bits & detail::kMantissaBits) | detail::kOneBits;
+  const int fold = m_bits >= detail::kSqrt2Bits ? 1 : 0;
   const int e = static_cast<int>(bits >> 52) - 1023 + fold;
   const double m = std::bit_cast<double>(m_bits) * kFoldScale[fold];
-  const double s = (m - 1.0) / (m + 1.0);
-  const double z = s * s;
-  const double z2 = z * z;
-  const double z4 = z2 * z2;
-  const double r = z * (((kLg1 + z * kLg2) + z2 * (kLg3 + z * kLg4)) +
-                        z4 * ((kLg5 + z * kLg6) + z2 * kLg7));
-  return static_cast<double>(e) * kLn2 + (2.0 * s + s * r);
+  return static_cast<double>(e) * detail::kLn2 +
+         detail::two_atanh((m - 1.0) / (m + 1.0));
 }
-
-// Rounds to the nearest integer (ties to even) for |x| < 2^51.
-constexpr double kRoundMagic = 0x1.8p52;
 
 // {cos 2 pi u, sin 2 pi u} for u in [0, 1). q = 4u is exact, so is
 // f = q - k for the nearest integer k; x = f pi/2 lies in [-pi/4, pi/4],
 // where fdlibm's minimax kernels for sin and cos are within 2^-58. The
 // quadrant k mod 4 picks and signs sin x and cos x by table, not by branch.
 NormalPair approx_cos_sin_2pi(double u) {
-  constexpr double kHalfPi = 0x1.921fb54442d18p0;
-  constexpr double kS1 = -1.66666666666666324348e-01,
-                   kS2 = 8.33333333332248946124e-03,
-                   kS3 = -1.98412698298579493134e-04,
-                   kS4 = 2.75573137070700676789e-06,
-                   kS5 = -2.50507602534068634195e-08,
-                   kS6 = 1.58969099521155010221e-10;
-  constexpr double kC1 = 4.16666666666666019037e-02,
-                   kC2 = -1.38888888888741095749e-03,
-                   kC3 = 2.48015872894767294178e-05,
-                   kC4 = -2.75573143513906633035e-07,
-                   kC5 = 2.08757232129817482790e-09,
-                   kC6 = -1.13596475577881948265e-11;
   const double q = 4.0 * u;
-  const double k = (q + kRoundMagic) - kRoundMagic;
-  const double x = (q - k) * kHalfPi;
-  const double w = x * x;
-  const double w2 = w * w;
-  const double w4 = w2 * w2;
-  const double sin_poly =
-      ((kS1 + w * kS2) + w2 * (kS3 + w * kS4)) + w4 * (kS5 + w * kS6);
-  const double cos_poly =
-      ((kC1 + w * kC2) + w2 * (kC3 + w * kC4)) + w4 * (kC5 + w * kC6);
-  const double sc[2] = {x + x * w * sin_poly, (1.0 - 0.5 * w) + w2 * cos_poly};
+  const double k = (q + detail::kRoundMagic) - detail::kRoundMagic;
+  const double x = (q - k) * detail::kHalfPi;
+  const double sc[2] = {detail::sin_kernel(x), detail::cos_kernel(x)};
   const int quadrant = static_cast<int>(k) & 3;
   const int swap = quadrant & 1;
   return {kCosSign[quadrant] * sc[swap ^ 1], kSinSign[quadrant] * sc[swap]};
 }
 
-// 2^(j/32), j = 0..31.
-const std::array<double, 32> kExp2Frac = [] {
+// Sets ps = from_ns(exp(y)) and returns true when the 2^-32 bracket
+// around the approximation rounds to a single count. v is within 5e-13
+// (relative) of the exact path's value, far inside the bracket, and
+// from_ns is monotone, so the exact value rounds to that count too.
+// (An out-parameter: a returned std::optional went through the stack.)
+[[gnu::always_inline]] inline bool bracketed_ps(double y, TimePs& ps) {
+  if (std::fabs(y) < detail::kExpLimit) [[likely]] {
+    const double v = detail::approx_exp(y);
+    ps = TimePs::from_ns(v * detail::kBracketLo);
+    if (ps == TimePs::from_ns(v * detail::kBracketHi)) [[likely]] return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+const std::array<double, 32> detail::kExp2Frac = [] {
   std::array<double, 32> t{};
   for (int j = 0; j < 32; ++j) t[j] = std::exp2(j / 32.0);
   return t;
 }();
-
-// e^y for |y| < 700. y = (32n + j) ln2/32 + t with |t| <= ln2/64, the
-// reduction split Cody-Waite style (n ln2_hi/32 is exact); then
-// e^y = 2^n 2^(j/32) e^t, with e^t to degree 5 (within 2.3e-15).
-double approx_exp(double y) {
-  constexpr double k32OverLn2 = 32.0 / kLn2;
-  // fdlibm's split of ln 2: the high part has 32 significant bits.
-  constexpr double kLn2Over32Hi = 0x1.62e42feep-1 / 32;
-  constexpr double kLn2Over32Lo = 0x1.a39ef35793c76p-33 / 32;
-  const double nd = (y * k32OverLn2 + kRoundMagic) - kRoundMagic;
-  const auto n = static_cast<std::int64_t>(nd);
-  const double t = (y - nd * kLn2Over32Hi) - nd * kLn2Over32Lo;
-  const double t2 = t * t;
-  const double et = ((1.0 + t) + t2 * (1.0 / 2 + t * (1.0 / 6))) +
-                    (t2 * t2) * (1.0 / 24 + t * (1.0 / 120));
-  // 2^(j/32) 2^n is exact, and off the polynomial's dependency chain.
-  const double scale = kExp2Frac[static_cast<std::size_t>(n & 31)] *
-                       std::bit_cast<double>(
-                           static_cast<std::uint64_t>((n >> 5) + 1023) << 52);
-  return scale * et;
-}
-
-}  // namespace
 
 Rng::Rng(std::uint64_t seed) : seed_(seed) {
   SplitMix64 sm(seed);
@@ -215,16 +166,8 @@ TimePs Rng::lognormal_ps(const LognormalParams& p) {
     z = spare_z_;
     spare_ = Spare::kNone;
   }
-  const double y = p.mu + p.sigma * z;
-  if (std::fabs(y) < 700.0) [[likely]] {
-    // v is within 5e-13 (relative) of the exact path's value, far inside
-    // a 2^-32 bracket. from_ns is monotone, so if both ends of the
-    // bracket round to one count, the exact value rounds to it too.
-    constexpr double kBracket = 0x1.0p-32;
-    const double v = approx_exp(y);
-    const TimePs lo = TimePs::from_ns(v * (1.0 - kBracket));
-    if (lo == TimePs::from_ns(v * (1.0 + kBracket))) [[likely]] return lo;
-  }
+  TimePs ps;
+  if (bracketed_ps(p.mu + p.sigma * z, ps)) [[likely]] return ps;
   ++exact_fallbacks_;
   switch (spare) {
     case Spare::kExact:
@@ -241,6 +184,100 @@ TimePs Rng::lognormal_ps(const LognormalParams& p) {
     }
   }
   return TimePs::from_ns(lognormal_of(p, z));
+}
+
+void Rng::lognormal_ps_block(std::span<const LognormalParams> cycle,
+                             std::size_t n, LognormalBlock& block) {
+  BB_ASSERT(!cycle.empty() && cycle.size() <= LognormalBlock::kMaxCycle &&
+            n <= LognormalBlock::kCapacity);
+  if (!block.holds(cycle)) block.hold(cycle);
+  block.size_ = n;
+  block.entry_ = *this;
+  detail::LognormalLanes& lanes = block.lanes_;
+  // A held variate makes the first draw, into ps[0]; whole pairs make the
+  // rest, into ps[1 + d].
+  block.lead_ = spare_ != Spare::kNone && n > 0 ? 1 : 0;
+  if (block.lead_ == 1) lanes.ps[0] = lognormal_ps(cycle[0]);
+  const std::size_t draws = n - block.lead_;
+  const std::size_t pairs = (draws + 1) / 2;
+  State s = s_;
+  for (std::size_t j = 0; j < pairs; ++j) {
+    block.pair_s_[j] = s;
+    lanes.u1[j] = uniform01_for_log(s);
+    lanes.u2[j] = unit(next(s));
+  }
+  block.pair_s_[pairs] = s;
+  s_ = s;
+  lanes.phase = block.lead_ % cycle.size();
+  block.fallbacks_ = exact_fallbacks_;
+  block.fell_count_ = 0;
+  if (block.kernels_(lanes, pairs, draws) > 0) [[unlikely]] {
+    fix_open_lanes(block, draws);
+  }
+  // An odd count leaves the last pair's second variate held.
+  if (draws % 2 == 1) hold_second(block, pairs - 1);
+}
+
+// Draws whose bracket is open, as lognormal_ps evaluates them: exactly.
+// After a pair's first draw falls back, its second starts from the exact
+// variate, as it would from a kExact spare, and is checked again.
+void Rng::fix_open_lanes(LognormalBlock& block, std::size_t draws) {
+  const detail::LognormalLanes& lanes = block.lanes_;
+  TimePs* out = block.lanes_.ps.data() + 1;
+  const auto fell = [&](std::size_t d) {
+    block.fell_[block.fell_count_++] = static_cast<std::uint16_t>(d);
+    ++exact_fallbacks_;
+  };
+  const auto params = [&](std::size_t d) {
+    return LognormalParams{lanes.mu[lanes.phase + d],
+                           lanes.sigma[lanes.phase + d]};
+  };
+  for (std::size_t d = 0; d < draws; ++d) {
+    if (lanes.open[d] == 0) continue;
+    const NormalPair exact = box_muller(lanes.u1[d / 2], lanes.u2[d / 2]);
+    fell(d);
+    if (d % 2 == 1) {
+      out[d] = TimePs::from_ns(lognormal_of(params(d), exact.second));
+      continue;
+    }
+    out[d] = TimePs::from_ns(lognormal_of(params(d), exact.first));
+    if (++d == draws) break;
+    const LognormalParams second = params(d);
+    if (!bracketed_ps(second.mu + second.sigma * exact.second, out[d])) {
+      fell(d);
+      out[d] = TimePs::from_ns(lognormal_of(second, exact.second));
+    }
+  }
+}
+
+void Rng::rewind(const LognormalBlock& block, std::size_t k) {
+  BB_ASSERT(k <= block.size_);
+  if (k == 0) {
+    *this = block.entry_;
+    return;
+  }
+  const std::size_t d = k - block.lead_;
+  exact_fallbacks_ = block.fallbacks_ + block.fell_before(d);
+  if (d % 2 == 0) {
+    s_ = block.pair_s_[d / 2];
+    spare_ = Spare::kNone;
+  } else {
+    s_ = block.pair_s_[d / 2 + 1];
+    hold_second(block, d / 2);
+  }
+}
+
+void Rng::hold_second(const LognormalBlock& block, std::size_t j) {
+  const detail::LognormalLanes& lanes = block.lanes_;
+  if (block.fell_before(2 * j + 1) != block.fell_before(2 * j)) {
+    spare_z_ = box_muller(lanes.u1[j], lanes.u2[j]).second;
+    spare_ = Spare::kExact;
+  } else {
+    spare_u1_ = lanes.u1[j];
+    spare_u2_ = lanes.u2[j];
+    spare_z_ = lanes.z[2 * j + 1];
+    spare_ = Spare::kLazy;
+  }
 }
 
 double Rng::exponential(double mean) {

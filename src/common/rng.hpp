@@ -7,11 +7,15 @@
 // implemented here with fixed algorithms.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "common/units.hpp"
 
 namespace bb {
+
+class LognormalBlock;
 
 /// Mixes a 64-bit seed into a well-distributed stream (used for seeding).
 struct SplitMix64 {
@@ -71,23 +75,9 @@ class Rng {
     return Rng(derive_seed(seed_, label));
   }
 
-  std::uint64_t next_u64() {
-    // xoshiro256** 1.0 (Blackman & Vigna), public domain reference
-    // algorithm.
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-  }
+  std::uint64_t next_u64() { return next(s_); }
   /// Uniform in [0, 1) with 53 bits of precision.
-  double uniform01() {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-  }
+  double uniform01() { return unit(next_u64()); }
   /// Uniform in [lo, hi).
   double uniform(double lo, double hi);
   /// Uniform integer in [0, n).
@@ -111,6 +101,16 @@ class Rng {
   /// rounds to a single picosecond count (docs/SIM_ENGINE.md "Exact
   /// draws, fast"); otherwise it is evaluated exactly.
   TimePs lognormal_ps(const LognormalParams& p);
+  /// Fills `block` with n <= LognormalBlock::kCapacity draws, draw i being
+  /// lognormal_ps(cycle[i % cycle.size()]). Values, stream and
+  /// exact_fallbacks() end as n lognormal_ps calls would leave them, bit
+  /// for bit, but the approximations run in SIMD lanes
+  /// (docs/SIM_ENGINE.md "Exact draws, fast").
+  void lognormal_ps_block(std::span<const LognormalParams> cycle,
+                          std::size_t n, LognormalBlock& block);
+  /// Returns the stream to just after the first k draws of `block`, the
+  /// last block this stream drew, as k lognormal_ps calls would leave it.
+  void rewind(const LognormalBlock& block, std::size_t k);
   /// How many lognormal_ps() draws the bracket left open, so that they
   /// were evaluated exactly.
   std::uint64_t exact_fallbacks() const { return exact_fallbacks_; }
@@ -124,17 +124,42 @@ class Rng {
   bool bernoulli(double p);
 
  private:
+  using State = std::array<std::uint64_t, 4>;
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
+  /// xoshiro256** 1.0 (Blackman & Vigna), public domain reference
+  /// algorithm, on any state: the block draw steps a local copy, which
+  /// stays in registers.
+  static std::uint64_t next(State& s) {
+    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
+  }
+  static double unit(std::uint64_t word) {
+    return static_cast<double>(word >> 11) * 0x1.0p-53;
+  }
   /// Box-Muller's u1, kept away from 0 so its log is finite.
-  double uniform01_for_log() {
+  static double uniform01_for_log(State& s) {
     double u1;
     do {
-      u1 = uniform01();
+      u1 = unit(next(s));
     } while (u1 <= 1e-300);
     return u1;
   }
+  double uniform01_for_log() { return uniform01_for_log(s_); }
+
+  /// Holds the second variate of `block`'s pair j as the spare, as the
+  /// pair's first lognormal_ps draw leaves it.
+  void hold_second(const LognormalBlock& block, std::size_t j);
+  void fix_open_lanes(LognormalBlock& block, std::size_t draws);
 
   // The second variate of the last Box-Muller pair, until it is drawn.
   // kExact holds its value in spare_z_. kLazy holds the pair's uniforms
@@ -143,7 +168,7 @@ class Rng {
   enum class Spare : std::uint8_t { kNone, kExact, kLazy };
 
   std::uint64_t seed_ = 0;
-  std::array<std::uint64_t, 4> s_{};
+  State s_{};
   Spare spare_ = Spare::kNone;
   double spare_z_ = 0.0;
   double spare_u1_ = 0.0;

@@ -55,6 +55,8 @@ class Core {
   /// without accruing pending work. Replays every pass that starts
   /// before `until` (at or before it if `inclusive`), adds their number
   /// to `passes`, and returns the start of the first pass not replayed.
+  /// Passes whose costs are all tail-free and jittered are drawn in
+  /// blocks (Rng::lognormal_ps_block), to the same values and stream.
   TimePs replay_until(std::span<const CostSpec* const> costs, TimePs start,
                       TimePs until, bool inclusive, std::uint64_t& passes);
   /// Hands over the pending work without a delay: what a parked loop
@@ -96,11 +98,16 @@ class Core {
       parked_->wake(sim::Tie::kPassFirst);
     }
   }
-  TimePs sample(const CostSpec& spec) {
-    TimePs d = spec.sample(rng_);
-    if (speed_factor_ != 1.0) d = d.scaled(speed_factor_);
-    return d;
+  TimePs scaled(TimePs d) const {
+    return speed_factor_ != 1.0 ? d.scaled(speed_factor_) : d;
   }
+  TimePs sample(const CostSpec& spec) { return scaled(spec.sample(rng_)); }
+  // replay_until pass by pass, and in blocks for passes whose costs are
+  // all drawn by Rng::lognormal_ps, at most LognormalBlock::kMaxCycle.
+  TimePs replay_each(std::span<const CostSpec* const> costs, TimePs start,
+                     TimePs until, bool inclusive, std::uint64_t& passes);
+  TimePs replay_blocks(std::span<const CostSpec* const> costs, TimePs start,
+                       TimePs until, bool inclusive, std::uint64_t& passes);
 
   sim::Simulator& sim_;
   CpuCostModel model_;

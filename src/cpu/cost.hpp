@@ -43,6 +43,11 @@ struct CostSpec {
     return jitter ? rng.lognormal_ps(lognormal()) : TimePs::from_ns(mean_ns);
   }
 
+  /// Whether sample() is rng.lognormal_ps(lognormal()): jittered, no tail.
+  bool body_only_jitter() const {
+    return !(tail_prob > 0.0) && cv > 0.0 && mean_ns > 0.0;
+  }
+
   /// Returns a copy with the mean scaled by `f` (what-if experiments).
   CostSpec scaled(double f) const {
     CostSpec c = *this;

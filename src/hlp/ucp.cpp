@@ -54,13 +54,11 @@ std::size_t UcpWorker::pending_sends() const {
 }
 
 Request* UcpWorker::new_request(Request::Kind kind, std::uint32_t bytes) {
-  auto req = std::make_unique<Request>();
-  req->kind = kind;
-  req->bytes = bytes;
-  req->seq = next_seq_++;
-  Request* p = req.get();
-  requests_.push_back(std::move(req));
-  return p;
+  Request& req = requests_.emplace_back();
+  req.kind = kind;
+  req.bytes = bytes;
+  req.seq = next_seq_++;
+  return &req;
 }
 
 sim::Task<common::Status> UcpWorker::try_post(Peer& p, Request* req) {

@@ -165,7 +165,8 @@ class UcpWorker {
   int node_ = -1;  // the sending node, learned from the first endpoint
   std::function<void(Request*)> upper_rx_cb_;
 
-  std::deque<std::unique_ptr<Request>> requests_;  // stable ownership
+  // Appending to a deque never moves its elements, so Request* stay valid.
+  std::deque<Request> requests_;
   // Connected peers in rank order, and the same records by rank.
   std::vector<std::unique_ptr<Peer>> peers_;
   std::vector<Peer*> by_rank_;

@@ -5,8 +5,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <set>
+#include <span>
 #include <utility>
+#include <vector>
+
+#include "common/lognormal_block.hpp"
 
 namespace bb {
 namespace {
@@ -122,6 +127,96 @@ TEST(Rng, SecondVariateIsExactAfterAFastDraw) {
         << "seed " << seed;
     ASSERT_EQ(fast.next_u64(), ref.next_u64()) << "seed " << seed;
   }
+}
+
+TEST(Rng, BlockDrawIsSequentialLognormalPs) {
+  // For each build of the lane kernels the host can run -- the baseline
+  // one always, and the CPU's pick (the x86-64-v4 clone where the CPU has
+  // AVX-512) -- a block of n draws equals n lognormal_ps calls: values,
+  // exact_fallbacks() and the stream after, whatever the spare on entry.
+  // rewind(k) leaves the stream where k calls would.
+  const std::pair<const char*, LognormalBlock::Kernels> variants[] = {
+      {"baseline", &detail::fill_lognormal_lanes_baseline},
+      {"cpu pick", &detail::fill_lognormal_lanes}};
+  // 10.73 and 18 ns are the idle pass; 2400 ns falls back about once in
+  // 1000 draws, 1e5 ns about once in 20, so now and then both draws of
+  // a pair fall back.
+  const Rng::LognormalParams idle_ucp = Rng::lognormal_params(10.73, 1.61);
+  const Rng::LognormalParams idle_llp = Rng::lognormal_params(18.0, 2.7);
+  const Rng::LognormalParams check = Rng::lognormal_params(1e5, 5e4);
+  const std::vector<std::vector<Rng::LognormalParams>> cycles = {
+      {idle_ucp, idle_llp},
+      {check},
+      {idle_ucp, idle_llp, Rng::lognormal_params(2400.0, 480.0),
+       Rng::lognormal_params(0.5, 1.5), check}};
+  enum class Entry { kNoSpare, kLazySpare, kExactSpare };
+  const auto enter = [&](Rng& r, Entry e) {
+    if (e == Entry::kLazySpare) (void)r.lognormal_ps(idle_llp);
+    if (e == Entry::kExactSpare) (void)r.normal();
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  // The same stream: the held variate, the approximated one behind a
+  // lazy spare (through fallbacks of the next draws) and the raw words.
+  const auto same_stream = [&](const Rng& a, const Rng& b) {
+    EXPECT_EQ(a.exact_fallbacks(), b.exact_fallbacks());
+    Rng a1 = a, b1 = b;
+    EXPECT_EQ(bits(a1.normal()), bits(b1.normal()));
+    EXPECT_EQ(a1.next_u64(), b1.next_u64());
+    Rng a2 = a, b2 = b;
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(a2.lognormal_ps(check), b2.lognormal_ps(check));
+    }
+    EXPECT_EQ(a2.exact_fallbacks(), b2.exact_fallbacks());
+    EXPECT_EQ(a2.next_u64(), b2.next_u64());
+  };
+#ifdef NDEBUG
+  constexpr std::size_t kStep = 1;
+#else
+  constexpr std::size_t kStep = 17;
+#endif
+  std::uint64_t block_fallbacks = 0;
+  for (const auto& [name, kernels] : variants) {
+    SCOPED_TRACE(name);
+    auto block = std::make_unique<LognormalBlock>(kernels);
+    std::uint64_t seed = 1;
+    for (const std::span<const Rng::LognormalParams> cycle : cycles) {
+      const std::size_t len = cycle.size();
+      for (const Entry entry :
+           {Entry::kNoSpare, Entry::kLazySpare, Entry::kExactSpare}) {
+        for (std::size_t n = 0; n <= LognormalBlock::kCapacity; n += kStep) {
+          SCOPED_TRACE(testing::Message() << "cycle " << len << " entry "
+                                          << static_cast<int>(entry)
+                                          << " n " << n);
+          ++seed;
+          Rng fast(seed), ref(seed);
+          enter(fast, entry);
+          enter(ref, entry);
+          const std::uint64_t before = fast.exact_fallbacks();
+          fast.lognormal_ps_block(cycle, n, *block);
+          block_fallbacks += fast.exact_fallbacks() - before;
+          ASSERT_EQ(block->values().size(), n);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(block->values()[i], ref.lognormal_ps(cycle[i % len]))
+                << "draw " << i;
+          }
+          same_stream(fast, ref);
+          for (const std::size_t k : {std::size_t{0}, std::size_t{1}, n / 2,
+                                      n / 2 + 1, n - 1}) {
+            if (k > n) continue;
+            Rng back = fast, ref_k(seed);
+            back.rewind(*block, k);
+            enter(ref_k, entry);
+            for (std::size_t i = 0; i < k; ++i) {
+              (void)ref_k.lognormal_ps(cycle[i % len]);
+            }
+            SCOPED_TRACE(testing::Message() << "rewound to " << k);
+            same_stream(back, ref_k);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(block_fallbacks, 0u);
 }
 
 TEST(Rng, LognormalMedianBelowMean) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 namespace bb::cpu {
 namespace {
 
@@ -121,6 +123,72 @@ TEST(Core, ReplayDrawsExactlyAsConsume) {
     EXPECT_EQ(b.virtual_now(), TimePs::zero());  // nothing accrued
     EXPECT_EQ(a.consume(a.costs().md_setup), b.consume(b.costs().md_setup));
   }
+
+  // Tail-free jittered passes take the block path. Gaps of 0 to 300
+  // passes end exactly on a pass start, so both tie modes decide that
+  // pass; the stream may enter holding a lazy or an exact variate, and
+  // the 2400 ns pass falls back to the exact draw now and then.
+  const CostSpec wakeup = CostSpec::jittered(2400.0, 0.2);
+  const CpuCostModel model;
+  const CostSpec* const idle[] = {&model.ucp_progress_iter,
+                                  &model.llp_empty_progress};
+  const CostSpec* const slow[] = {&wakeup};
+  const std::span<const CostSpec* const> lists[] = {idle, slow};
+#ifdef NDEBUG
+  constexpr int kGapStep = 1;
+#else
+  constexpr int kGapStep = 23;
+#endif
+  std::uint64_t block_fallbacks = 0;
+  std::uint64_t seed = 100;
+  for (const double speed : {1.0, 1.007, 0.93}) {
+    for (const auto pass : lists) {
+      for (int entry = 0; entry < 3; ++entry) {
+        for (int gap = 0; gap <= 300; gap += kGapStep) {
+          for (const bool inclusive : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "speed " << speed << " costs " << pass.size()
+                         << " entry " << entry << " gap " << gap
+                         << " inclusive " << inclusive);
+            ++seed;
+            sim::Simulator sim_a(seed), sim_b(seed);
+            Core a(sim_a, model);
+            Core b(sim_b, model);
+            a.set_speed_factor(speed);
+            b.set_speed_factor(speed);
+            for (Core* core : {&a, &b}) {
+              if (entry == 1) core->consume(model.llp_empty_progress);
+              if (entry == 2) (void)core->rng().normal();
+            }
+            const TimePs start = 3_us;
+            TimePs consumed = start;
+            std::uint64_t passes = 0;
+            const auto consume_pass = [&] {
+              for (const CostSpec* c : pass) consumed += a.consume(*c);
+              ++passes;
+            };
+            for (int i = 0; i < gap; ++i) consume_pass();
+            const TimePs until = consumed;
+            if (inclusive) consume_pass();
+            const std::uint64_t before = b.rng().exact_fallbacks();
+            std::uint64_t replayed = 0;
+            ASSERT_EQ(b.replay_until(pass, start, until, inclusive, replayed),
+                      consumed);
+            block_fallbacks += b.rng().exact_fallbacks() - before;
+            ASSERT_EQ(replayed, passes);
+            ASSERT_EQ(b.busy_time(), a.busy_time());
+            ASSERT_EQ(b.rng().exact_fallbacks(), a.rng().exact_fallbacks());
+            for (int i = 0; i < 1000; ++i) {
+              const CostSpec& c = *pass[static_cast<std::size_t>(i) %
+                                        pass.size()];
+              ASSERT_EQ(b.consume(c), a.consume(c)) << "draw " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(block_fallbacks, 0u);
 }
 
 TEST(Core, ReplayUntilTieRule) {
