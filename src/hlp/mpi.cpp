@@ -87,6 +87,7 @@ sim::Task<common::Status> MpiComm::wait(Request* req) {
   prof.end(r_wait);
   ++waits_;
   co_await c.flush();
+  ucp_.release(req);
   co_return req->status;
 }
 
@@ -105,6 +106,7 @@ sim::Task<common::Status> MpiComm::waitall(const std::vector<Request*>& reqs) {
   });
   if (st != common::Status::kOk) co_return st;
   co_await c.flush();
+  for (Request* r : reqs) ucp_.release(r);
   for (Request* r : reqs) {
     if (r->status != common::Status::kOk) co_return r->status;
   }

@@ -44,10 +44,14 @@ class MpiComm {
   }
   /// Blocking MPI_Wait for one request; returns the request's final
   /// disposition (kIoError when it was retired by an error completion,
-  /// kTimedOut when the watchdog fired first).
+  /// kTimedOut when the watchdog fired first). A request returned
+  /// complete goes back to the worker (UcpWorker::release): it stays
+  /// readable until this rank's next isend/irecv. A timed-out request is
+  /// kept.
   sim::Task<common::Status> wait(Request* req);
   /// MPI_Waitall over a window of requests; returns kOk, kTimedOut, or
-  /// the first non-OK request status in window order.
+  /// the first non-OK request status in window order. Unless it timed
+  /// out, every request goes back to the worker as wait() describes.
   sim::Task<common::Status> waitall(const std::vector<Request*>& reqs);
 
   std::uint64_t isends() const { return isends_; }

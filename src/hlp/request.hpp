@@ -20,6 +20,9 @@ struct Request {
   /// queue after a busy post (§6: "UCP schedules the successful execution
   /// of LLP_post for busy posts during the progress of operations").
   bool pending = false;
+  /// Set when a wait hands the completed request back to its worker; the
+  /// worker's next send or receive may reuse it.
+  bool released = false;
   /// Identity for debugging/tests.
   std::uint64_t seq = 0;
 };

@@ -54,11 +54,19 @@ std::size_t UcpWorker::pending_sends() const {
 }
 
 Request* UcpWorker::new_request(Request::Kind kind, std::uint32_t bytes) {
-  Request& req = requests_.emplace_back();
-  req.kind = kind;
-  req.bytes = bytes;
-  req.seq = next_seq_++;
-  return &req;
+  const Request fresh{.kind = kind, .bytes = bytes, .seq = next_seq_++};
+  if (free_requests_.empty()) return &requests_.emplace_back(fresh);
+  Request* req = free_requests_.back();
+  free_requests_.pop_back();
+  *req = fresh;
+  return req;
+}
+
+void UcpWorker::release(Request* req) {
+  BB_ASSERT_MSG(req->complete, "released an incomplete request");
+  if (req->released) return;
+  req->released = true;
+  free_requests_.push_back(req);
 }
 
 sim::Task<common::Status> UcpWorker::try_post(Peer& p, Request* req) {

@@ -82,6 +82,11 @@ class UcpWorker {
   /// at completion time.
   common::Expected<Request*> tag_recv_nb(int peer, std::uint32_t bytes);
 
+  /// Takes back a request a wait returned complete. The next
+  /// tag_send_nb/tag_recv_nb may reuse its storage, so it stays readable
+  /// until then; releasing it again before that does nothing.
+  void release(Request* req);
+
   /// ucp_worker_progress: one pass. Retries every peer's pending sends,
   /// drives uct_worker_progress (completion callbacks run inside), then
   /// every peer's rendezvous control and data; peers go in rank order.
@@ -167,6 +172,8 @@ class UcpWorker {
 
   // Appending to a deque never moves its elements, so Request* stay valid.
   std::deque<Request> requests_;
+  // Released requests, reused last-in first-out.
+  std::vector<Request*> free_requests_;
   // Connected peers in rank order, and the same records by rank.
   std::vector<std::unique_ptr<Peer>> peers_;
   std::vector<Peer*> by_rank_;

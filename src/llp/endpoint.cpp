@@ -22,9 +22,6 @@ Endpoint::Endpoint(Worker& worker, pcie::RootComplex& rc, nic::Nic& nic,
   // would exhibit. Reject the configuration up front.
   BB_ASSERT_MSG(cfg_.signal.period <= cfg_.txq_depth,
                 "unsignalled-completion period must not exceed TxQ depth");
-  // Registered-memory payload region: disjoint per QP so concurrent DMA
-  // payload fetches from different endpoints never alias.
-  next_payload_addr_ = 0x100000ull * (qp_ + 1ull);
   worker_.register_endpoint(this);
 }
 
@@ -86,13 +83,6 @@ sim::Task<Status> Endpoint::post(pcie::WireOp op, std::uint32_t bytes,
   md.inline_payload = cfg_.inline_payload && bytes <= cfg_.max_inline_bytes;
   ++signal_counter_;
   md.signaled = force_signal || (signal_counter_ % cfg_.signal.period) == 0;
-
-  if (!md.inline_payload) {
-    // The payload stays in registered memory; give it its address before
-    // the descriptor is staged/copied anywhere.
-    md.host_payload_addr = next_payload_addr_;
-    next_payload_addr_ += bytes;
-  }
 
   std::uint32_t mmio_bytes = 0;
   if (cfg_.use_pio) {

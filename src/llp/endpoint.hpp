@@ -122,7 +122,6 @@ class Endpoint {
   std::uint64_t tx_flushed_ = 0;
   std::uint64_t signal_counter_ = 0;
   std::uint64_t doorbell_counter_ = 0;
-  std::uint64_t next_payload_addr_ = 0x1000;
   std::function<void(std::uint32_t)> tx_retire_;
 };
 

@@ -72,8 +72,6 @@ class CollModel {
                      std::uint32_t rndv_threshold = 1024)
       : p_(cfg, rndv_threshold), t_(cfg.coll) {}
 
-  const PtPtModel& ptpt() const { return p_; }
-
   double barrier_ns(int nranks, coll::Algo a = coll::Algo::kAuto) const;
   double bcast_ns(int nranks, std::uint32_t bytes,
                   coll::Algo a = coll::Algo::kAuto) const;

@@ -77,32 +77,18 @@ void Nic::on_downstream_tlp(const pcie::Tlp& tlp) {
     case pcie::TlpType::kMemWrite: {
       if (const auto* desc =
               std::get_if<pcie::DescriptorWrite>(&tlp.content)) {
-        const pcie::WireMd md = desc->md;
-        if (md.inline_payload) {
-          // PIO + inlining: descriptor and payload arrived whole.
-          sim_.call_in(TimePs::from_ns(params_.tx_proc_ns),
-                       [this, md] { inject(md); });
-        } else {
-          // PIO descriptor, but the payload still lives in registered
-          // memory: fetch it with a DMA read (§2 step 3).
-          pcie::ReadRequest preq;
-          preq.what = pcie::ReadRequest::What::kPayload;
-          preq.qp = md.qp;
-          preq.host_addr = md.host_payload_addr;
-          preq.bytes = md.payload_bytes;
-          staged_payload_wait_[md.host_payload_addr] = md;
-          issue_dma_read(preq);
-        }
+        // PIO: the descriptor (and, inlined, its payload) arrived whole.
+        descriptor_ready(desc->md);
         return;
       }
       if (const auto* db = std::get_if<pcie::DoorbellWrite>(&tlp.content)) {
         // DMA path: fetch the descriptor from the host ring (§2 step 2).
-        pcie::ReadRequest req;
-        req.what = pcie::ReadRequest::What::kDescriptor;
-        req.qp = db->qp;
-        req.bytes = 64;
+        PendingRead pr;
+        pr.req.what = pcie::ReadRequest::What::kDescriptor;
+        pr.req.qp = db->qp;
+        pr.req.bytes = 64;
         sim_.call_in(TimePs::from_ns(params_.doorbell_proc_ns),
-                     [this, req] { issue_dma_read(req); });
+                     [this, pr] { issue_dma_read(pr); });
         return;
       }
       BB_UNREACHABLE("unexpected downstream MWr content at NIC");
@@ -110,12 +96,12 @@ void Nic::on_downstream_tlp(const pcie::Tlp& tlp) {
     case pcie::TlpType::kCompletionData: {
       const auto* rc = std::get_if<pcie::ReadCompletion>(&tlp.content);
       BB_ASSERT_MSG(rc != nullptr, "CplD without ReadCompletion content");
-      // Match against the outstanding read.
-      auto it = pending_reads_.find(tlp.tag);
-      BB_ASSERT_MSG(it != pending_reads_.end(), "CplD for unknown tag");
-      const pcie::ReadRequest req = it->second.req;
-      pending_reads_.erase(it);
-      on_read_completion(req, *rc);
+      const PendingRead pr = take_read(tlp.tag);
+      if (pr.req.what == pcie::ReadRequest::What::kDescriptor) {
+        descriptor_ready(rc->md);
+      } else {
+        descriptor_ready(pr.md, /*payload_fetched=*/true);
+      }
       return;
     }
     case pcie::TlpType::kMemRead:
@@ -144,28 +130,17 @@ void Nic::on_poisoned_tlp(const pcie::Tlp& tlp) {
     case pcie::TlpType::kCompletionData: {
       const auto* rc = std::get_if<pcie::ReadCompletion>(&tlp.content);
       BB_ASSERT_MSG(rc != nullptr, "CplD without ReadCompletion content");
-      auto it = pending_reads_.find(tlp.tag);
-      BB_ASSERT_MSG(it != pending_reads_.end(), "poisoned CplD for unknown tag");
-      const PendingRead pr = it->second;
-      pending_reads_.erase(it);
-      if (pr.req.what == pcie::ReadRequest::What::kPayload &&
-          pr.attempts < kMaxReadRetries) {
-        // Host-memory payload reads are idempotent: just read again.
-        ++read_retries_;
-        if (fault_stats_) ++fault_stats_->read_retries;
-        pcie::ReadRequest retry = pr.req;
-        retry.retry = true;
-        issue_dma_read(retry, pr.attempts + 1);
-        return;
-      }
+      PendingRead pr = take_read(tlp.tag);
       if (pr.req.what == pcie::ReadRequest::What::kPayload) {
-        // Retries exhausted: fail the descriptor waiting on this payload.
-        auto wit = staged_payload_wait_.find(pr.req.host_addr);
-        BB_ASSERT_MSG(wit != staged_payload_wait_.end(),
-                      "poisoned payload CplD with no waiting descriptor");
-        const pcie::WireMd md = wit->second;
-        staged_payload_wait_.erase(wit);
-        complete_with_error(md.qp, md.msg_id);
+        if (pr.attempts < kMaxReadRetries) {
+          // Host-memory payload reads are idempotent: just read again.
+          if (fault_stats_) ++fault_stats_->read_retries;
+          ++pr.attempts;
+          issue_dma_read(pr);
+          return;
+        }
+        // Retries exhausted: fail the descriptor this payload was for.
+        complete_with_error(pr.md.qp, pr.md.msg_id);
         return;
       }
       // Descriptor fetch failed. If the host served it, the descriptor
@@ -185,66 +160,63 @@ void Nic::on_poisoned_tlp(const pcie::Tlp& tlp) {
   }
 }
 
-void Nic::complete_with_error(std::uint32_t qp, std::uint64_t msg_id,
-                              common::Status status) {
-  std::uint32_t& pending = pending_completes_[qp];
-  pcie::Tlp tlp;
-  tlp.type = pcie::TlpType::kMemWrite;
-  tlp.bytes = kCqeBytes;
-  pcie::CqeWrite cqe;
-  cqe.qp = qp;
-  cqe.msg_id = msg_id;
-  // Retires the failed op plus every unsignalled predecessor on the QP
-  // (those did complete; the error status flags the tail op).
-  cqe.completes = pending + 1;
-  cqe.status = status;
-  pending = 0;
-  tlp.content = cqe;
-  ++cqes_written_;
-  ++error_cqes_;
-  if (fault_stats_) ++fault_stats_->error_cqes;
-  link_.post(pcie::Direction::kUpstream, std::move(tlp));
+void Nic::descriptor_ready(const pcie::WireMd& md, bool payload_fetched) {
+  if (md.inline_payload || payload_fetched) {
+    sim_.call_in(TimePs::from_ns(params_.tx_proc_ns),
+                 [this, md] { inject(md); });
+    return;
+  }
+  // The payload still lives in registered memory: fetch it with a DMA
+  // read (§2 step 3) that carries the descriptor until it completes.
+  PendingRead pr;
+  pr.req.what = pcie::ReadRequest::What::kPayload;
+  pr.req.qp = md.qp;
+  pr.req.bytes = md.payload_bytes;
+  pr.md = md;
+  issue_dma_read(pr);
 }
 
-void Nic::issue_dma_read(pcie::ReadRequest req, int attempts) {
+void Nic::issue_dma_read(PendingRead pr) {
   pcie::Tlp tlp;
   tlp.type = pcie::TlpType::kMemRead;
   tlp.bytes = 0;  // MRd carries no data
   tlp.tag = next_tag_++;
-  tlp.content = req;
-  pending_reads_[tlp.tag] = PendingRead{req, attempts};
+  tlp.content = pr.req;
+  pending_reads_[tlp.tag] = pr;
   ++dma_reads_issued_;
   link_.post(pcie::Direction::kUpstream, std::move(tlp));
 }
 
-void Nic::on_read_completion(const pcie::ReadRequest& req,
-                             const pcie::ReadCompletion& rc) {
-  if (rc.what == pcie::ReadRequest::What::kDescriptor) {
-    const pcie::WireMd md = rc.md;
-    if (md.inline_payload) {
-      // Payload arrived inside the descriptor; ready to inject.
-      sim_.call_in(TimePs::from_ns(params_.tx_proc_ns),
-                   [this, md] { inject(md); });
-    } else {
-      // §2 step 3: fetch the payload from registered memory.
-      pcie::ReadRequest preq;
-      preq.what = pcie::ReadRequest::What::kPayload;
-      preq.qp = md.qp;
-      preq.host_addr = md.host_payload_addr;
-      preq.bytes = md.payload_bytes;
-      staged_payload_wait_[md.host_payload_addr] = md;
-      issue_dma_read(preq);
-    }
-    return;
-  }
-  // Payload arrived; find the descriptor waiting on this address.
-  auto it = staged_payload_wait_.find(req.host_addr);
-  BB_ASSERT_MSG(it != staged_payload_wait_.end(),
-                "payload CplD with no waiting descriptor");
-  const pcie::WireMd md = it->second;
-  staged_payload_wait_.erase(it);
-  sim_.call_in(TimePs::from_ns(params_.tx_proc_ns),
-               [this, md] { inject(md); });
+Nic::PendingRead Nic::take_read(std::uint64_t tag) {
+  auto it = pending_reads_.find(tag);
+  BB_ASSERT_MSG(it != pending_reads_.end(), "CplD for unknown tag");
+  const PendingRead pr = it->second;
+  pending_reads_.erase(it);
+  return pr;
+}
+
+void Nic::complete_with_error(std::uint32_t qp, std::uint64_t msg_id,
+                              common::Status status) {
+  ++error_cqes_;
+  if (fault_stats_) ++fault_stats_->error_cqes;
+  // Retires the failed op plus every unsignalled predecessor on the QP
+  // (those did complete; the error status flags the tail op).
+  write_cqe(tx_flow(qp), msg_id, status);
+}
+
+void Nic::write_cqe(TxFlow& f, std::uint64_t msg_id, common::Status status) {
+  pcie::CqeWrite cqe;
+  cqe.qp = f.qp;
+  cqe.msg_id = msg_id;
+  cqe.completes = f.unsignalled + 1;
+  cqe.status = status;
+  f.unsignalled = 0;
+  pcie::Tlp tlp;
+  tlp.type = pcie::TlpType::kMemWrite;
+  tlp.bytes = kCqeBytes;
+  tlp.content = cqe;
+  ++cqes_written_;
+  link_.post(pcie::Direction::kUpstream, std::move(tlp));
 }
 
 void Nic::inject(const pcie::WireMd& md) {
@@ -362,40 +334,33 @@ void Nic::on_data_packet(const net::NetPacket& pkt) {
             params_.rx_proc_ns + params_.ack_gen_ns);
 }
 
-void Nic::complete_message(const pcie::WireMd& md) {
+void Nic::complete_message(TxFlow& f, const pcie::WireMd& md) {
   ++acks_received_;
-
   // Unsignalled-completion moderation: a signalled descriptor's CQE
   // retires every unsignalled op before it on the same QP.
-  std::uint32_t& pending = pending_completes_[md.qp];
-  ++pending;
   if (md.signaled) {
-    pcie::Tlp tlp;
-    tlp.type = pcie::TlpType::kMemWrite;
-    tlp.bytes = kCqeBytes;
-    pcie::CqeWrite cqe;
-    cqe.qp = md.qp;
-    cqe.msg_id = md.msg_id;
-    cqe.completes = pending;
-    tlp.content = cqe;
-    pending = 0;
-    ++cqes_written_;
-    link_.post(pcie::Direction::kUpstream, std::move(tlp));
+    write_cqe(f, md.msg_id, common::Status::kOk);
+  } else {
+    ++f.unsignalled;
   }
+}
+
+bool Nic::retire_through(TxFlow& f, std::uint64_t psn) {
+  bool progress = false;
+  while (!f.unacked.empty() && f.unacked.front().psn <= psn) {
+    const pcie::WireMd md = f.unacked.front().md;
+    f.unacked.pop_front();
+    progress = true;
+    complete_message(f, md);
+  }
+  return progress;
 }
 
 void Nic::on_rc_ack(std::uint32_t qp, std::uint64_t psn) {
   TxFlow& f = tx_flow(qp);
   ++tstats_.acks_received;
   if (f.state != QpState::kRts) return;  // stale ACK after error/reset
-  bool progress = false;
-  while (!f.unacked.empty() && f.unacked.front().psn <= psn) {
-    const pcie::WireMd md = f.unacked.front().md;
-    f.unacked.pop_front();
-    progress = true;
-    complete_message(md);
-  }
-  if (!progress) return;  // duplicate cumulative ACK
+  if (!retire_through(f, psn)) return;   // duplicate cumulative ACK
   // Forward progress resets the retry budget and backoff (IB semantics:
   // the budgets bound *consecutive* failures).
   f.retry_count = 0;
@@ -410,12 +375,8 @@ void Nic::on_rc_nak(std::uint32_t qp, std::uint64_t psn) {
   TxFlow& f = tx_flow(qp);
   ++tstats_.naks_received;
   if (f.state != QpState::kRts) return;
-  // A NAK for `psn` implicitly ACKs everything before it.
-  while (!f.unacked.empty() && f.unacked.front().psn < psn) {
-    const pcie::WireMd md = f.unacked.front().md;
-    f.unacked.pop_front();
-    complete_message(md);
-  }
+  // A NAK for `psn` implicitly ACKs everything before it (PSNs start at 1).
+  retire_through(f, psn - 1);
   if (f.rnr_wait) return;  // backoff pending; it will retransmit anyway
   retransmit_flow(f);
   f.timer.cancel();
@@ -427,11 +388,7 @@ void Nic::on_rnr_nak(std::uint32_t qp, std::uint64_t psn) {
   ++tstats_.rnr_naks_received;
   if (f.state != QpState::kRts) return;
   // Everything before the refused PSN was accepted.
-  while (!f.unacked.empty() && f.unacked.front().psn < psn) {
-    const pcie::WireMd md = f.unacked.front().md;
-    f.unacked.pop_front();
-    complete_message(md);
-  }
+  retire_through(f, psn - 1);
   if (f.rnr_wait) return;  // one backoff at a time
   ++f.rnr_count;
   if (f.rnr_count > kRnrRetryCnt) {
@@ -523,17 +480,18 @@ void Nic::qp_error(TxFlow& f) {
   f.timer.cancel();
   f.rnr_wait = false;
   // Flush the send queue: the head WQE is the one whose retries
-  // exhausted (kIoError); everything behind it never got a verdict and
-  // is flushed (kFlushed), verbs-style.
-  bool first = true;
+  // exhausted; everything behind it never got a verdict (verbs-style).
+  flush_unacked(f, common::Status::kIoError);
+}
+
+void Nic::flush_unacked(TxFlow& f, common::Status head) {
+  common::Status st = head;
   while (!f.unacked.empty()) {
-    const TxEntry e = f.unacked.front();
+    const std::uint64_t msg_id = f.unacked.front().md.msg_id;
     f.unacked.pop_front();
     ++tstats_.flushed_wqes;
-    complete_with_error(f.qp, e.md.msg_id,
-                        first ? common::Status::kIoError
-                              : common::Status::kFlushed);
-    first = false;
+    complete_with_error(f.qp, msg_id, st);
+    st = common::Status::kFlushed;
   }
 }
 
@@ -551,12 +509,7 @@ std::size_t Nic::tx_unacked() const {
 void Nic::qp_reset(std::uint32_t qp) {
   TxFlow& f = tx_flow(qp);
   f.timer.cancel();
-  while (!f.unacked.empty()) {
-    const TxEntry e = f.unacked.front();
-    f.unacked.pop_front();
-    ++tstats_.flushed_wqes;
-    complete_with_error(qp, e.md.msg_id, common::Status::kFlushed);
-  }
+  flush_unacked(f, common::Status::kFlushed);
   f.state = QpState::kReset;
   f.retry_count = 0;
   f.rnr_count = 0;

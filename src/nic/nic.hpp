@@ -117,12 +117,11 @@ class Nic {
     return link_.credit_stalls(pcie::Direction::kUpstream);
   }
   std::uint64_t error_cqes() const { return error_cqes_; }
-  std::uint64_t read_retries() const { return read_retries_; }
   /// RC-transport counters (protocol side; the fabric holds the wire side).
   const net::TransportStats& transport_stats() const { return tstats_; }
 
   /// Shared fault-stat accumulator (the link's injector owns it); error
-  /// completions and read retries are counted there too when set.
+  /// completions and DMA-read retries are counted there when set.
   void set_fault_stats(fault::FaultStats* s) { fault_stats_ = s; }
 
  private:
@@ -131,11 +130,24 @@ class Nic {
   // Fabric-side.
   void on_fabric_packet(const net::NetPacket& pkt);
 
-  /// Injects a ready descriptor onto the fabric after tx processing.
+  /// A descriptor reached the NIC (PIO write or descriptor DMA read):
+  /// once its payload is here -- inline, or `payload_fetched` -- it is
+  /// injected after tx processing; otherwise its payload is fetched by a
+  /// DMA read (§2 step 3).
+  void descriptor_ready(const pcie::WireMd& md, bool payload_fetched = false);
+  /// Injects a ready descriptor onto the fabric.
   void inject(const pcie::WireMd& md);
-  void issue_dma_read(pcie::ReadRequest req, int attempts = 0);
-  void on_read_completion(const pcie::ReadRequest& req,
-                          const pcie::ReadCompletion& rc);
+  /// Outstanding DMA reads by MRd tag. A payload read carries the
+  /// descriptor it serves, kept across retries; `attempts` counts
+  /// reissues so far.
+  struct PendingRead {
+    pcie::ReadRequest req;
+    pcie::WireMd md;
+    int attempts = 0;
+  };
+  void issue_dma_read(PendingRead pr);
+  /// Removes and returns the outstanding read a CplD's tag answers.
+  PendingRead take_read(std::uint64_t tag);
   /// Fault recovery: handles a poisoned downstream TLP (error-forwarded
   /// after exhausted link replays).
   void on_poisoned_tlp(const pcie::Tlp& tlp);
@@ -149,7 +161,13 @@ class Nic {
   struct RxFlow;
   void on_data_packet(const net::NetPacket& pkt);
   /// Completion generation for one cumulatively-ACKed message (§2 step 5).
-  void complete_message(const pcie::WireMd& md);
+  void complete_message(TxFlow& f, const pcie::WireMd& md);
+  /// DMA-writes the CQE that retires `msg_id` and every unsignalled
+  /// predecessor on the flow's QP.
+  void write_cqe(TxFlow& f, std::uint64_t msg_id, common::Status status);
+  /// Completes every unacked message with PSN <= `psn`; returns whether
+  /// any was.
+  bool retire_through(TxFlow& f, std::uint64_t psn);
   void on_rc_ack(std::uint32_t qp, std::uint64_t psn);
   void on_rc_nak(std::uint32_t qp, std::uint64_t psn);
   void on_rnr_nak(std::uint32_t qp, std::uint64_t psn);
@@ -169,6 +187,9 @@ class Nic {
   /// head (the WQE whose retries exhausted) retires kIoError, the rest
   /// kFlushed.
   void qp_error(TxFlow& f);
+  /// Retires every unacked WQE with an error CQE: the head with `head`,
+  /// the rest kFlushed.
+  void flush_unacked(TxFlow& f, common::Status head);
   /// Responder-side control send (ACK/NAK/RNR-NAK/connect-ack) after
   /// `delay_ns` of NIC processing.
   void send_ctrl(net::NetPacket::Kind kind, std::uint32_t qp,
@@ -199,6 +220,9 @@ class Nic {
     /// Sent-but-not-cumulatively-ACKed packets, PSN order (go-back-N
     /// window).
     std::deque<TxEntry> unacked;
+    /// Retired-but-unsignalled ops awaiting the next CQE (unsignalled
+    /// completion moderation); kept across qp_reset.
+    std::uint32_t unsignalled = 0;
     int retry_count = 0;
     int rnr_count = 0;
     /// True while `timer` holds an RNR backoff (suppresses NAK-triggered
@@ -222,16 +246,7 @@ class Nic {
   std::map<std::pair<int, std::uint32_t>, RxFlow> rx_flows_;
   net::TransportStats tstats_;
 
-  /// Per-QP count of retired-but-unsignalled ops awaiting the next CQE.
-  std::map<std::uint32_t, std::uint32_t> pending_completes_;
-  /// Outstanding DMA reads by tag (attempts counts reissues so far).
-  struct PendingRead {
-    pcie::ReadRequest req;
-    int attempts = 0;
-  };
   std::map<std::uint64_t, PendingRead> pending_reads_;
-  /// Descriptors whose payload DMA read is in flight, by payload address.
-  std::map<std::uint64_t, pcie::WireMd> staged_payload_wait_;
   std::uint64_t next_tag_ = 1;
 
   fault::FaultStats* fault_stats_ = nullptr;
@@ -242,7 +257,6 @@ class Nic {
   std::uint64_t cqes_written_ = 0;
   std::uint64_t dma_reads_issued_ = 0;
   std::uint64_t error_cqes_ = 0;
-  std::uint64_t read_retries_ = 0;
 };
 
 }  // namespace bb::nic

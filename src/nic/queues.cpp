@@ -64,7 +64,7 @@ void HostMemory::commit_write(const pcie::Tlp& tlp, TimePs visible_at) {
   if (const auto* cqe = std::get_if<pcie::CqeWrite>(&tlp.content)) {
     const common::Status cqe_st =
         cqe->status != common::Status::kOk ? cqe->status : st;
-    tx_cqs_[cqe->qp].push(
+    tx_cq(cqe->qp).push(
         Cqe{cqe->msg_id, cqe->completes, 0, 0, visible_at, cqe_st});
   } else if (const auto* pl = std::get_if<pcie::PayloadWrite>(&tlp.content)) {
     payload_bytes_delivered_ += pl->bytes;

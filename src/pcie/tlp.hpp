@@ -52,9 +52,6 @@ struct WireMd {
   /// imm_data/header equivalent); protocol layers use it for control
   /// messages (e.g. rendezvous RTS/CTS/FIN).
   std::uint64_t user_data = 0;
-  std::uint64_t remote_addr = 0;
-  std::uint64_t host_md_addr = 0;       // where the MD lives (DMA path)
-  std::uint64_t host_payload_addr = 0;  // where the payload lives (DMA path)
 };
 
 // --- Semantic contents carried by TLPs ------------------------------------
@@ -91,16 +88,13 @@ struct PayloadWrite {
   WireOp op = WireOp::kSend;
 };
 
-/// NIC DMA-read request (MRd) for a host-resident MD or payload.
+/// NIC DMA-read request (MRd) for a host-resident MD or payload. The NIC
+/// matches the CplD to its read by the TLP tag, not by an address.
 struct ReadRequest {
   enum class What : std::uint8_t { kDescriptor, kPayload };
   What what = What::kDescriptor;
   std::uint32_t qp = 0;
-  std::uint64_t host_addr = 0;
   std::uint32_t bytes = 0;
-  /// Marks a read reissued after a poisoned completion (payload reads are
-  /// idempotent against host memory, so a retry is a plain re-read).
-  bool retry = false;
 };
 
 /// CplD answering a ReadRequest.
@@ -120,7 +114,6 @@ using TlpContent = std::variant<std::monostate, DoorbellWrite, DescriptorWrite,
 struct Tlp {
   TlpType type = TlpType::kMemWrite;
   Direction dir = Direction::kDownstream;
-  std::uint64_t address = 0;
   /// Payload size on the wire (the PIO post of an 8-byte message is one
   /// 64-byte chunk; a CQE is 64 bytes; an MRd carries no data).
   std::uint32_t bytes = 0;

@@ -107,10 +107,6 @@ net::TransportStats Cluster::net_stats() const {
   return merged;
 }
 
-std::string Cluster::net_report() const {
-  return net_stats().render("Transport report: " + cfg_.name);
-}
-
 void Cluster::publish_net_counters() {
   const net::TransportStats s = net_stats();
   for (const auto& [name, field] : net::kTransportStatsFields) {

@@ -100,7 +100,6 @@ class Cluster {
   /// Merged reliable-transport accounting: fabric wire fates + every
   /// node's RC protocol activity (docs/TRANSPORT.md).
   net::TransportStats net_stats() const;
-  std::string net_report() const;
   /// Exports the merged transport stats as `net.*` counters on node 0's
   /// profiler, mirroring publish_fault_counters().
   void publish_net_counters();

@@ -243,7 +243,6 @@ class Simulator {
   /// Runs while events exist and now() <= t, then runs the elided
   /// events up to t.
   void run_until(TimePs t);
-  void run_for(TimePs d) { run_until(now_ + d); }
   /// Runs until `pred()` becomes true (checked after each event) or the
   /// queue drains. Returns whether the predicate held.
   bool run_while_pending(const std::function<bool()>& pred);

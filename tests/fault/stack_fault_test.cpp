@@ -1,12 +1,14 @@
 // Whole-stack fault integration on the two-node testbed: a BER storm
 // under a real am_lat ping-pong, the fault-rate->0 bit-identity golden,
-// seeded repeatability under faults, and the terminal error path (a
-// killed descriptor surfacing as an error CQE at the endpoint).
+// seeded repeatability under faults, the terminal error path (a killed
+// descriptor surfacing as an error CQE at the endpoint) and the poisoned
+// payload read (retried, then failed once its retry budget is spent).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "benchlib/am_lat.hpp"
 #include "pcie/trace.hpp"
@@ -118,6 +120,70 @@ TEST(StackFault, KilledDescriptorSurfacesAsErrorCqe) {
   // The poisoned TLP was consumed by the NIC, never written to host memory.
   EXPECT_EQ(fs.poisoned_delivered, 0u);
   EXPECT_EQ(tb.node(0).link.replay_buffer_depth(), 0u);
+}
+
+// One 512 B non-inline am_short from node 0 whose payload-read CplDs
+// (node 0's downstream TLPs 2, 3, ... -- TLP 1 is the PIO descriptor) are
+// killed on the first `killed` attempts of the read. Returns the TX CQ
+// entries node 0's NIC wrote, polled straight from host memory.
+struct PoisonedPayloadRun {
+  std::vector<nic::Cqe> cqes;
+  fault::FaultStats stats;
+  std::uint64_t delivered_bytes = 0;
+  std::uint64_t msg_id = 0;
+};
+
+PoisonedPayloadRun run_poisoned_payload_read(int killed) {
+  fault::FaultConfig f;
+  f.max_replays = 1;
+  for (int i = 0; i < killed; ++i) {
+    f.scheduled.push_back({fault::OneShot::Kind::kKillTlp,
+                           fault::LinkDir::kDownstream,
+                           static_cast<std::uint64_t>(2 + i)});
+  }
+  scenario::Testbed tb(scenario::presets::thunderx2_cx4().with(f));
+  llp::Endpoint& ep = tb.add_endpoint(0);
+  tb.node(1).nic.post_receives(1);
+  PoisonedPayloadRun out;
+  tb.sim().spawn([](llp::Endpoint& e) -> sim::Task<void> {
+    EXPECT_EQ(co_await e.am_short(512), llp::Status::kOk);
+  }(ep));
+  tb.sim().run();
+  // The post took node 0's first message id; the next one is unused.
+  out.msg_id = tb.node(0).host.alloc_msg_id() - 1;
+  nic::CqRing& cq = tb.node(0).host.tx_cq(ep.qp());
+  while (auto e = cq.poll(tb.sim().now())) out.cqes.push_back(*e);
+  out.stats = tb.fault_stats();
+  out.delivered_bytes = tb.node(1).host.payload_bytes_delivered();
+  return out;
+}
+
+TEST(StackFault, PoisonedPayloadReadIsRetriedAndDelivered) {
+  // A poisoned payload CplD is not fatal: payload reads are idempotent,
+  // so the NIC re-reads, and the retried read still serves the same
+  // descriptor.
+  const PoisonedPayloadRun r = run_poisoned_payload_read(1);
+  EXPECT_EQ(r.stats.poisoned_tlps, 1u);
+  EXPECT_EQ(r.stats.read_retries, 1u);
+  EXPECT_EQ(r.stats.error_cqes, 0u);
+  EXPECT_EQ(r.delivered_bytes, 512u);
+  ASSERT_EQ(r.cqes.size(), 1u);
+  EXPECT_EQ(r.cqes[0].status, common::Status::kOk);
+  EXPECT_EQ(r.cqes[0].msg_id, r.msg_id);
+}
+
+TEST(StackFault, PoisonedPayloadReadFailsAfterRetryBudget) {
+  // Every attempt poisoned: after kMaxReadRetries re-reads the message is
+  // retired with one error CQE and never reaches the wire.
+  const PoisonedPayloadRun r = run_poisoned_payload_read(3);
+  EXPECT_EQ(r.stats.poisoned_tlps, 3u);
+  EXPECT_EQ(r.stats.read_retries, 2u);
+  EXPECT_EQ(r.stats.error_cqes, 1u);
+  EXPECT_EQ(r.delivered_bytes, 0u);
+  ASSERT_EQ(r.cqes.size(), 1u);
+  EXPECT_EQ(r.cqes[0].status, common::Status::kIoError);
+  EXPECT_EQ(r.cqes[0].msg_id, r.msg_id);
+  EXPECT_EQ(r.cqes[0].completes, 1u);
 }
 
 TEST(StackFault, TestbedDestroyedMidRecoveryWithdrawsArmedTimers) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "scenario/mpi_stack.hpp"
 #include "scenario/testbed.hpp"
 
@@ -181,6 +184,35 @@ TEST(Mpi, MessageRateWindowLoopSustains) {
   EXPECT_NEAR(per_op, 264.97, 264.97 * 0.03);
 }
 
+TEST(Mpi, WaitedRequestsAreRecycled) {
+  // Every request a waitall returns complete goes back to the worker, so
+  // a long message-rate loop reuses one window's worth of requests
+  // instead of growing by one per isend.
+  Testbed tb(scenario::presets::deterministic());
+  MpiStack s(tb, 0, /*signal_period=*/64);
+  constexpr int kWindows = 1000, kWindow = 64;
+  tb.node(1).nic.post_receives(kWindows * kWindow);
+  std::set<const Request*> seen;
+  tb.sim().spawn([](MpiStack& st, std::set<const Request*>& touched)
+                     -> sim::Task<void> {
+    std::vector<Request*> reqs;
+    for (int w = 0; w < kWindows; ++w) {
+      reqs.clear();
+      for (int i = 0; i < kWindow; ++i) {
+        reqs.push_back((co_await st.mpi().isend(8)).value());
+        touched.insert(reqs.back());
+      }
+      EXPECT_EQ(co_await st.mpi().waitall(reqs), common::Status::kOk);
+      // Still readable after the wait, until the next isend.
+      for (const Request* r : reqs) EXPECT_TRUE(r->complete);
+    }
+  }(s, seen));
+  tb.sim().run();
+  EXPECT_EQ(s.endpoint().posted(),
+            static_cast<std::uint64_t>(kWindows * kWindow));
+  EXPECT_LE(seen.size(), 2u * kWindow);
+}
+
 TEST(Mpi, WatchdogEndsAWaitNoMessageCompletes) {
   // An MpiComm built with a wait timeout returns kTimedOut from a wait
   // whose receive is never matched, instead of blocking forever.
@@ -199,6 +231,21 @@ TEST(Mpi, WatchdogEndsAWaitNoMessageCompletes) {
   EXPECT_EQ(st, common::Status::kTimedOut);
   EXPECT_GT(returned_ns, 5000.0);
   EXPECT_EQ(mpi.waits(), 0u);
+}
+
+TEST(Mpi, TimedOutRequestIsNotRecycled) {
+  // A wait that times out leaves its request incomplete and owned by the
+  // caller: the next irecv gets fresh storage.
+  Testbed tb(scenario::presets::deterministic());
+  MpiStack s(tb, 1);
+  MpiComm mpi(s.ucp(), /*wait_timeout_us=*/5.0);
+  tb.sim().spawn([](MpiComm& m) -> sim::Task<void> {
+    Request* r = m.irecv(8).value();
+    EXPECT_EQ(co_await m.wait(r), common::Status::kTimedOut);
+    EXPECT_FALSE(r->complete);
+    EXPECT_NE(m.irecv(8).value(), r);
+  }(mpi));
+  tb.sim().run();
 }
 
 }  // namespace

@@ -43,6 +43,7 @@ TEST(HostMemory, CqeWriteLandsInPerQpTxCq) {
   tlp.bytes = 64;
   tlp.content = pcie::CqeWrite{3, 42, 16};
   host.commit_write(tlp, 500_ns);
+  EXPECT_EQ(host.tx_cqes_present(), 1u);
   EXPECT_EQ(host.tx_cq(3).depth(), 1u);
   EXPECT_EQ(host.tx_cq(0).depth(), 0u);
   const auto e = host.tx_cq(3).poll(500_ns);
