@@ -61,17 +61,4 @@ class OsuColl {
   std::vector<std::vector<double>> ends_;
 };
 
-/// The two loops the OSU suite names: convenience wrappers.
-class OsuAllreduce : public OsuColl {
- public:
-  OsuAllreduce(coll::World& world, OsuCollConfig cfg)
-      : OsuColl(world, Kind::kAllreduce, cfg) {}
-};
-
-class OsuBcast : public OsuColl {
- public:
-  OsuBcast(coll::World& world, OsuCollConfig cfg)
-      : OsuColl(world, Kind::kBcast, cfg) {}
-};
-
 }  // namespace bb::bench

@@ -1,7 +1,9 @@
 #include "common/rng.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/lognormal_block.hpp"
@@ -32,46 +34,6 @@ NormalPair box_muller(double u1, double u2) {
   return std::exp(p.mu + p.sigma * z);
 }
 
-// --- Bounded approximations for lognormal_ps() ------------------------------
-//
-// Branch-free; their error bounds, against the libm results the exact path
-// computes, are in docs/SIM_ENGINE.md "Exact draws, fast". The polynomials
-// and exp are shared with the block kernels (lognormal_block.hpp); the
-// scalar reductions below pick by table where the kernels select per lane.
-
-// Table selects (namespace scope, so they are not rebuilt per call).
-constexpr double kFoldScale[2] = {1.0, 0.5};
-constexpr double kSinSign[4] = {1.0, 1.0, -1.0, -1.0};
-constexpr double kCosSign[4] = {1.0, -1.0, -1.0, 1.0};
-
-// ln(u) for a normal u > 0, with a small *relative* error also near u = 1.
-// u = m 2^e with m folded to [sqrt(1/2), sqrt(2)); then m - 1 is exact and
-// ln m = 2 atanh((m - 1)/(m + 1)).
-double approx_log(double u) {
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(u);
-  const std::uint64_t m_bits =
-      (bits & detail::kMantissaBits) | detail::kOneBits;
-  const int fold = m_bits >= detail::kSqrt2Bits ? 1 : 0;
-  const int e = static_cast<int>(bits >> 52) - 1023 + fold;
-  const double m = std::bit_cast<double>(m_bits) * kFoldScale[fold];
-  return static_cast<double>(e) * detail::kLn2 +
-         detail::two_atanh((m - 1.0) / (m + 1.0));
-}
-
-// {cos 2 pi u, sin 2 pi u} for u in [0, 1). q = 4u is exact, so is
-// f = q - k for the nearest integer k; x = f pi/2 lies in [-pi/4, pi/4],
-// where fdlibm's minimax kernels for sin and cos are within 2^-58. The
-// quadrant k mod 4 picks and signs sin x and cos x by table, not by branch.
-NormalPair approx_cos_sin_2pi(double u) {
-  const double q = 4.0 * u;
-  const double k = (q + detail::kRoundMagic) - detail::kRoundMagic;
-  const double x = (q - k) * detail::kHalfPi;
-  const double sc[2] = {detail::sin_kernel(x), detail::cos_kernel(x)};
-  const int quadrant = static_cast<int>(k) & 3;
-  const int swap = quadrant & 1;
-  return {kCosSign[quadrant] * sc[swap ^ 1], kSinSign[quadrant] * sc[swap]};
-}
-
 // Sets ps = from_ns(exp(y)) and returns true when the 2^-32 bracket
 // around the approximation rounds to a single count. v is within 5e-13
 // (relative) of the exact path's value, far inside the bracket, and
@@ -86,6 +48,23 @@ NormalPair approx_cos_sin_2pi(double u) {
   return false;
 }
 
+// The look-ahead's ring.
+using Ahead = detail::NormalLookahead;
+constexpr std::size_t kAheadPairs = Ahead::kPairs;
+constexpr std::size_t kAheadDraws = Ahead::kDraws;
+static_assert(std::has_single_bit(kAheadPairs) &&
+              kAheadPairs % Ahead::kVector == 0);
+
+std::size_t whole_vectors(std::size_t n) {
+  return (n + Ahead::kVector - 1) / Ahead::kVector * Ahead::kVector;
+}
+
+// Sets the look-ahead's variate at ring index d, and its repeat.
+void set_z(Ahead& a, std::size_t d, double z) {
+  a.z[d] = z;
+  if (d < Ahead::kBlockLanes) a.z[kAheadDraws + d] = z;
+}
+
 }  // namespace
 
 const std::array<double, 32> detail::kExp2Frac = [] {
@@ -98,6 +77,25 @@ Rng::Rng(std::uint64_t seed) : seed_(seed) {
   SplitMix64 sm(seed);
   for (auto& w : s_) w = sm.next();
 }
+
+Rng::Rng(const Rng& other) { *this = other; }
+
+Rng& Rng::operator=(const Rng& other) {
+  if (this != &other) {
+    seed_ = other.seed_;
+    s_ = other.s_;
+    spare_ = other.spare_;
+    spare_z_ = other.spare_z_;
+    spare_u1_ = other.spare_u1_;
+    spare_u2_ = other.spare_u2_;
+    exact_fallbacks_ = other.exact_fallbacks_;
+  }
+  if (other.cursor_ != other.end_) other.settle_into(*this);
+  cursor_ = end_ = 0;
+  return *this;
+}
+
+Rng::~Rng() = default;
 
 Rng Rng::fork() { return Rng(next_u64()); }
 
@@ -117,6 +115,7 @@ std::uint64_t Rng::uniform_u64(std::uint64_t n) {
 }
 
 double Rng::normal() {
+  settle();
   switch (spare_) {
     case Spare::kExact:
       spare_ = Spare::kNone;
@@ -150,40 +149,99 @@ double Rng::lognormal(const LognormalParams& p) {
   return lognormal_of(p, normal());
 }
 
-TimePs Rng::lognormal_ps(const LognormalParams& p) {
-  // The variate this draw uses: exact if the spare is, else approximated.
-  const Spare spare = spare_;
-  double z;
-  if (spare == Spare::kNone) {
-    spare_u1_ = uniform01_for_log();
-    spare_u2_ = uniform01();
-    const double r = std::sqrt(-2.0 * approx_log(spare_u1_));
-    const NormalPair unit = approx_cos_sin_2pi(spare_u2_);
-    z = r * unit.first;
-    spare_z_ = r * unit.second;
-    spare_ = Spare::kLazy;
-  } else {
-    z = spare_z_;
-    spare_ = Spare::kNone;
+// At an even cursor the stream stands before a pair; at an odd one, after
+// it, with its second variate held. The state steps there from the
+// snapshot before the pair's vector.
+void Rng::settle_into(Rng& to) const {
+  const Ahead& a = *ahead_;
+  const std::uint64_t pair = cursor_ / 2;
+  const std::size_t j = pair % kAheadPairs;
+  State s = a.vector_s[j / Ahead::kVector];
+  for (std::uint64_t p = pair - j % Ahead::kVector; p < (cursor_ + 1) / 2;
+       ++p) {
+    (void)word_for_log(s);
+    (void)next(s);
   }
-  TimePs ps;
-  if (bracketed_ps(p.mu + p.sigma * z, ps)) [[likely]] return ps;
-  ++exact_fallbacks_;
-  switch (spare) {
-    case Spare::kExact:
-      break;
-    case Spare::kLazy:
-      z = box_muller(spare_u1_, spare_u2_).second;
-      break;
-    case Spare::kNone: {
-      const NormalPair exact = box_muller(spare_u1_, spare_u2_);
-      z = exact.first;
-      spare_z_ = exact.second;
-      spare_ = Spare::kExact;
-      break;
+  to.s_ = s;
+  if (cursor_ % 2 == 0) {
+    to.spare_ = Spare::kNone;
+    return;
+  }
+  to.spare_u1_ = unit(a.w1[j]);
+  to.spare_u2_ = unit(a.w2[j]);
+  to.spare_z_ = a.z[cursor_ % kAheadDraws];
+  to.spare_ = Spare::kLazy;
+}
+
+void Rng::drop_ahead() {
+  settle_into(*this);
+  ahead_->next_refill = std::clamp(whole_vectors((cursor_ + 1) / 2),
+                                   Ahead::kVector, kAheadPairs);
+  cursor_ = end_ = 0;
+}
+
+void Rng::refill(std::size_t pairs) {
+  Ahead& a = *ahead_;
+  const std::uint64_t first = end_ / 2;
+  const std::uint64_t stop = first + pairs;
+  BB_ASSERT(pairs % Ahead::kVector == 0 && stop <= cursor_ / 2 + kAheadPairs);
+  State s = s_;
+  for (std::uint64_t pair = first; pair < stop; ++pair) {
+    const std::size_t j = pair % kAheadPairs;
+    if (j % Ahead::kVector == 0) a.vector_s[j / Ahead::kVector] = s;
+    a.w1[j] = word_for_log(s);
+    a.w2[j] = next(s);
+  }
+  s_ = s;
+  // The new pairs' variates, in one run of the ring or two, and the
+  // repeat of those the ring starts with.
+  const auto fill = [&a](std::size_t j, std::size_t count) {
+    detail::fill_normal_lanes(&a.w1[j], &a.w2[j], &a.z[2 * j], count);
+    const std::size_t end = std::min(2 * (j + count), Ahead::kBlockLanes);
+    if (2 * j < end) {
+      std::copy(&a.z[2 * j], &a.z[end], &a.z[kAheadDraws + 2 * j]);
     }
+  };
+  const std::size_t j0 = first % kAheadPairs;
+  const std::size_t run = std::min(pairs, kAheadPairs - j0);
+  fill(j0, run);
+  if (run < pairs) fill(0, pairs - run);
+  end_ = 2 * stop;
+}
+
+TimePs Rng::lognormal_ps(const LognormalParams& p) {
+  if (cursor_ == end_) [[unlikely]] {
+    if (spare_ != Spare::kNone) return draw_spare(p);
+    if (ahead_ == nullptr) ahead_ = std::make_unique<Ahead>();
+    refill(ahead_->next_refill);
+    ahead_->next_refill = std::min(2 * ahead_->next_refill, kAheadPairs);
   }
+  const std::size_t d = cursor_++ % kAheadDraws;
+  TimePs ps;
+  if (bracketed_ps(p.mu + p.sigma * ahead_->z[d], ps)) [[likely]] return ps;
+  return draw_exact(p, d);
+}
+
+TimePs Rng::draw_spare(const LognormalParams& p) {
+  const Spare spare = std::exchange(spare_, Spare::kNone);
+  TimePs ps;
+  if (bracketed_ps(p.mu + p.sigma * spare_z_, ps)) return ps;
+  ++exact_fallbacks_;
+  const double z = spare == Spare::kExact
+                       ? spare_z_
+                       : box_muller(spare_u1_, spare_u2_).second;
   return TimePs::from_ns(lognormal_of(p, z));
+}
+
+TimePs Rng::draw_exact(const LognormalParams& p, std::size_t d) {
+  ++exact_fallbacks_;
+  Ahead& a = *ahead_;
+  const NormalPair exact = box_muller(unit(a.w1[d / 2]), unit(a.w2[d / 2]));
+  if (d % 2 == 1) return TimePs::from_ns(lognormal_of(p, exact.second));
+  // The pair's second draw starts from the exact variate, as it would
+  // from a kExact spare.
+  set_z(a, d + 1, exact.second);
+  return TimePs::from_ns(lognormal_of(p, exact.first));
 }
 
 void Rng::lognormal_ps_block(std::span<const LognormalParams> cycle,
@@ -192,92 +250,67 @@ void Rng::lognormal_ps_block(std::span<const LognormalParams> cycle,
             n <= LognormalBlock::kCapacity);
   if (!block.holds(cycle)) block.hold(cycle);
   block.size_ = n;
-  block.entry_ = *this;
-  detail::LognormalLanes& lanes = block.lanes_;
-  // A held variate makes the first draw, into ps[0]; whole pairs make the
-  // rest, into ps[1 + d].
+  // A held spare (so no look-ahead) makes the first draw, into ps_[0].
   block.lead_ = spare_ != Spare::kNone && n > 0 ? 1 : 0;
-  if (block.lead_ == 1) lanes.ps[0] = lognormal_ps(cycle[0]);
-  const std::size_t draws = n - block.lead_;
-  const std::size_t pairs = (draws + 1) / 2;
-  State s = s_;
-  for (std::size_t j = 0; j < pairs; ++j) {
-    block.pair_s_[j] = s;
-    lanes.u1[j] = uniform01_for_log(s);
-    lanes.u2[j] = unit(next(s));
+  if (block.lead_ == 1) {
+    block.entry_ = *this;
+    block.ps_[0] = draw_spare(cycle[0]);
   }
-  block.pair_s_[pairs] = s;
-  s_ = s;
-  lanes.phase = block.lead_ % cycle.size();
+  const std::size_t draws = n - block.lead_;
+  if (end_ - cursor_ < draws) {
+    // As many pairs as the ring holds past the cursor's, in whole vectors.
+    if (ahead_ == nullptr) ahead_ = std::make_unique<Ahead>();
+    refill((cursor_ / 2 + kAheadPairs) / Ahead::kVector * Ahead::kVector -
+           end_ / 2);
+  }
+  block.start_ = cursor_;
   block.fallbacks_ = exact_fallbacks_;
   block.fell_count_ = 0;
-  if (block.kernels_(lanes, pairs, draws) > 0) [[unlikely]] {
+  if (draws == 0) return;
+  // Whole vectors of lanes from the cursor on, through the ring's repeat.
+  // Open lanes past the last draw only cost a look.
+  if (detail::fill_lognormal_lanes(
+          &block.mu_[block.lead_], &block.sigma_[block.lead_],
+          &ahead_->z[cursor_ % kAheadDraws], &block.ps_[1], block.open_.data(),
+          whole_vectors(draws)) > 0) [[unlikely]] {
     fix_open_lanes(block, draws);
   }
-  // An odd count leaves the last pair's second variate held.
-  if (draws % 2 == 1) hold_second(block, pairs - 1);
+  cursor_ += draws;
 }
 
 // Draws whose bracket is open, as lognormal_ps evaluates them: exactly.
 // After a pair's first draw falls back, its second starts from the exact
-// variate, as it would from a kExact spare, and is checked again.
+// variate and is checked again.
 void Rng::fix_open_lanes(LognormalBlock& block, std::size_t draws) {
-  const detail::LognormalLanes& lanes = block.lanes_;
-  TimePs* out = block.lanes_.ps.data() + 1;
-  const auto fell = [&](std::size_t d) {
+  TimePs* out = block.ps_.data() + 1;
+  const double* mu = block.mu_.data() + block.lead_;
+  const double* sigma = block.sigma_.data() + block.lead_;
+  const auto fall_back = [&](std::size_t d) {
     block.fell_[block.fell_count_++] = static_cast<std::uint16_t>(d);
-    ++exact_fallbacks_;
-  };
-  const auto params = [&](std::size_t d) {
-    return LognormalParams{lanes.mu[lanes.phase + d],
-                           lanes.sigma[lanes.phase + d]};
+    out[d] = draw_exact({mu[d], sigma[d]}, (block.start_ + d) % kAheadDraws);
   };
   for (std::size_t d = 0; d < draws; ++d) {
-    if (lanes.open[d] == 0) continue;
-    const NormalPair exact = box_muller(lanes.u1[d / 2], lanes.u2[d / 2]);
-    fell(d);
-    if (d % 2 == 1) {
-      out[d] = TimePs::from_ns(lognormal_of(params(d), exact.second));
-      continue;
-    }
-    out[d] = TimePs::from_ns(lognormal_of(params(d), exact.first));
-    if (++d == draws) break;
-    const LognormalParams second = params(d);
-    if (!bracketed_ps(second.mu + second.sigma * exact.second, out[d])) {
-      fell(d);
-      out[d] = TimePs::from_ns(lognormal_of(second, exact.second));
-    }
+    if (block.open_[d] == 0) continue;
+    fall_back(d);
+    if ((block.start_ + d) % 2 == 1 || d + 1 == draws) continue;
+    ++d;
+    const double y =
+        mu[d] + sigma[d] * ahead_->z[(block.start_ + d) % kAheadDraws];
+    if (!bracketed_ps(y, out[d])) fall_back(d);
   }
 }
 
 void Rng::rewind(const LognormalBlock& block, std::size_t k) {
   BB_ASSERT(k <= block.size_);
-  if (k == 0) {
+  BB_ASSERT_MSG(cursor_ == block.start_ + (block.size_ - block.lead_),
+                "the stream drew after the block");
+  if (k < block.lead_) {
     *this = block.entry_;
     return;
   }
   const std::size_t d = k - block.lead_;
   exact_fallbacks_ = block.fallbacks_ + block.fell_before(d);
-  if (d % 2 == 0) {
-    s_ = block.pair_s_[d / 2];
-    spare_ = Spare::kNone;
-  } else {
-    s_ = block.pair_s_[d / 2 + 1];
-    hold_second(block, d / 2);
-  }
-}
-
-void Rng::hold_second(const LognormalBlock& block, std::size_t j) {
-  const detail::LognormalLanes& lanes = block.lanes_;
-  if (block.fell_before(2 * j + 1) != block.fell_before(2 * j)) {
-    spare_z_ = box_muller(lanes.u1[j], lanes.u2[j]).second;
-    spare_ = Spare::kExact;
-  } else {
-    spare_u1_ = lanes.u1[j];
-    spare_u2_ = lanes.u2[j];
-    spare_z_ = lanes.z[2 * j + 1];
-    spare_ = Spare::kLazy;
-  }
+  cursor_ = block.start_ + d;
 }
 
 double Rng::exponential(double mean) {

@@ -9,6 +9,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 
 #include "common/units.hpp"
@@ -16,6 +17,9 @@
 namespace bb {
 
 class LognormalBlock;
+namespace detail {
+struct NormalLookahead;
+}
 
 /// Mixes a 64-bit seed into a well-distributed stream (used for seeding).
 struct SplitMix64 {
@@ -57,9 +61,17 @@ constexpr std::uint64_t derive_seed(std::uint64_t parent_seed,
 ///    stream is not touched and repeated calls return the same stream.
 ///    This is the only style permitted for cross-job forking in
 ///    `bb::exec` sweeps.
+///
+/// lognormal_ps draws its variates from a look-ahead of Box-Muller pairs
+/// (docs/SIM_ENGINE.md "Exact draws, fast"). Every other draw, and a copy,
+/// first settles the stream at the look-ahead's cursor, so the values and
+/// the stream are those of drawing one variate at a time. A move copies.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
+  Rng(const Rng& other);
+  Rng& operator=(const Rng& other);
+  ~Rng();
 
   /// The seed this stream was constructed from (pure forks key off it).
   std::uint64_t seed() const { return seed_; }
@@ -75,7 +87,10 @@ class Rng {
     return Rng(derive_seed(seed_, label));
   }
 
-  std::uint64_t next_u64() { return next(s_); }
+  std::uint64_t next_u64() {
+    settle();
+    return next(s_);
+  }
   /// Uniform in [0, 1) with 53 bits of precision.
   double uniform01() { return unit(next_u64()); }
   /// Uniform in [lo, hi).
@@ -108,8 +123,9 @@ class Rng {
   /// (docs/SIM_ENGINE.md "Exact draws, fast").
   void lognormal_ps_block(std::span<const LognormalParams> cycle,
                           std::size_t n, LognormalBlock& block);
-  /// Returns the stream to just after the first k draws of `block`, the
-  /// last block this stream drew, as k lognormal_ps calls would leave it.
+  /// Returns the stream to just after the first k draws of `block`, as k
+  /// lognormal_ps calls would leave it. `block` is the last draw this
+  /// stream made.
   void rewind(const LognormalBlock& block, std::size_t k);
   /// How many lognormal_ps() draws the bracket left open, so that they
   /// were evaluated exactly.
@@ -143,37 +159,67 @@ class Rng {
     s[3] = rotl(s[3], 45);
     return result;
   }
+  /// Uniform in [0, 1) from one word (the lane kernels compute the same).
   static double unit(std::uint64_t word) {
     return static_cast<double>(word >> 11) * 0x1.0p-53;
   }
-  /// Box-Muller's u1, kept away from 0 so its log is finite.
-  static double uniform01_for_log(State& s) {
-    double u1;
+  /// The word of Box-Muller's u1: one whose unit() is not 0 (so at least
+  /// 2^-53), so its log is finite.
+  static std::uint64_t word_for_log(State& s) {
+    std::uint64_t word;
     do {
-      u1 = unit(next(s));
-    } while (u1 <= 1e-300);
-    return u1;
+      word = next(s);
+    } while (word >> 11 == 0);
+    return word;
   }
-  double uniform01_for_log() { return uniform01_for_log(s_); }
+  double uniform01_for_log() {
+    settle();
+    return unit(word_for_log(s_));
+  }
 
-  /// Holds the second variate of `block`'s pair j as the spare, as the
-  /// pair's first lognormal_ps draw leaves it.
-  void hold_second(const LognormalBlock& block, std::size_t j);
+  /// Returns the stream to the look-ahead's cursor and empties the
+  /// look-ahead: what every draw but lognormal_ps does first.
+  void settle() {
+    if (cursor_ != end_) [[unlikely]] drop_ahead();
+  }
+  void drop_ahead();
+  /// Sets `to`'s stream and spare to this stream at its cursor.
+  void settle_into(Rng& to) const;
+  /// Draws `pairs` pairs after the look-ahead's last, a multiple of
+  /// NormalLookahead::kVector that keeps the ring within kPairs of the
+  /// cursor's pair.
+  void refill(std::size_t pairs);
+  /// lognormal_ps from the spare (there is no look-ahead).
+  TimePs draw_spare(const LognormalParams& p);
+  /// lognormal_ps from the look-ahead's variate at ring index d,
+  /// evaluated exactly.
+  TimePs draw_exact(const LognormalParams& p, std::size_t d);
   void fix_open_lanes(LognormalBlock& block, std::size_t draws);
 
   // The second variate of the last Box-Muller pair, until it is drawn.
   // kExact holds its value in spare_z_. kLazy holds the pair's uniforms
-  // and, in spare_z_, only an approximation (left by lognormal_ps); the
-  // exact value is computed when something needs it.
+  // and, in spare_z_, the variate lognormal_ps would use (an approximation
+  // unless the pair's first draw fell back); the exact value is computed
+  // when something needs it.
   enum class Spare : std::uint8_t { kNone, kExact, kLazy };
 
   std::uint64_t seed_ = 0;
+  // The stream after the look-ahead's last pair; with no look-ahead, the
+  // stream itself.
   State s_{};
+  // Only with no look-ahead (cursor_ == end_).
   Spare spare_ = Spare::kNone;
   double spare_z_ = 0.0;
   double spare_u1_ = 0.0;
   double spare_u2_ = 0.0;
   std::uint64_t exact_fallbacks_ = 0;
+  // A ring of NormalLookahead::kPairs pairs, allocated by the first
+  // lognormal_ps. Variates are counted from the last time it was empty;
+  // variate v is at ring index v % (2 kPairs), and [cursor_, end_) are not
+  // drawn yet.
+  std::unique_ptr<detail::NormalLookahead> ahead_;
+  std::uint64_t cursor_ = 0;
+  std::uint64_t end_ = 0;
 };
 
 }  // namespace bb

@@ -40,13 +40,6 @@ UcpWorker::Peer& UcpWorker::peer(int rank) {
   return *by_rank_[static_cast<std::size_t>(rank)];
 }
 
-bool UcpWorker::has_pending_work() const {
-  for (const auto& p : peers_) {
-    if (!p->pending_sends.empty() || p->has_rndv_work()) return true;
-  }
-  return false;
-}
-
 std::size_t UcpWorker::pending_sends() const {
   std::size_t n = 0;
   for (const auto& p : peers_) n += p->pending_sends.size();
@@ -94,6 +87,7 @@ sim::Task<common::Expected<Request*>> UcpWorker::tag_send_nb(
     const std::uint64_t seq = p.next_rndv_seq++;
     p.rndv_tx_waiting[seq] = req;
     p.pending_ctrl.push_back(header(Ctrl::kRts, seq));
+    ++queued_;
     co_await progress_rndv(p);
     co_return req;
   }
@@ -103,6 +97,7 @@ sim::Task<common::Expected<Request*>> UcpWorker::tag_send_nb(
     // Preserve ordering: once anything pends, later sends pend too.
     req->pending = true;
     p.pending_sends.push_back(req);
+    ++queued_;
   }
   co_return req;
 }
@@ -130,6 +125,7 @@ void UcpWorker::match(Peer& p, const nic::Cqe& cqe, Request* req) {
   }
   p.rndv_rx_waiting[seq_of(cqe.user_data)] = req;
   p.pending_ctrl.push_back(header(Ctrl::kCts, seq_of(cqe.user_data)));
+  ++queued_;
 }
 
 common::Expected<Request*> UcpWorker::tag_recv_nb(int peer_rank,
@@ -170,6 +166,7 @@ void UcpWorker::on_rx_completion(const nic::Cqe& cqe) {
       BB_ASSERT_MSG(it != p.rndv_tx_waiting.end(), "CTS for unknown rndv op");
       p.rndv_tx_ready.push_back(
           RndvData{it->first, it->second->bytes, it->second, false});
+      ++queued_;
       p.rndv_tx_waiting.erase(it);
       return;
     }
@@ -194,6 +191,7 @@ sim::Task<void> UcpWorker::progress_rndv(Peer& p) {
       co_return;  // TxQ full: retried on the next pass
     }
     p.pending_ctrl.pop_front();
+    --queued_;
   }
   // Rendezvous payload transfers: a one-sided put, then the FIN. The NIC
   // injects the inline FIN while it still fetches the put's payload, so
@@ -213,6 +211,7 @@ sim::Task<void> UcpWorker::progress_rndv(Peer& p) {
     op.req->complete = true;
     ++sends_completed_;
     p.rndv_tx_ready.pop_front();
+    --queued_;
   }
 }
 
@@ -225,20 +224,26 @@ sim::Task<std::uint32_t> UcpWorker::progress(const llp::IdleLoop* idle) {
 
   c.consume(c.costs().ucp_progress_iter);
 
-  // Retry pending sends (busy posts rescheduled by UCP, §6).
-  for (const auto& p : peers_) {
-    while (!p->pending_sends.empty()) {
-      Request* req = p->pending_sends.front();
-      if (co_await try_post(*p, req) != common::Status::kOk) break;
-      p->pending_sends.pop_front();
+  // Retry pending sends (busy posts rescheduled by UCP, §6). Each walk
+  // visits peers in rank order, and only while something is queued.
+  if (queued_ != 0) {
+    for (const auto& p : peers_) {
+      while (!p->pending_sends.empty()) {
+        Request* req = p->pending_sends.front();
+        if (co_await try_post(*p, req) != common::Status::kOk) break;
+        p->pending_sends.pop_front();
+        --queued_;
+      }
     }
   }
 
   const std::uint32_t n = co_await uct_worker_.progress(0, idle);
 
   // Drive rendezvous state machines unblocked by the completions above.
-  for (const auto& p : peers_) {
-    if (p->has_rndv_work()) co_await progress_rndv(*p);
+  if (queued_ != 0) {
+    for (const auto& p : peers_) {
+      if (p->has_rndv_work()) co_await progress_rndv(*p);
+    }
   }
 
   prof.end(r);

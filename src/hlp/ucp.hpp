@@ -102,8 +102,9 @@ class UcpWorker {
   }
 
   /// Whether any peer has queued work (busy-post retries, rendezvous
-  /// control or data) that the next progress pass drives.
-  bool has_pending_work() const;
+  /// control or data) that the next progress pass drives. O(1): a
+  /// parked wait loop asks it on every wake.
+  bool has_pending_work() const { return queued_ != 0; }
 
   std::size_t pending_sends() const;
   std::uint64_t sends_completed() const { return sends_completed_; }
@@ -177,6 +178,10 @@ class UcpWorker {
   // Connected peers in rank order, and the same records by rank.
   std::vector<std::unique_ptr<Peer>> peers_;
   std::vector<Peer*> by_rank_;
+
+  // Entries in every peer's pending_sends, pending_ctrl and
+  // rndv_tx_ready together.
+  std::size_t queued_ = 0;
 
   std::uint64_t next_seq_ = 1;
   std::uint64_t sends_completed_ = 0;

@@ -109,10 +109,6 @@ double PtPtModel::poll_gap_ns() const {
   return 0.5 * (c.ucp_progress_iter.mean_ns + c.llp_empty_progress.mean_ns);
 }
 
-double PtPtModel::wait_fixed_ns() const {
-  return cfg_.cpu.mpich_wait_fixed.mean_ns;
-}
-
 double PtPtModel::msg_ns(std::uint32_t m) const {
   return osend_ns(m) + transit_ns(m) + poll_gap_ns() + orecv_ns();
 }

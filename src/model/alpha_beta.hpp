@@ -41,8 +41,6 @@ class PtPtModel {
   /// Mean polling-loop quantization: a completion becomes visible mid
   /// progress pass and is noticed on the next one.
   double poll_gap_ns() const;
-  /// Per-blocking-wait fixed CPU (charged once per wait/waitall episode).
-  double wait_fixed_ns() const;
   /// Full one-way message time as an e2e latency bench would see it.
   double msg_ns(std::uint32_t m) const;
 

@@ -1,7 +1,5 @@
 #include "pcie/tlp.hpp"
 
-#include <cstdio>
-
 #include "common/assert.hpp"
 
 namespace bb::pcie {
@@ -26,20 +24,6 @@ std::string to_string(Direction d) {
       return "up";
   }
   BB_UNREACHABLE("bad Direction");
-}
-
-std::string Tlp::describe() const {
-  const char* what = "";
-  if (std::holds_alternative<DoorbellWrite>(content)) what = " DoorBell";
-  if (std::holds_alternative<DescriptorWrite>(content)) what = " PIO-MD";
-  if (std::holds_alternative<CqeWrite>(content)) what = " CQE";
-  if (std::holds_alternative<PayloadWrite>(content)) what = " payload";
-  if (std::holds_alternative<ReadRequest>(content)) what = " DMA-read";
-  if (std::holds_alternative<ReadCompletion>(content)) what = " DMA-data";
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s(%s) %uB%s", to_string(type).c_str(),
-                to_string(dir).c_str(), bytes, what);
-  return buf;
 }
 
 std::uint32_t data_credit_units(const Tlp& tlp) {

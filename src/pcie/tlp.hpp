@@ -125,8 +125,6 @@ struct Tlp {
   /// (nominally corrupt) content.
   bool poisoned = false;
   TlpContent content;
-
-  std::string describe() const;
 };
 
 /// Total data credits (in 16-byte units, 4 DW) a TLP consumes.

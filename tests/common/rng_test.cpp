@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <span>
 #include <utility>
@@ -130,14 +130,11 @@ TEST(Rng, SecondVariateIsExactAfterAFastDraw) {
 }
 
 TEST(Rng, BlockDrawIsSequentialLognormalPs) {
-  // For each build of the lane kernels the host can run -- the baseline
-  // one always, and the CPU's pick (the x86-64-v4 clone where the CPU has
-  // AVX-512) -- a block of n draws equals n lognormal_ps calls: values,
-  // exact_fallbacks() and the stream after, whatever the spare on entry.
-  // rewind(k) leaves the stream where k calls would.
-  const std::pair<const char*, LognormalBlock::Kernels> variants[] = {
-      {"baseline", &detail::fill_lognormal_lanes_baseline},
-      {"cpu pick", &detail::fill_lognormal_lanes}};
+  // A block of n draws equals n lognormal_ps calls: values,
+  // exact_fallbacks() and the stream after, whatever the spare or the
+  // look-ahead's cursor on entry. rewind(k) leaves the stream where k
+  // calls would. (Rng.LaneKernelBuildsAgree checks the baseline build of
+  // the kernels against the CPU's pick.)
   // 10.73 and 18 ns are the idle pass; 2400 ns falls back about once in
   // 1000 draws, 1e5 ns about once in 20, so now and then both draws of
   // a pair fall back.
@@ -175,48 +172,296 @@ TEST(Rng, BlockDrawIsSequentialLognormalPs) {
   constexpr std::size_t kStep = 17;
 #endif
   std::uint64_t block_fallbacks = 0;
-  for (const auto& [name, kernels] : variants) {
-    SCOPED_TRACE(name);
-    auto block = std::make_unique<LognormalBlock>(kernels);
-    std::uint64_t seed = 1;
-    for (const std::span<const Rng::LognormalParams> cycle : cycles) {
-      const std::size_t len = cycle.size();
-      for (const Entry entry :
-           {Entry::kNoSpare, Entry::kLazySpare, Entry::kExactSpare}) {
+  LognormalBlock block;
+  std::uint64_t seed = 1;
+  for (const std::span<const Rng::LognormalParams> cycle : cycles) {
+    const std::size_t len = cycle.size();
+    for (const Entry entry :
+         {Entry::kNoSpare, Entry::kLazySpare, Entry::kExactSpare}) {
+      // Draws before the block move the look-ahead's cursor through every
+      // position, so some blocks refill it and some do not.
+      for (const std::size_t ahead :
+           {std::size_t{0}, std::size_t{2}, std::size_t{17}, std::size_t{61},
+            std::size_t{100}, std::size_t{127}}) {
         for (std::size_t n = 0; n <= LognormalBlock::kCapacity; n += kStep) {
-          SCOPED_TRACE(testing::Message() << "cycle " << len << " entry "
-                                          << static_cast<int>(entry)
-                                          << " n " << n);
+          SCOPED_TRACE(testing::Message()
+                       << "cycle " << len << " entry "
+                       << static_cast<int>(entry) << " ahead " << ahead
+                       << " n " << n);
           ++seed;
-          Rng fast(seed), ref(seed);
-          enter(fast, entry);
-          enter(ref, entry);
+          Rng fast(seed), ref(seed), exact(seed);
+          const auto enter_ahead = [&](Rng& r) {
+            for (std::size_t i = 0; i < ahead; ++i) (void)r.lognormal_ps(check);
+            enter(r, entry);
+          };
+          enter_ahead(fast);
+          enter_ahead(ref);
+          enter_ahead(exact);
           const std::uint64_t before = fast.exact_fallbacks();
-          fast.lognormal_ps_block(cycle, n, *block);
+          fast.lognormal_ps_block(cycle, n, block);
           block_fallbacks += fast.exact_fallbacks() - before;
-          ASSERT_EQ(block->values().size(), n);
+          ASSERT_EQ(block.values().size(), n);
           for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(block->values()[i], ref.lognormal_ps(cycle[i % len]))
+            const Rng::LognormalParams& p = cycle[i % len];
+            ASSERT_EQ(block.values()[i], ref.lognormal_ps(p)) << "draw " << i;
+            ASSERT_EQ(block.values()[i], TimePs::from_ns(exact.lognormal(p)))
                 << "draw " << i;
           }
           same_stream(fast, ref);
           for (const std::size_t k : {std::size_t{0}, std::size_t{1}, n / 2,
                                       n / 2 + 1, n - 1}) {
             if (k > n) continue;
-            Rng back = fast, ref_k(seed);
-            back.rewind(*block, k);
-            enter(ref_k, entry);
+            // A copy holds no look-ahead to rewind: draw the block again.
+            Rng rewound(seed), ref_k(seed);
+            enter_ahead(rewound);
+            rewound.lognormal_ps_block(cycle, n, block);
+            rewound.rewind(block, k);
+            enter_ahead(ref_k);
             for (std::size_t i = 0; i < k; ++i) {
               (void)ref_k.lognormal_ps(cycle[i % len]);
             }
             SCOPED_TRACE(testing::Message() << "rewound to " << k);
-            same_stream(back, ref_k);
+            same_stream(rewound, ref_k);
           }
         }
       }
     }
   }
   EXPECT_GT(block_fallbacks, 0u);
+}
+
+TEST(Rng, SecondDrawAfterAFallbackBracketsTheExactVariate) {
+  // After a pair's first lognormal_ps draw falls back, the pair's second
+  // draw checks its bracket on the exact variate, as it would on an exact
+  // spare, not on the approximation. The two differ by about 1e-15, so
+  // the second draw's parameters are searched until the bracket's edge
+  // falls between them; then exact_fallbacks() tells them apart, through
+  // single draws, a block and a copy.
+  const Rng::LognormalParams first{-800.0, 0.0};  // |y| >= 700: exact
+  const auto closed = [](const Rng::LognormalParams& p, double z) {
+    const double v = detail::approx_exp(p.mu + p.sigma * z);
+    return TimePs::from_ns(v * detail::kBracketLo) ==
+           TimePs::from_ns(v * detail::kBracketHi);
+  };
+  int found = 0;
+  for (std::uint64_t seed = 1; seed <= 2000 && found < 20; ++seed) {
+    // A fresh stream's first pair is made of its first two words.
+    Rng words(seed);
+    const std::uint64_t w1 = words.next_u64();
+    const std::uint64_t w2 = words.next_u64();
+    ASSERT_NE(w1 >> 11, 0u);
+    std::array<double, 2> approx{};
+    detail::fill_normal_lanes(&w1, &w2, approx.data(), 1);
+    Rng twin(seed);
+    (void)twin.normal();
+    const double exact = twin.normal();
+    if (approx[1] == exact) continue;
+    // v = exp(mu + z) near 1 ns, where the bracket's upper end crosses
+    // from 999 ps to 1000 ps; mu steps by its ulp across that crossing.
+    const double z_mid = 0.5 * (approx[1] + exact);
+    Rng::LognormalParams second{
+        std::log(0.9995 / detail::kBracketHi) - z_mid, 1.0};
+    for (int i = 0; i < 512; ++i) {
+      second.mu = std::nextafter(second.mu, -1e9);
+    }
+    for (int i = 0; i < 1024; ++i) {
+      if (closed(second, exact) != closed(second, approx[1])) break;
+      second.mu = std::nextafter(second.mu, 1e9);
+    }
+    if (closed(second, exact) == closed(second, approx[1])) continue;
+    ++found;
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const std::uint64_t want = closed(second, exact) ? 1 : 2;
+    Rng single(seed);
+    (void)single.lognormal_ps(first);
+    (void)single.lognormal_ps(second);
+    EXPECT_EQ(single.exact_fallbacks(), want);
+    Rng blocked(seed);
+    const Rng::LognormalParams cycle[] = {first, second};
+    LognormalBlock block;
+    blocked.lognormal_ps_block(cycle, 2, block);
+    EXPECT_EQ(blocked.exact_fallbacks(), want);
+    Rng settled(seed);
+    (void)settled.lognormal_ps(first);
+    Rng copy = settled;
+    (void)copy.lognormal_ps(second);
+    EXPECT_EQ(copy.exact_fallbacks(), want);
+  }
+  EXPECT_GE(found, 10);
+}
+
+TEST(Rng, LaneKernelBuildsAgree) {
+  // The CPU's pick of the lane kernels (the x86-64-v4 clone where the CPU
+  // has AVX-512) computes the baseline build's bits: variates from words
+  // as the look-ahead draws them plus the edges of the log's fold and of
+  // the quadrants, and draws near exp's limits.
+  constexpr std::size_t kPairs = detail::NormalLookahead::kPairs;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  // The word whose unit() is k 2^-53.
+  const auto word = [](std::uint64_t k) { return k << 11; };
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 52;  // 0.5
+  const std::uint64_t fold = static_cast<std::uint64_t>(
+      0x1.6a09e667f3bcdp-1 * 0x1.0p53);  // sqrt(1/2)
+  const std::uint64_t edges[] = {1,        2,         fold - 1, fold,
+                                 fold + 1, kHalf,     kHalf / 2, 3 * kHalf / 2,
+                                 kHalf / 4, (kHalf << 1) - 1, 0};
+  Rng source(77);
+  for (int round = 0; round < 200; ++round) {
+    std::array<std::uint64_t, kPairs> w1{}, w2{};
+    for (std::size_t j = 0; j < kPairs; ++j) {
+      w1[j] = source.next_u64() | word(1);
+      w2[j] = source.next_u64();
+    }
+    if (round == 0) {
+      for (std::size_t j = 0; j < std::size(edges); ++j) {
+        w1[j] = word(edges[j] > 0 ? edges[j] : 1);
+        w2[j] = word(edges[j]);
+      }
+    }
+    const std::size_t pairs = 1 + static_cast<std::size_t>(round) % kPairs;
+    std::array<double, 2 * kPairs> z_pick{}, z_base{};
+    detail::fill_normal_lanes(w1.data(), w2.data(), z_pick.data(), pairs);
+    detail::fill_normal_lanes_baseline(w1.data(), w2.data(), z_base.data(),
+                                       pairs);
+    for (std::size_t d = 0; d < 2 * pairs; ++d) {
+      ASSERT_EQ(bits(z_pick[d]), bits(z_base[d])) << "round " << round;
+    }
+    std::array<double, 2 * kPairs> mu{}, sigma{};
+    for (std::size_t d = 0; d < 2 * pairs; ++d) {
+      // Means from 0.5 ns to 1e5 ns, a few near exp's limit of 700.
+      const double mean = 0.5 * std::pow(2e5, source.uniform01());
+      const Rng::LognormalParams p =
+          Rng::lognormal_params(mean, mean * 4.0 * source.uniform01() + 1e-3);
+      mu[d] = source.bernoulli(0.05) ? 699.0 * (source.bernoulli(0.5) ? 1 : -1)
+                                     : p.mu;
+      sigma[d] = p.sigma;
+    }
+    std::array<TimePs, 2 * kPairs> ps_pick{}, ps_base{};
+    std::array<std::int64_t, 2 * kPairs> open_pick{}, open_base{};
+    const std::int64_t opened_pick = detail::fill_lognormal_lanes(
+        mu.data(), sigma.data(), z_pick.data(), ps_pick.data(),
+        open_pick.data(), 2 * pairs);
+    const std::int64_t opened_base = detail::fill_lognormal_lanes_baseline(
+        mu.data(), sigma.data(), z_pick.data(), ps_base.data(),
+        open_base.data(), 2 * pairs);
+    ASSERT_EQ(opened_pick, opened_base) << "round " << round;
+    for (std::size_t d = 0; d < 2 * pairs; ++d) {
+      ASSERT_EQ(open_pick[d], open_base[d]) << "round " << round;
+      ASSERT_EQ(ps_pick[d], ps_base[d]) << "round " << round;
+    }
+  }
+}
+
+TEST(Rng, LookaheadReadsAsSequentialStream) {
+  // lognormal_ps at seeded random points, interleaved with every other
+  // kind of draw, with blocks and rewinds and with copies, reads as one
+  // stream: each value equals a twin's that draws every variate exactly,
+  // and exact_fallbacks() equals a third stream's that is settled before
+  // each lognormal_ps, so its look-ahead never runs past one draw.
+  const Rng::LognormalParams params[] = {
+      Rng::lognormal_params(10.73, 1.61), Rng::lognormal_params(18.0, 2.7),
+      Rng::lognormal_params(2400.0, 480.0), Rng::lognormal_params(1e5, 5e4),
+      Rng::lognormal_params(0.5, 1.5)};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto settle = [](Rng& r) {
+    const Rng copy = r;
+    r = copy;
+  };
+#ifdef NDEBUG
+  constexpr int kSteps = 200000;
+#else
+  constexpr int kSteps = 20000;
+#endif
+  Rng fast(5), exact(5), single(5);
+  Rng script(99);  // picks the operations, apart from the streams
+  LognormalBlock block;
+  std::uint64_t fallbacks = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    const std::uint64_t op = script.uniform_u64(20);
+    const Rng::LognormalParams& p = params[script.uniform_u64(5)];
+    if (op < 9) {
+      settle(single);
+      const TimePs want = TimePs::from_ns(exact.lognormal(p));
+      ASSERT_EQ(fast.lognormal_ps(p), want);
+      ASSERT_EQ(single.lognormal_ps(p), want);
+    } else if (op == 9) {
+      const std::uint64_t v = exact.next_u64();
+      ASSERT_EQ(fast.next_u64(), v);
+      ASSERT_EQ(single.next_u64(), v);
+    } else if (op == 10) {
+      const double v = exact.uniform(2.0, 3.0);
+      ASSERT_EQ(bits(fast.uniform(2.0, 3.0)), bits(v));
+      ASSERT_EQ(bits(single.uniform(2.0, 3.0)), bits(v));
+    } else if (op == 11) {
+      const std::uint64_t v = exact.uniform_u64(1000);
+      ASSERT_EQ(fast.uniform_u64(1000), v);
+      ASSERT_EQ(single.uniform_u64(1000), v);
+    } else if (op == 12) {
+      const double v = exact.normal(1.0, 2.0);
+      ASSERT_EQ(bits(fast.normal(1.0, 2.0)), bits(v));
+      ASSERT_EQ(bits(single.normal(1.0, 2.0)), bits(v));
+    } else if (op == 13) {
+      const double v = exact.lognormal(p);
+      ASSERT_EQ(bits(fast.lognormal(p)), bits(v));
+      ASSERT_EQ(bits(single.lognormal(p)), bits(v));
+    } else if (op == 14) {
+      const double v = exact.exponential(5.0);
+      ASSERT_EQ(bits(fast.exponential(5.0)), bits(v));
+      ASSERT_EQ(bits(single.exponential(5.0)), bits(v));
+    } else if (op == 15) {
+      const bool v = exact.bernoulli(0.5);
+      ASSERT_EQ(fast.bernoulli(0.5), v);
+      ASSERT_EQ(single.bernoulli(0.5), v);
+    } else if (op == 16) {
+      const std::uint64_t v = exact.fork().next_u64();
+      ASSERT_EQ(fast.fork().next_u64(), v);
+      ASSERT_EQ(single.fork().next_u64(), v);
+    } else if (op == 17) {
+      // A copy carries on as the original does; the original is kept.
+      Rng copy = fast;
+      Rng twin = exact;
+      ASSERT_EQ(copy.exact_fallbacks(), fast.exact_fallbacks());
+      for (int i = 0; i < 3; ++i) {
+        const Rng::LognormalParams& q = params[static_cast<std::size_t>(i)];
+        ASSERT_EQ(copy.lognormal_ps(q), TimePs::from_ns(twin.lognormal(q)));
+      }
+      if (script.bernoulli(0.5)) {
+        fast = copy;
+        exact = twin;
+        single = fast;
+      }
+    } else {
+      // A block of up to kCapacity draws over a cycle of one to three
+      // parameters, rewound to a random draw inside it.
+      const std::size_t len = 1 + script.uniform_u64(3);
+      const Rng::LognormalParams cycle[] = {p, params[1], params[2]};
+      const std::size_t n = script.uniform_u64(LognormalBlock::kCapacity + 1);
+      const std::size_t k = op == 18 ? n : script.uniform_u64(n + 1);
+      fast.lognormal_ps_block({cycle, len}, n, block);
+      if (k < n) fast.rewind(block, k);
+      for (std::size_t i = 0; i < n; ++i) {
+        // Past k, a copy of the twin checks the values rewound over.
+        const Rng::LognormalParams& q = cycle[i % len];
+        if (i == k) {
+          Rng twin = exact;
+          for (std::size_t j = k; j < n; ++j) {
+            ASSERT_EQ(block.values()[j],
+                      TimePs::from_ns(twin.lognormal(cycle[j % len])))
+                << "draw " << j << " of " << n << ", rewound to " << k;
+          }
+          break;
+        }
+        settle(single);
+        const TimePs want = TimePs::from_ns(exact.lognormal(q));
+        ASSERT_EQ(block.values()[i], want) << "draw " << i << " of " << n;
+        ASSERT_EQ(single.lognormal_ps(q), want);
+      }
+    }
+    ASSERT_EQ(fast.exact_fallbacks(), single.exact_fallbacks());
+    fallbacks = fast.exact_fallbacks();
+  }
+  EXPECT_GT(fallbacks, 0u);
 }
 
 TEST(Rng, LognormalMedianBelowMean) {

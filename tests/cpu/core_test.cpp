@@ -191,6 +191,80 @@ TEST(Core, ReplayDrawsExactlyAsConsume) {
   EXPECT_GT(block_fallbacks, 0u);
 }
 
+TEST(Core, AlternatingConsumeAndReplayReadAsOneStream) {
+  // One core alternates consume() of assorted costs (jittered, fixed,
+  // with a hiccup tail) and normal() draws with replay_until() over
+  // seeded random gaps, so its draws switch between the look-ahead's
+  // single draws, its blocks and rewinds, and settling it. Every cost and
+  // every replayed pass equals what a twin stream that draws each variate
+  // exactly gives, and exact_fallbacks() and busy_time() equal those of a
+  // core that consumes every pass.
+  const CpuCostModel model;
+  const CostSpec hiccup{40.0, 0.2, 0.05, 300.0};
+  const CostSpec* const assorted[] = {&model.mpich_isend, &model.md_setup,
+                                      &model.interrupt_wakeup, &hiccup,
+                                      &model.timer_read,
+                                      &model.pio_copy_64b};
+  const CostSpec* const idle[] = {&model.ucp_progress_iter,
+                                  &model.llp_empty_progress};
+  const auto expected = [](const CostSpec& c, Rng& exact) {
+    return c.body_only_jitter()
+               ? TimePs::from_ns(exact.lognormal(c.lognormal()))
+               : c.sample(exact);
+  };
+  const double pass_ns = idle[0]->mean_ns + idle[1]->mean_ns;
+#ifdef NDEBUG
+  constexpr int kSteps = 20000;
+#else
+  constexpr int kSteps = 2000;
+#endif
+  sim::Simulator sim_a(7), sim_b(7);
+  Core a(sim_a, model);  // consumes and replays
+  Core b(sim_b, model);  // consumes every pass
+  Rng exact = a.rng();
+  Rng script(3);
+  TimePs start = TimePs::zero();
+  std::uint64_t replayed = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    const std::uint64_t op = script.uniform_u64(8);
+    if (op < 5) {
+      const CostSpec& c = *assorted[script.uniform_u64(std::size(assorted))];
+      const TimePs want = expected(c, exact);
+      ASSERT_EQ(a.consume(c), want);
+      ASSERT_EQ(b.consume(c), want);
+    } else if (op == 5) {
+      const double want = exact.normal();
+      ASSERT_EQ(a.rng().normal(), want);
+      ASSERT_EQ(b.rng().normal(), want);
+    } else {
+      const TimePs until =
+          start + TimePs::from_ns(script.uniform(0.0, 150.0) * pass_ns);
+      const bool inclusive = script.bernoulli(0.5);
+      std::uint64_t passes = 0;
+      const TimePs next = a.replay_until(idle, start, until, inclusive, passes);
+      std::uint64_t want_passes = 0;
+      while (start < until || (inclusive && start == until)) {
+        TimePs pass = TimePs::zero();
+        for (const CostSpec* c : idle) {
+          const TimePs d = expected(*c, exact);
+          ASSERT_EQ(b.consume(*c), d);
+          pass += d;
+        }
+        start += pass;
+        ++want_passes;
+      }
+      ASSERT_EQ(next, start);
+      ASSERT_EQ(passes, want_passes);
+      replayed += passes;
+    }
+    ASSERT_EQ(a.rng().exact_fallbacks(), b.rng().exact_fallbacks());
+    ASSERT_EQ(a.busy_time(), b.busy_time());
+  }
+  EXPECT_GT(replayed, static_cast<std::uint64_t>(kSteps));
+  EXPECT_GT(a.rng().exact_fallbacks(), 0u);
+}
+
 TEST(Core, ReplayUntilTieRule) {
   // Fixed 100 ns passes from t=0: a wake at 300 ns replays the pass that
   // starts exactly there only when the tie is inclusive.

@@ -65,6 +65,111 @@ TEST(Ucp, BusyPostPendsAndProgressRetries) {
   EXPECT_EQ(s.endpoint().posted(), 2u);
 }
 
+TEST(Ucp, PendingWorkCountsBusyPosts) {
+  auto cfg = scenario::presets::deterministic();
+  cfg.endpoint.txq_depth = 1;
+  Testbed tb(cfg);
+  MpiStack s(tb, 0, /*signal_period=*/1);
+  tb.node(1).nic.post_receives(8);
+  tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
+    EXPECT_FALSE(st.ucp().has_pending_work());
+    (void)co_await st.ucp().tag_send_nb(1, 8);
+    EXPECT_FALSE(st.ucp().has_pending_work());
+    Request* b = (co_await st.ucp().tag_send_nb(1, 8)).value();
+    Request* c = (co_await st.ucp().tag_send_nb(1, 8)).value();
+    EXPECT_EQ(st.ucp().pending_sends(), 2u);
+    EXPECT_TRUE(st.ucp().has_pending_work());
+    for (int i = 0; i < 100000 && !b->complete; ++i) {
+      co_await st.ucp().progress();
+    }
+    EXPECT_TRUE(st.ucp().has_pending_work());  // c still pends
+    for (int i = 0; i < 100000 && !c->complete; ++i) {
+      co_await st.ucp().progress();
+    }
+    EXPECT_TRUE(c->complete);
+    EXPECT_FALSE(st.ucp().has_pending_work());
+  }(s));
+  tb.sim().run();
+  EXPECT_EQ(s.endpoint().posted(), 3u);
+}
+
+TEST(Ucp, PendingWorkCountsQueuedRts) {
+  // With one TxQ slot, taken by an eager send, the RTS of a rendezvous
+  // send stays queued until a progress pass can post it.
+  auto cfg = scenario::presets::deterministic();
+  cfg.endpoint.txq_depth = 1;
+  Testbed tb(cfg);
+  MpiStack tx(tb, 0, 1);
+  MpiStack rx(tb, 1, 1);
+  tb.node(0).nic.post_receives(64);
+  tb.node(1).nic.post_receives(64);
+  tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
+    (void)co_await st.ucp().tag_send_nb(1, 8);
+    Request* r = (co_await st.ucp().tag_send_nb(1, 4096)).value();
+    EXPECT_EQ(st.ucp().pending_sends(), 0u);
+    EXPECT_TRUE(st.ucp().has_pending_work());
+    for (int i = 0; i < 100000 && !r->complete; ++i) {
+      co_await st.ucp().progress();
+    }
+    EXPECT_TRUE(r->complete);
+    EXPECT_FALSE(st.ucp().has_pending_work());
+  }(tx));
+  tb.sim().spawn([](MpiStack& st) -> sim::Task<void> {
+    Request* eager = st.ucp().tag_recv_nb(0, 8).value();
+    Request* rndv = st.ucp().tag_recv_nb(0, 4096).value();
+    for (int i = 0; i < 100000 && !(eager->complete && rndv->complete); ++i) {
+      co_await st.ucp().progress();
+    }
+    EXPECT_TRUE(rndv->complete);
+    EXPECT_FALSE(st.ucp().has_pending_work());
+  }(rx));
+  tb.sim().run();
+  EXPECT_EQ(tb.node(1).host.payload_bytes_delivered(), 8u + 4096u + 16u);
+}
+
+TEST(Ucp, PendingWorkCountsQueuedCtsAndRendezvousData) {
+  // One TxQ slot per side. The receiver's slot holds its own eager send
+  // when the RTS lands, so its CTS queues; the sender's slot holds the
+  // payload put when the FIN is due (or the RTS when the put is), so its
+  // rendezvous data queues. Neither side has a pending send, so the
+  // queued work is that control message and that data transfer.
+  auto cfg = scenario::presets::deterministic();
+  cfg.endpoint.txq_depth = 1;
+  Testbed tb(cfg);
+  MpiStack tx(tb, 0, 1);
+  MpiStack rx(tb, 1, 1);
+  tb.node(0).nic.post_receives(64);
+  tb.node(1).nic.post_receives(64);
+  bool data_queued = false;
+  bool cts_queued = false;
+  tb.sim().spawn([](MpiStack& st, bool& queued) -> sim::Task<void> {
+    Request* r = (co_await st.ucp().tag_send_nb(1, 4096)).value();
+    EXPECT_FALSE(st.ucp().has_pending_work());  // the RTS went out
+    for (int i = 0; i < 100000 && !r->complete; ++i) {
+      co_await st.ucp().progress();
+      EXPECT_EQ(st.ucp().pending_sends(), 0u);
+      queued = queued || st.ucp().has_pending_work();
+    }
+    EXPECT_TRUE(r->complete);
+    EXPECT_FALSE(st.ucp().has_pending_work());
+  }(tx, data_queued));
+  tb.sim().spawn([](MpiStack& st, bool& queued) -> sim::Task<void> {
+    Request* r = st.ucp().tag_recv_nb(0, 4096).value();
+    (void)co_await st.ucp().tag_send_nb(0, 8);
+    for (int i = 0; i < 100000 && !r->complete; ++i) {
+      co_await st.ucp().progress();
+      EXPECT_EQ(st.ucp().pending_sends(), 0u);
+      queued = queued || st.ucp().has_pending_work();
+    }
+    EXPECT_TRUE(r->complete);
+    EXPECT_FALSE(st.ucp().has_pending_work());
+  }(rx, cts_queued));
+  tb.sim().run();
+  EXPECT_TRUE(cts_queued);
+  EXPECT_TRUE(data_queued);
+  EXPECT_EQ(tb.node(1).host.payload_bytes_delivered(), 4096u + 16u);
+}
+
 TEST(Ucp, PendingSendsPreserveOrder) {
   auto cfg = scenario::presets::deterministic();
   cfg.endpoint.txq_depth = 1;
