@@ -18,10 +18,11 @@ int main(int argc, char** argv) {
   bbench::header("bench_ablation_memory_model -- weak ordering vs TSO",
                  "§4.1's barrier discussion (design ablation)");
 
-  const auto arm = core::ComponentTable::from_config(
-      scenario::presets::thunderx2_cx4());
-  const auto tso = core::ComponentTable::from_config(
-      scenario::presets::tso_cpu());
+  const scenario::SystemConfig arm_cfg = scenario::presets::thunderx2_cx4();
+  const scenario::SystemConfig tso_cfg =
+      arm_cfg.with(scenario::overlays::tso_cpu());
+  const auto arm = core::ComponentTable::from_config(arm_cfg);
+  const auto tso = core::ComponentTable::from_config(tso_cfg);
 
   std::printf("%-22s %12s %12s\n", "", "aarch64", "TSO");
   std::printf("%-22s %12.2f %12.2f\n", "LLP_post (ns)", arm.llp_post(),
@@ -36,9 +37,8 @@ int main(int argc, char** argv) {
   // Execute both machines, one job each.
   const auto res = exec::run_sweep(
       exec::sweep<bool>({false, true}),
-      [](bool use_tso, exec::Job&) {
-        scenario::Testbed tb(use_tso ? scenario::presets::tso_cpu()
-                                     : scenario::presets::thunderx2_cx4());
+      [&](bool use_tso, exec::Job&) {
+        scenario::Testbed tb(use_tso ? tso_cfg : arm_cfg);
         bench::PutBwBenchmark b(tb, {.messages = 6000, .warmup = 600});
         return b.run().nic_deltas.summarize().mean;
       },

@@ -74,11 +74,14 @@ int main(int argc, char** argv) {
             return observed_latency_ns(scenario::presets::thunderx2_cx4());
           case 2:
             return observed_injection_ns(
-                scenario::presets::fast_device_memory(15.0));
+                scenario::presets::thunderx2_cx4().with(
+                    scenario::overlays::fast_device_memory(15.0)));
           case 3:
-            return observed_latency_ns(scenario::presets::integrated_nic(0.5));
+            return observed_latency_ns(scenario::presets::thunderx2_cx4().with(
+                scenario::overlays::integrated_nic(0.5)));
           default:
-            return observed_latency_ns(scenario::presets::genz_switch(30.0));
+            return observed_latency_ns(scenario::presets::thunderx2_cx4().with(
+                scenario::overlays::genz_switch(30.0)));
         }
       },
       bbench::exec_options(argc, argv));

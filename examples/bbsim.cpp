@@ -25,7 +25,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -46,19 +45,20 @@ using namespace bb;
 
 namespace {
 
-std::map<std::string, std::function<scenario::SystemConfig()>> presets() {
-  using namespace scenario::presets;
-  return {
-      {"thunderx2-cx4", [] { return thunderx2_cx4(); }},
-      {"deterministic", [] { return deterministic(); }},
-      {"integrated-nic", [] { return integrated_nic(0.5); }},
-      {"fast-device-memory", [] { return fast_device_memory(); }},
-      {"genz-switch", [] { return genz_switch(); }},
-      {"pam4-fec-wire", [] { return pam4_fec_wire(); }},
-      {"tofu-d-like", [] { return tofu_d_like(); }},
-      {"doorbell-dma", [] { return doorbell_dma_path(); }},
-      {"unsignaled-completions", [] { return unsignaled_completions(); }},
-  };
+/// Every machine bbsim runs, by scenario name: the testbed alone, or with
+/// one overlay, whose label names it.
+std::map<std::string, scenario::SystemConfig> presets() {
+  namespace ov = scenario::overlays;
+  const scenario::SystemConfig base = scenario::presets::thunderx2_cx4();
+  std::map<std::string, scenario::SystemConfig> reg{{base.name, base}};
+  for (const ov::Overlay& o :
+       {ov::deterministic(), ov::integrated_nic(0.5), ov::fast_device_memory(),
+        ov::genz_switch(), ov::pam4_fec_wire(), ov::tofu_d_like(),
+        ov::doorbell_dma(), ov::unsignaled_completions()}) {
+    scenario::SystemConfig cfg = base.with(o);
+    reg.emplace(cfg.name, std::move(cfg));
+  }
+  return reg;
 }
 
 int usage(const char* argv0) {
@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
     const auto res = exec::run_sweep(
         exec::sweep(names),
         [&](const std::string& name, exec::Job&) {
-          return run_metric(metric, reg.at(name)(), *n);
+          return run_metric(metric, reg.at(name), *n);
         },
         opts);
     std::fprintf(stderr, "[exec] %s\n", res.summary().c_str());
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
                  preset.c_str(), argv[0]);
     return 2;
   }
-  const auto cfg = it->second();
+  const auto& cfg = it->second;
   const auto parsed_count = argc > 3 ? parse_count(argv[3]) : std::uint64_t{0};
   if (!parsed_count) return usage(argv[0]);
   const std::uint64_t count = *parsed_count;

@@ -81,9 +81,12 @@ int main() {
               "halo messages per iteration, %.0f us compute per iteration\n\n",
               kIterations, kHaloCells, kComputeTime.to_ns() / 1e3);
 
-  const StencilResult base = run(scenario::presets::thunderx2_cx4());
-  const StencilResult fast_pio = run(scenario::presets::fast_device_memory());
-  const StencilResult soc = run(scenario::presets::integrated_nic(0.5));
+  const scenario::SystemConfig testbed = scenario::presets::thunderx2_cx4();
+  const StencilResult base = run(testbed);
+  const StencilResult fast_pio =
+      run(testbed.with(scenario::overlays::fast_device_memory()));
+  const StencilResult soc =
+      run(testbed.with(scenario::overlays::integrated_nic(0.5)));
 
   std::printf("%-28s %16s %16s\n", "machine", "iter time (us)",
               "per-msg (ns)");

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <mutex>
 #include <thread>
 
@@ -51,34 +50,12 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-/// Per-worker job queue. The owner pops from the front (its share was
-/// enqueued in grid order, so it advances through "its" indices in
-/// order); thieves steal from the back, taking the work the owner would
-/// reach last. A plain mutex per deque is plenty: jobs are whole
-/// simulations (milliseconds to seconds), so queue traffic is cold.
-struct WorkerQueue {
-  std::mutex mu;
-  std::deque<std::size_t> jobs;
-
-  bool pop_front(std::size_t& out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (jobs.empty()) return false;
-    out = jobs.front();
-    jobs.pop_front();
-    return true;
-  }
-  bool steal_back(std::size_t& out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (jobs.empty()) return false;
-    out = jobs.back();
-    jobs.pop_back();
-    return true;
-  }
-};
-
 struct BatchState {
   const Batch* batch = nullptr;
-  std::vector<WorkerQueue> queues;
+  // The lowest grid index no worker has claimed yet. Jobs are whole
+  // simulations (milliseconds to seconds), so one shared counter balances
+  // the load without contention.
+  std::atomic<std::size_t> next{0};
   std::atomic<bool> cancel{false};
   bool fail_fast = true;
 
@@ -86,8 +63,6 @@ struct BatchState {
   // reported error does not depend on completion order.
   std::mutex error_mu;
   std::vector<std::pair<std::size_t, std::exception_ptr>> errors;
-
-  explicit BatchState(int workers) : queues(workers) {}
 
   void run_one(std::size_t i, int worker) {
     JobStats& stats = (*batch->stats)[i];
@@ -109,13 +84,10 @@ struct BatchState {
   }
 
   void worker_loop(int self) {
-    const int n = static_cast<int>(queues.size());
-    std::size_t i;
-    // Drain own queue first, then sweep the others for leftovers.
-    while (queues[self].pop_front(i)) run_one(i, self);
-    for (int hop = 1; hop < n; ++hop) {
-      WorkerQueue& victim = queues[(self + hop) % n];
-      while (victim.steal_back(i)) run_one(i, self);
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= batch->count) return;
+      run_one(i, self);
     }
   }
 };
@@ -131,16 +103,11 @@ void run_batch(const Batch& batch, const Options& opts) {
   if (batch.jobs_used != nullptr) *batch.jobs_used = jobs;
 
   const auto t0 = Clock::now();
-  BatchState state(jobs);
+  // Workers claim jobs in grid order; which worker runs a job never
+  // changes what it computes.
+  BatchState state;
   state.batch = &batch;
   state.fail_fast = opts.fail_fast;
-
-  // Round-robin initial distribution: worker w owns indices w, w+J,
-  // w+2J, ... Grid order is preserved within each queue, and stealing
-  // only rebalances who *executes* a job -- never what it computes.
-  for (std::size_t i = 0; i < batch.count; ++i) {
-    state.queues[i % jobs].jobs.push_back(i);
-  }
 
   if (jobs == 1) {
     state.worker_loop(0);

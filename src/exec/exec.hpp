@@ -5,8 +5,8 @@
 // from *hundreds of independent simulations*: every figure sweep, every
 // ablation axis, every fault BER point, every rank count is its own
 // seeded run. `bb::exec` shards that experiment space across cores with
-// a work-stealing thread pool while keeping results **bit-identical** to
-// a serial run:
+// a thread pool whose workers claim grid indices from one shared counter,
+// while keeping results **bit-identical** to a serial run:
 //
 //  * a job is an index into a declaratively expanded grid; its seed is a
 //    pure function of (sweep seed, grid index) -- never of execution
@@ -93,7 +93,7 @@ class Job {
 
 namespace detail {
 
-/// Type-erased batch executor (the work-stealing pool lives in exec.cpp).
+/// Type-erased batch executor (the thread pool lives in exec.cpp).
 /// `run_job(i)` must be safe to call concurrently for distinct `i`.
 struct Batch {
   std::size_t count = 0;

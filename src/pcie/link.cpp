@@ -16,10 +16,7 @@ Link::Link(sim::Simulator& sim, LinkParams params, Analyzer* tap,
             &on_replay_timeout<Direction::kDownstream>, this),
       up_(sim, up_credits, &depart_elided_ack<Direction::kUpstream>,
           &arrive_elided_update<Direction::kUpstream>,
-          &on_replay_timeout<Direction::kUpstream>, this) {
-  sim_.spawn(pump(Direction::kDownstream), "pcie-downstream-pump");
-  sim_.spawn(pump(Direction::kUpstream), "pcie-upstream-pump");
-}
+          &on_replay_timeout<Direction::kUpstream>, this) {}
 
 void Link::send_downstream(Tlp tlp) {
   tlp.dir = Direction::kDownstream;
@@ -33,7 +30,9 @@ void Link::send_upstream(Tlp tlp) {
 
 void Link::post(Direction dir, Tlp tlp) {
   tlp.dir = dir;
-  dir_state(dir).posted.send(std::move(tlp));
+  DirState& st = dir_state(dir);
+  st.posted.push_back(std::move(tlp));
+  if (!st.credit_waiter) issue(dir);
 }
 
 void Link::release_credits(const Tlp& tlp) {
@@ -41,37 +40,39 @@ void Link::release_credits(const Tlp& tlp) {
   transmit_dllp(opposite(tlp.dir), dir_state(tlp.dir).ledger.release_for(tlp));
 }
 
-sim::Task<void> Link::pump(Direction dir) {
+void Link::issue(Direction dir) {
   DirState& st = dir_state(dir);
   // This direction's UpdateFCs travel the other way.
   DirState& back = dir_state(opposite(dir));
-  for (;;) {
-    Tlp tlp = co_await st.posted.receive();
+  // Cleared first: settling an UpdateFC below must not re-enter.
+  st.credit_waiter = false;
+  while (!st.posted.empty()) {
+    const Tlp& tlp = st.posted.front();
     // §2: a transaction may be issued only with sufficient credits;
     // otherwise wait for an UpdateFC from the receiver. Elided UpdateFCs
-    // that have arrived are applied first; while the pump waits, they
-    // are events.
+    // that have arrived are applied first; while a post waits, they are
+    // events.
     back.updates.settle();
-    while (!st.credits.can_send(tlp)) {
+    if (!st.credits.can_send(tlp)) {
       BB_ASSERT_MSG(st.credits.fits(tlp),
                     "TLP needs more credits than its class's budget");
       ++st.credit_stalls;
-      back.updates.settle();
-      back.updates.promote();
+      back.updates.promote();  // settled just above
       st.credit_waiter = true;
-      co_await st.credit_avail.wait();
+      return;
     }
-    st.credit_waiter = false;
     st.credits.consume(tlp);
     ++st.issued;
-    transmit_tlp(dir, std::move(tlp));
+    transmit_tlp(dir, std::move(st.posted.front()));
+    st.posted.pop_front();
   }
 }
 
 void Link::on_update_fc(Direction dir, const Dllp& fc) {
-  DirState& sender = dir_state(opposite(dir));
-  sender.credits.replenish(fc);
-  sender.credit_avail.fire();
+  const Direction sender = opposite(dir);
+  DirState& st = dir_state(sender);
+  st.credits.replenish(fc);
+  if (st.credit_waiter) issue(sender);
 }
 
 void Link::transmit_tlp(Direction dir, Tlp tlp) {
@@ -248,7 +249,7 @@ void Link::transmit_dllp(Direction dir, Dllp d) {
       in_order_arrival(st, depart + params_.dllp_latency());
 
   // Fault-free, the arrival has an observer only in a downstream tap or
-  // a pump waiting for this UpdateFC's credits.
+  // a post waiting for this UpdateFC's credits.
   if (!faults_on() && !(dir == Direction::kDownstream && tapped()) &&
       !(d.type == DllpType::kUpdateFC &&
         dir_state(opposite(dir)).credit_waiter)) {

@@ -24,20 +24,23 @@
 //
 // Flow control (§2, §4.2: "the RC can generate transactions only if it
 // has credits"): each direction holds its sender's credits. Endpoints
-// post() MWr/MRd TLPs, and a per-direction pump issues them in order as
-// credits allow; the receiver hands them back with release_credits(),
-// which sends an UpdateFC carrying cumulative totals. Its arrival refills
-// the sender's credits here: endpoints never see DLLPs.
+// post() MWr/MRd TLPs; a post with credits is transmitted in place, in the
+// posting event, and one without joins the direction's queue. The
+// receiver hands credits back with release_credits(), which sends an
+// UpdateFC carrying cumulative totals. Its arrival refills the sender's
+// credits here and, inside that arrival event, issues the queued TLPs
+// they now cover: endpoints never see DLLPs, and the link runs no
+// process of its own.
 //
 // Elided DLLPs (docs/SIM_ENGINE.md "Elided events"): a DLLP gets an event
 // only when something observes it at that instant -- a fault injector,
-// an enabled analyzer, or a pump waiting for the credits an UpdateFC
-// returns. Otherwise a fault-free Ack's processing delay becomes a
-// pending departure, settled into the transmitter before its next
+// an enabled analyzer, or a queued post waiting for the credits an
+// UpdateFC returns. Otherwise a fault-free Ack's processing delay becomes
+// a pending departure, settled into the transmitter before its next
 // packet, and its arrival is no event at all; an UpdateFC's arrival goes
-// into a per-direction ledger that the pump settles before each credit
-// check and promotes to real events before it waits. Timing is
-// unchanged.
+// into a per-direction ledger that issue() settles before each credit
+// check and promotes to real events when a post starts to wait. Timing
+// is unchanged.
 //
 // Tap semantics: downstream packets are recorded when they *arrive* at B
 // (the analyzer is upstream-adjacent to the NIC); upstream packets are
@@ -53,9 +56,7 @@
 #include "pcie/dllp.hpp"
 #include "pcie/tlp.hpp"
 #include "pcie/trace.hpp"
-#include "sim/channel.hpp"
 #include "sim/deferred.hpp"
-#include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 
 namespace bb::pcie {
@@ -110,8 +111,9 @@ class Link {
   void set_a_tlp_handler(std::function<void(const Tlp&)> h) { a_tlp_ = std::move(h); }
   void set_b_tlp_handler(std::function<void(const Tlp&)> h) { b_tlp_ = std::move(h); }
 
-  /// Queues a TLP for transmission in `dir`; the direction's pump issues
-  /// posted TLPs in order, each once its sender holds the credits.
+  /// Issues a TLP in `dir` now if its sender holds the credits and
+  /// nothing posted earlier waits; otherwise queues it. Queued TLPs issue
+  /// in order, inside the arrival of the UpdateFC that covers them.
   void post(Direction dir, Tlp tlp);
   /// Receiver side: returns the credits an arrived TLP consumed with an
   /// UpdateFC to its sender. Completions travel ungated (send_*) and
@@ -161,17 +163,14 @@ class Link {
              sim::Deferred<Dllp>::Fn depart, sim::Deferred<Dllp>::Fn arrive,
              sim::Timer::Fn replay_timeout, void* link)
         : credits(initial),
-          posted(sim),
-          credit_avail(sim),
           replay_timer(sim, replay_timeout, link),
           acks(sim, depart, link),
           updates(sim, arrive, link) {}
 
     // Transmitter state for TLPs sent *in* this direction.
     CreditState credits;                  // the sender's credits
-    sim::Channel<Tlp> posted;             // posted, not yet issued
-    sim::Signal credit_avail;             // an UpdateFC refilled `credits`
-    bool credit_waiter = false;           // the pump waits for credits
+    std::deque<Tlp> posted;               // posted, waiting for credits
+    bool credit_waiter = false;           // `posted` waits for an UpdateFC
     std::uint64_t credit_stalls = 0;
     std::uint64_t issued = 0;
     TimePs next_free = TimePs::zero();    // transmitter availability
@@ -199,10 +198,11 @@ class Link {
                                        : Direction::kDownstream;
   }
 
-  /// Issues `dir`'s posted TLPs, each once credits allow.
-  sim::Task<void> pump(Direction dir);
+  /// Issues `dir`'s posted TLPs in order while credits allow; on the
+  /// first that lacks them, waits for the next UpdateFC.
+  void issue(Direction dir);
   /// An UpdateFC travelling in `dir` arrived: refill the opposite
-  /// direction's sender.
+  /// direction's sender and issue what it waited for.
   void on_update_fc(Direction dir, const Dllp& fc);
   /// Computes departure/arrival and schedules delivery of one attempt.
   void transmit_attempt(Direction dir, const Tlp& tlp, std::uint64_t seq,

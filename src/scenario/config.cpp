@@ -5,7 +5,7 @@ namespace bb::scenario {
 void apply_overlay(SystemConfig& c, const overlays::Overlay& o) {
   if (!o.label.empty()) {
     // Relabel rule: overlaying the pristine testbed *names* the scenario
-    // (preset wrappers stay "genz-switch", not "thunderx2-cx4+genz-switch");
+    // ("genz-switch", not "thunderx2-cx4+genz-switch");
     // overlaying anything else records the composition.
     if (c.name == "thunderx2-cx4") {
       c.name = o.label;
@@ -122,40 +122,6 @@ Overlay wire_loss(double drop_prob) {
 namespace presets {
 
 SystemConfig thunderx2_cx4() { return SystemConfig{}; }
-
-SystemConfig faulty_testbed(fault::FaultConfig f) {
-  return thunderx2_cx4().with(overlays::faults(std::move(f)));
-}
-
-SystemConfig integrated_nic(double io_reduction) {
-  return thunderx2_cx4().with(overlays::integrated_nic(io_reduction));
-}
-
-SystemConfig fast_device_memory(double pio_copy_ns) {
-  return thunderx2_cx4().with(overlays::fast_device_memory(pio_copy_ns));
-}
-
-SystemConfig genz_switch(double switch_ns) {
-  return thunderx2_cx4().with(overlays::genz_switch(switch_ns));
-}
-
-SystemConfig pam4_fec_wire(double extra_wire_ns) {
-  return thunderx2_cx4().with(overlays::pam4_fec_wire(extra_wire_ns));
-}
-
-SystemConfig tofu_d_like() {
-  return thunderx2_cx4().with(overlays::tofu_d_like());
-}
-
-SystemConfig doorbell_dma_path() {
-  return thunderx2_cx4().with(overlays::doorbell_dma());
-}
-
-SystemConfig unsignaled_completions(std::uint32_t period) {
-  return thunderx2_cx4().with(overlays::unsignaled_completions(period));
-}
-
-SystemConfig tso_cpu() { return thunderx2_cx4().with(overlays::tso_cpu()); }
 
 SystemConfig deterministic() {
   return thunderx2_cx4().with(overlays::deterministic());

@@ -63,28 +63,34 @@ namespace overlays {
 
 /// A named, reusable config transform. Overlays relabel the config they
 /// touch: applied to the baseline testbed they *replace* the name (so
-/// preset wrappers keep their historical names); applied to anything else
-/// they append "+label", making composed scenarios self-describing.
+/// thunderx2_cx4().with(genz_switch()) is "genz-switch"); applied to
+/// anything else they append "+label", making composed scenarios
+/// self-describing.
 struct Overlay {
   std::string label;
   std::function<void(SystemConfig&)> fn;
 };
 
-/// §7.1 integrated NIC: scale the I/O subsystem down by `io_reduction`.
+/// §7.1 "NIC integrated into a System-on-Chip": scale the whole I/O
+/// subsystem (PCIe latency and RC-to-MEM) down by `io_reduction`.
 Overlay integrated_nic(double io_reduction = 0.5);
-/// §7.1 fast device memory: PIO copy at `pio_copy_ns`.
+/// §7.1 fast device memory: PIO copy at `pio_copy_ns`; the default
+/// projects the paper's 15 ns (84% reduction).
 Overlay fast_device_memory(double pio_copy_ns = 15.0);
-/// §7.2 Gen-Z-class switch.
+/// §7.2 Gen-Z-class switch (30-50 ns forecast).
 Overlay genz_switch(double switch_ns = 30.0);
 /// §7.2 PAM4+FEC wire: +`extra_wire_ns` latency, 2x serialization rate.
 Overlay pam4_fec_wire(double extra_wire_ns = 300.0);
-/// Tofu-D-like integration (80% I/O reduction).
+/// Tofu-D-like integration: an 80% I/O reduction, shaving ~400 ns off
+/// the one-sided latency (§7.1's post-K example).
 Overlay tofu_d_like();
-/// DoorBell + DMA descriptor/payload path instead of PIO+inline.
+/// DoorBell + DMA descriptor/payload path instead of PIO+inline (the §2
+/// baseline PIO replaces).
 Overlay doorbell_dma();
-/// One CQE per `period` ops.
+/// One CQE per `period` ops (UCX default signalling is 64, §6).
 Overlay unsignaled_completions(std::uint32_t period = 64);
-/// Total-store-order CPU: the LLP_post store barriers vanish.
+/// Total-store-order (x86-like) CPU: §4.1's LLP_post store barriers exist
+/// only for a weak memory model, so they vanish.
 Overlay tso_cpu();
 /// Strip all stochastic jitter from the CPU cost model.
 Overlay deterministic();
@@ -117,47 +123,11 @@ void apply_overlay(SystemConfig& c, F&& f) {
 }
 
 namespace presets {
-// Named single-change machines, kept as thin wrappers over
-// thunderx2_cx4().with(overlays::...) so existing binaries compile (and
-// report the same scenario names) unchanged.
+// Named machines. Single-change scenarios are the testbed plus one
+// overlay: thunderx2_cx4().with(overlays::genz_switch()).
 
 /// The paper's testbed (§3). Identical to a default-constructed config.
 SystemConfig thunderx2_cx4();
-
-/// Fault-injection ablation machine: the testbed with `f` enabled.
-SystemConfig faulty_testbed(fault::FaultConfig f);
-
-/// §7.1 "NIC integrated into a System-on-Chip": scales the whole I/O
-/// subsystem (PCIe latency and RC-to-MEM) down by `io_reduction`.
-SystemConfig integrated_nic(double io_reduction = 0.5);
-
-/// §7.1 "Improving the initiation of a message in LLP": device-memory
-/// writes approach Normal-memory speed; the default projects the paper's
-/// 15 ns PIO copy (84% reduction).
-SystemConfig fast_device_memory(double pio_copy_ns = 15.0);
-
-/// §7.2 Gen-Z-class switch (30-50 ns forecast; default 30).
-SystemConfig genz_switch(double switch_ns = 30.0);
-
-/// §7.2 higher-throughput wire paying PAM4+FEC latency (+300 ns).
-SystemConfig pam4_fec_wire(double extra_wire_ns = 300.0);
-
-/// Tofu-D-like integration: integrated NIC shaving ~400 ns off the
-/// one-sided latency (§7.1's post-K example).
-SystemConfig tofu_d_like();
-
-/// Classic offloaded path: DoorBell + DMA descriptor/payload fetches
-/// instead of PIO+inline (the §2 baseline PIO replaces).
-SystemConfig doorbell_dma_path();
-
-/// UCX default signalling: one CQE per 64 ops (§6).
-SystemConfig unsignaled_completions(std::uint32_t period = 64);
-
-/// A TSO (x86-like) machine: §4.1 notes the store barriers in LLP_post
-/// exist "only for a weak memory model (dmb st on aarch64)" -- under
-/// total store order they vanish, at the cost of nothing else changing.
-/// Illustrates how much of the Arm LLP_post is memory-model tax.
-SystemConfig tso_cpu();
 
 /// The paper's testbed with every stochastic element removed: exact
 /// component means, no hiccups. Timing becomes exactly predictable.

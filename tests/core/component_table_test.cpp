@@ -38,10 +38,12 @@ TEST(ComponentTable, FromConfigMatchesPaperCalibration) {
 }
 
 TEST(ComponentTable, FromConfigTracksOverrides) {
-  auto cfg = scenario::presets::genz_switch(30.0);
+  auto cfg = scenario::presets::thunderx2_cx4().with(
+      scenario::overlays::genz_switch(30.0));
   const ComponentTable t = ComponentTable::from_config(cfg);
   EXPECT_NEAR(t.switch_lat, 30.0, 1e-9);
-  auto cfg2 = scenario::presets::fast_device_memory(15.0);
+  auto cfg2 = scenario::presets::thunderx2_cx4().with(
+      scenario::overlays::fast_device_memory(15.0));
   EXPECT_NEAR(ComponentTable::from_config(cfg2).pio_copy, 15.0, 1e-9);
 }
 

@@ -56,7 +56,7 @@ TEST(DeterminismGolden, PutBwOnThunderx2Cx4) {
   bench::PutBwBenchmark b(
       tb, {.messages = 2000, .warmup = 200, .capture_trace = true});
   (void)b.run();
-  EXPECT_EQ(tb.sim().events_processed(), 43885u);
+  EXPECT_EQ(tb.sim().events_processed(), 37281u);
   EXPECT_EQ(tb.sim().now().ps(), 623024806);
   EXPECT_EQ(tb.analyzer().trace().size(), 13200u);
   EXPECT_EQ(trace_checksum(tb.analyzer().trace()), 0x4b310291a8770261ull);
@@ -67,7 +67,7 @@ TEST(DeterminismGolden, AmLatOnThunderx2Cx4) {
   bench::AmLatBenchmark b(
       tb, {.iterations = 500, .warmup = 50, .capture_trace = true});
   (void)b.run();
-  EXPECT_EQ(tb.sim().events_processed(), 149251u);
+  EXPECT_EQ(tb.sim().events_processed(), 145947u);
   EXPECT_EQ(tb.sim().now().ps(), 1319178710);
   EXPECT_EQ(tb.analyzer().trace().size(), 4950u);
   EXPECT_EQ(trace_checksum(tb.analyzer().trace()), 0x99a7aa2d313a960eull);
@@ -87,7 +87,7 @@ TEST(DeterminismGolden, AllreduceOnThunderx2Cx4) {
   cfg.warmup = 5;
   bench::OsuColl b(world, bench::OsuColl::Kind::kAllreduce, cfg);
   (void)b.run();
-  EXPECT_EQ(cl.sim().events_processed(), 21524u);
+  EXPECT_EQ(cl.sim().events_processed(), 18508u);
   EXPECT_EQ(cl.sim().now().ps(), 25006013113);
   EXPECT_EQ(cl.analyzer().trace().size(), 1275u);
   EXPECT_EQ(trace_checksum(cl.analyzer().trace()), 0x1c3fe29c0a532d44ull);
@@ -106,7 +106,7 @@ TEST(DeterminismGolden, RendezvousAllreduceOnThunderx2Cx4) {
   cfg.warmup = 5;
   bench::OsuColl b(world, bench::OsuColl::Kind::kAllreduce, cfg);
   (void)b.run();
-  EXPECT_EQ(cl.sim().events_processed(), 16752u);
+  EXPECT_EQ(cl.sim().events_processed(), 14536u);
   EXPECT_EQ(cl.sim().now().ps(), 25008547534);
   EXPECT_EQ(cl.analyzer().trace().size(), 1756u);
   EXPECT_EQ(trace_checksum(cl.analyzer().trace()), 0x8b7705c4692cb94eull);
@@ -179,10 +179,14 @@ TEST(DeterminismGolden, MultiCoreInjection) {
   tb.sim().run();
   EXPECT_EQ(ep1.outstanding() + ep2.outstanding(), 0u);
   EXPECT_EQ(tb.node(0).nic.messages_injected(), 4002u);  // + two flushes
-  EXPECT_EQ(tb.sim().events_processed(), 76296u);
+  EXPECT_EQ(tb.sim().events_processed(), 64286u);
   EXPECT_EQ(tb.sim().now().ps(), 475689431);
   EXPECT_EQ(tb.analyzer().trace().size(), 24012u);
-  EXPECT_EQ(trace_checksum(tb.analyzer().trace()), 0x85fb3cdf7746714cull);
+  // One same-picosecond tie on node 0's downstream link (67,085.983 ns):
+  // a core's PIO MWr is issued inside its posting event, which the
+  // Root Complex's credit-return UpdateFC follows, so the MWr leaves
+  // first and the UpdateFC 11 ns later. End time and size are unmoved.
+  EXPECT_EQ(trace_checksum(tb.analyzer().trace()), 0xf2740338be9121bbull);
 }
 
 // Two runs with the same seed must agree event-for-event, independent of

@@ -112,7 +112,7 @@ TEST(ParkingGolden, LossyMpiPingPongMatchesSpinningLoop) {
   // The spinning loop took 35079 events, and a loop that parks only
   // while no write is in flight into its node 19590. The end time is the
   // last live event's: a withdrawn retry timer neither runs nor moves it.
-  EXPECT_EQ(tb.sim().events_processed(), 7145u);
+  EXPECT_EQ(tb.sim().events_processed(), 6295u);
 }
 
 // --- A jitter-free 16 KiB rendezvous ping-pong: each payload takes about
@@ -138,7 +138,7 @@ TEST(ParkingGolden, DeterministicRendezvousParksThroughPayloadCommit) {
   EXPECT_GT(tb.node(0).worker.parks(), 0u);
   EXPECT_GT(tb.node(1).worker.parks(), 0u);
   // Spinning through every commit window took 21429 events.
-  EXPECT_EQ(tb.sim().events_processed(), 6033u);
+  EXPECT_EQ(tb.sim().events_processed(), 5305u);
 }
 
 // --- A write committed exactly at the start of a pass is seen by that
@@ -325,7 +325,7 @@ TEST(ParkingGolden, WaitallWhoseLastPendingSendJustPostedDoesNotPark) {
   EXPECT_EQ(std::tuple(tb.sim().events_processed(), tb.sim().now().ps(),
                        std::bit_cast<std::uint64_t>(res.cpu_per_msg_ns),
                        tb.node(0).core.busy_time().ps()),
-            std::tuple(33994ull, 742687520, 4643348177563791078ull,
+            std::tuple(28314ull, 742687520, 4643348177563791078ull,
                        742687520));
   EXPECT_EQ(tb.node(0).worker.parks(), 0u);
 }
@@ -351,7 +351,7 @@ TEST(ParkingGolden, ProfilerWrappedPassesNeverPark) {
   EXPECT_EQ(std::tuple(tb.sim().events_processed(), tb.sim().now().ps(), fa.h,
                        fb.h, p0.samples("uct_worker_progress").size(),
                        p1.samples("ucp_worker_progress").size()),
-            std::tuple(10821ull, 341832435, 16027016698514597336ull,
+            std::tuple(10255ull, 341832435, 16027016698514597336ull,
                        15837848742356851791ull, 3368ul, 3358ul));
   EXPECT_EQ(tb.node(0).worker.parks(), 0u);
   EXPECT_EQ(tb.node(1).worker.parks(), 0u);

@@ -22,7 +22,8 @@ double am_latency(const scenario::SystemConfig& cfg) {
 
 TEST(PresetComparison, IntegratedNicBeatsBaseline) {
   const double base = am_latency(scenario::presets::deterministic());
-  auto soc = scenario::presets::integrated_nic(0.5);
+  auto soc = scenario::presets::thunderx2_cx4().with(
+      scenario::overlays::integrated_nic(0.5));
   soc.cpu.strip_jitter();
   const double fast = am_latency(soc);
   // ~50% of the ~513 ns I/O disappears from the one-way path.
@@ -31,7 +32,8 @@ TEST(PresetComparison, IntegratedNicBeatsBaseline) {
 
 TEST(PresetComparison, FastDeviceMemoryShavesPioCopy) {
   const double base = am_latency(scenario::presets::deterministic());
-  auto fast_cfg = scenario::presets::fast_device_memory(15.0);
+  auto fast_cfg = scenario::presets::thunderx2_cx4().with(
+      scenario::overlays::fast_device_memory(15.0));
   fast_cfg.cpu.strip_jitter();
   const double fast = am_latency(fast_cfg);
   EXPECT_NEAR(base - fast, 94.25 - 15.0, 3.0);
@@ -39,7 +41,8 @@ TEST(PresetComparison, FastDeviceMemoryShavesPioCopy) {
 
 TEST(PresetComparison, GenZSwitchShaves78ns) {
   const double base = am_latency(scenario::presets::deterministic());
-  auto genz = scenario::presets::genz_switch(30.0);
+  auto genz = scenario::presets::thunderx2_cx4().with(
+      scenario::overlays::genz_switch(30.0));
   genz.cpu.strip_jitter();
   EXPECT_NEAR(base - am_latency(genz), 108.0 - 30.0, 2.0);
 }
@@ -48,7 +51,8 @@ TEST(PresetComparison, Pam4WireIsSlowerForSmallMessages) {
   // §7.2: higher-throughput signalling *increases* small-message latency
   // (FEC adds up to 300 ns).
   const double base = am_latency(scenario::presets::deterministic());
-  auto pam4 = scenario::presets::pam4_fec_wire(300.0);
+  auto pam4 = scenario::presets::thunderx2_cx4().with(
+      scenario::overlays::pam4_fec_wire(300.0));
   pam4.cpu.strip_jitter();
   EXPECT_NEAR(am_latency(pam4) - base, 300.0, 5.0);
 }
@@ -56,7 +60,8 @@ TEST(PresetComparison, Pam4WireIsSlowerForSmallMessages) {
 TEST(PresetComparison, TofuDLikeRemovesRoughly400ns) {
   // §7.1: Tofu-D's integration improved RDMA-write latency by ~400 ns.
   const double base = am_latency(scenario::presets::deterministic());
-  auto tofu = scenario::presets::tofu_d_like();
+  auto tofu = scenario::presets::thunderx2_cx4().with(
+      scenario::overlays::tofu_d_like());
   tofu.cpu.strip_jitter();
   EXPECT_NEAR(base - am_latency(tofu), 400.0, 50.0);
 }
@@ -65,13 +70,14 @@ TEST(PresetComparison, OrderingMatchesWhatIfRanking) {
   // The engine ranks: integrated-NIC > fast-PIO > Gen-Z switch for
   // latency; the executed machines must agree.
   const double base = am_latency(scenario::presets::deterministic());
-  auto mk = [](scenario::SystemConfig cfg) {
+  auto mk = [](const scenario::overlays::Overlay& o) {
+    scenario::SystemConfig cfg = scenario::presets::thunderx2_cx4().with(o);
     cfg.cpu.strip_jitter();
     return cfg;
   };
-  const double soc = am_latency(mk(scenario::presets::integrated_nic(0.5)));
-  const double pio = am_latency(mk(scenario::presets::fast_device_memory()));
-  const double genz = am_latency(mk(scenario::presets::genz_switch()));
+  const double soc = am_latency(mk(scenario::overlays::integrated_nic(0.5)));
+  const double pio = am_latency(mk(scenario::overlays::fast_device_memory()));
+  const double genz = am_latency(mk(scenario::overlays::genz_switch()));
   EXPECT_LT(soc, pio);
   EXPECT_LT(pio, genz);
   EXPECT_LT(genz, base);

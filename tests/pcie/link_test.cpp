@@ -92,9 +92,86 @@ TEST(Link, DestroyedWhileAPostWaitsForCredits) {
   EXPECT_EQ(link.issued(Direction::kUpstream), 1u);
 }
 
+TEST(Link, PostWithCreditsLeavesInThePostingEvent) {
+  // Credits are free: the write is transmitted inside the event that
+  // posts it, so the run holds that event and the arrival, nothing else.
+  sim::Simulator sim;
+  LinkParams p;
+  Link link(sim, p);
+  std::int64_t arrival = -1;
+  link.set_b_tlp_handler([&](const Tlp&) { arrival = sim.now().ps(); });
+  sim.call_at(100_ns, [&] {
+    link.post(Direction::kDownstream, pio_post(1));
+    EXPECT_EQ(link.issued(Direction::kDownstream), 1u);
+    EXPECT_EQ(link.tlps_accepted(), 1u);
+  });
+  sim.run();
+  EXPECT_EQ(arrival, (100_ns + p.tlp_latency(64)).ps());
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_EQ(link.credit_stalls(Direction::kDownstream), 0u);
+}
+
+TEST(Link, StalledPostIssuesInsideTheFreeingUpdateFcArrival) {
+  // A one-write budget: the second write stalls once and leaves inside
+  // the arrival event of the UpdateFC the first write's landing sends.
+  // Events: the first write's arrival, that UpdateFC's arrival, the
+  // second write's arrival. Acks and the last UpdateFC are elided.
+  sim::Simulator sim;
+  LinkParams p;
+  Link link(sim, p, nullptr, nullptr, CreditState::default_endpoint(),
+            CreditState::with_budget({1, 4}, {1, 1}, {1, 4}));
+  std::vector<std::int64_t> arrivals;
+  link.set_a_tlp_handler([&](const Tlp& t) {
+    arrivals.push_back(sim.now().ps());
+    link.release_credits(t);
+  });
+  link.post(Direction::kUpstream, pio_post(1));
+  link.post(Direction::kUpstream, pio_post(2));
+  EXPECT_EQ(link.issued(Direction::kUpstream), 1u);
+  sim.run();
+
+  const TimePs l64 = p.tlp_latency(64);
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[1], (l64 + p.dllp_latency() + l64).ps());
+  EXPECT_EQ(sim.events_processed(), 3u);
+  EXPECT_EQ(link.credit_stalls(Direction::kUpstream), 1u);
+  EXPECT_EQ(link.issued(Direction::kUpstream), 2u);
+}
+
+TEST(Link, PostOrderedBeforeASamePicosecondUpdateFcDepartsFirst) {
+  // At 1000 ns two events share the picosecond: the first posts a
+  // downstream write, the second returns an upstream write's credits
+  // with a downstream UpdateFC. The write is issued in its own event, so
+  // it holds the transmitter first and the UpdateFC leaves one TLP
+  // serialization later.
+  sim::Simulator sim;
+  Analyzer tap;
+  LinkParams p;
+  Link link(sim, p, &tap);
+  Tlp landed;
+  link.set_a_tlp_handler([&](const Tlp& t) { landed = t; });
+  link.set_b_tlp_handler([](const Tlp&) {});
+  link.post(Direction::kUpstream, pio_post(1));
+  sim.call_at(1000_ns,
+              [&] { link.post(Direction::kDownstream, pio_post(2)); });
+  sim.call_at(1000_ns, [&] { link.release_credits(landed); });
+  sim.run();
+
+  // Downstream packets are traced as they arrive at the NIC.
+  const auto late = tap.trace().filter([](const TraceRecord& r) {
+    return r.dir == Direction::kDownstream && r.t >= 1000_ns;
+  });
+  ASSERT_EQ(late.size(), 2u);
+  EXPECT_FALSE(late[0].is_dllp);
+  EXPECT_EQ(late[0].t, 1000_ns + p.tlp_latency(64));
+  EXPECT_TRUE(late[1].is_dllp);
+  EXPECT_EQ(late[1].dllp_type, DllpType::kUpdateFC);
+  EXPECT_EQ(late[1].t, 1000_ns + p.serialize(64) + p.dllp_latency());
+}
+
 TEST(LinkDeathTest, PostedWritePastItsClassBudgetAborts) {
   // 16,392 B needs 1025 posted data units; the budget advertises 1024, so
-  // the write could never issue. The pump fails instead of waiting.
+  // the write could never issue. post() fails instead of waiting.
   EXPECT_DEATH(
       {
         sim::Simulator sim;

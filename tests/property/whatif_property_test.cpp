@@ -51,7 +51,8 @@ TEST_P(WhatIfSweep, IntegratedNicPresetMatchesPrediction) {
   const WhatIf w(base);
 
   const auto soc = ComponentTable::from_config(
-      scenario::presets::integrated_nic(reduction));
+      scenario::presets::thunderx2_cx4().with(
+          scenario::overlays::integrated_nic(reduction)));
   const double base_lat = LatencyModel(base).e2e_latency_ns();
   const double new_lat = LatencyModel(soc).e2e_latency_ns();
 

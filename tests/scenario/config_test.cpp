@@ -17,7 +17,7 @@ TEST(Presets, DefaultIsPaperTestbed) {
 
 TEST(Presets, IntegratedNicScalesIoOnly) {
   const SystemConfig base = presets::thunderx2_cx4();
-  const SystemConfig soc = presets::integrated_nic(0.5);
+  const SystemConfig soc = base.with(overlays::integrated_nic(0.5));
   EXPECT_NEAR(soc.link.base_latency_ns, base.link.base_latency_ns * 0.5, 1e-9);
   EXPECT_NEAR(soc.rc.rc_to_mem_base_ns, base.rc.rc_to_mem_base_ns * 0.5, 1e-9);
   // CPU and network untouched.
@@ -26,27 +26,31 @@ TEST(Presets, IntegratedNicScalesIoOnly) {
 }
 
 TEST(Presets, FastDeviceMemoryHitsPioOnly) {
-  const SystemConfig fast = presets::fast_device_memory(15.0);
+  const SystemConfig fast =
+      presets::thunderx2_cx4().with(overlays::fast_device_memory(15.0));
   EXPECT_NEAR(fast.cpu.pio_copy_64b.mean_ns, 15.0, 1e-9);
   EXPECT_NEAR(fast.cpu.md_setup.mean_ns, 27.78, 1e-9);
 }
 
 TEST(Presets, GenZSwitch) {
-  EXPECT_NEAR(presets::genz_switch(30.0).net.switch_latency_ns, 30.0, 1e-9);
-  EXPECT_NEAR(presets::genz_switch().net.wire_latency_ns, 274.81, 1e-9);
+  const SystemConfig base = presets::thunderx2_cx4();
+  EXPECT_NEAR(base.with(overlays::genz_switch(30.0)).net.switch_latency_ns,
+              30.0, 1e-9);
+  EXPECT_NEAR(base.with(overlays::genz_switch()).net.wire_latency_ns, 274.81,
+              1e-9);
 }
 
 TEST(Presets, Pam4WireTradesLatencyForBandwidth) {
   const SystemConfig base = presets::thunderx2_cx4();
-  const SystemConfig pam4 = presets::pam4_fec_wire(300.0);
+  const SystemConfig pam4 = base.with(overlays::pam4_fec_wire(300.0));
   EXPECT_NEAR(pam4.net.wire_latency_ns, base.net.wire_latency_ns + 300.0,
               1e-9);
   EXPECT_LT(pam4.net.serialize_ns_per_byte, base.net.serialize_ns_per_byte);
 }
 
 TEST(Presets, TofuDLikeRemovesMostIo) {
-  const SystemConfig tofu = presets::tofu_d_like();
   const SystemConfig base = presets::thunderx2_cx4();
+  const SystemConfig tofu = base.with(overlays::tofu_d_like());
   // ~80% I/O reduction: 2xPCIe + RC-to-MEM shrink by ~413 ns of 516.
   const double base_io = 2 * base.link.tlp_latency(64).to_ns() +
                          base.rc.rc_to_mem(8).to_ns();
@@ -56,18 +60,23 @@ TEST(Presets, TofuDLikeRemovesMostIo) {
 }
 
 TEST(Presets, DoorbellDmaPath) {
-  const SystemConfig db = presets::doorbell_dma_path();
+  const SystemConfig db =
+      presets::thunderx2_cx4().with(overlays::doorbell_dma());
   EXPECT_FALSE(db.endpoint.use_pio);
   EXPECT_FALSE(db.endpoint.inline_payload);
 }
 
 TEST(Presets, UnsignaledCompletions) {
-  EXPECT_EQ(presets::unsignaled_completions().endpoint.signal.period, 64u);
-  EXPECT_EQ(presets::unsignaled_completions(16).endpoint.signal.period, 16u);
+  const SystemConfig base = presets::thunderx2_cx4();
+  EXPECT_EQ(base.with(overlays::unsignaled_completions()).endpoint.signal.period,
+            64u);
+  EXPECT_EQ(
+      base.with(overlays::unsignaled_completions(16)).endpoint.signal.period,
+      16u);
 }
 
 TEST(Presets, TsoCpuDropsWeakMemoryBarriers) {
-  const SystemConfig tso = presets::tso_cpu();
+  const SystemConfig tso = presets::thunderx2_cx4().with(overlays::tso_cpu());
   EXPECT_EQ(tso.cpu.barrier_store_md.mean_ns, 0.0);
   EXPECT_LT(tso.cpu.barrier_store_dbc.mean_ns, 21.07);
   // LLP_post shrinks by the memory-model tax (~33 ns of 175).

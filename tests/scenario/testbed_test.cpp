@@ -88,11 +88,13 @@ TEST(MpiStack, BundlesFullStack) {
 
 TEST(Testbed, RdmaWriteSmokeAcrossAllPresets) {
   // Every preset must produce a working machine end to end.
+  const SystemConfig base = presets::thunderx2_cx4();
   for (auto cfg :
-       {presets::thunderx2_cx4(), presets::integrated_nic(0.5),
-        presets::fast_device_memory(), presets::genz_switch(),
-        presets::pam4_fec_wire(), presets::tofu_d_like(),
-        presets::doorbell_dma_path(), presets::unsignaled_completions(),
+       {base, base.with(overlays::integrated_nic(0.5)),
+        base.with(overlays::fast_device_memory()),
+        base.with(overlays::genz_switch()), base.with(overlays::pam4_fec_wire()),
+        base.with(overlays::tofu_d_like()), base.with(overlays::doorbell_dma()),
+        base.with(overlays::unsignaled_completions()),
         presets::deterministic()}) {
     Testbed tb(cfg);
     auto& ep = tb.add_endpoint(0);
