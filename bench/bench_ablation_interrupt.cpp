@@ -8,8 +8,11 @@
 // or sleeps until the completion's DMA write fires the interrupt and
 // pays the kernel wake-up cost -- while burning no CPU while idle.
 
+#include <coroutine>
 #include <cstdio>
+#include <utility>
 
+#include "common/assert.hpp"
 #include "exec/sweep.hpp"
 #include "scenario/testbed.hpp"
 #include "util.hpp"
@@ -22,13 +25,45 @@ namespace {
 
 constexpr int kIters = 800;
 
+/// One node's completion interrupt: a process sleeps on it until the
+/// next DMA write (CQE or payload) commits into the node's memory. The
+/// line is the node's HostMemory commit hook; the sleeper resumes on the
+/// ready ring at the commit's time, behind the events already queued.
+class Interrupt {
+ public:
+  Interrupt(sim::Simulator& sim, nic::HostMemory& host) : host_(host) {
+    host.set_commit_hook([this, &sim] {
+      if (sleeper_) sim.schedule_at(sim.now(), std::exchange(sleeper_, {}));
+    });
+  }
+  ~Interrupt() { host_.set_commit_hook({}); }
+  Interrupt(const Interrupt&) = delete;
+  Interrupt& operator=(const Interrupt&) = delete;
+
+  struct Awaiter {
+    Interrupt& irq;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      BB_ASSERT_MSG(!irq.sleeper_, "one sleeper per interrupt line");
+      irq.sleeper_ = h;
+    }
+    void await_resume() const noexcept {}
+  };
+  /// Sleeps until the next DMA write commits.
+  Awaiter wait() { return Awaiter{*this}; }
+
+ private:
+  nic::HostMemory& host_;
+  std::coroutine_handle<> sleeper_;
+};
+
 struct Result {
   double latency_ns;       // one-way
   double rx_cpu_per_iter;  // receiver CPU time per iteration
 };
 
-sim::Task<void> initiator(Testbed& tb, llp::Endpoint& ep, bool interrupts,
-                          double* latency) {
+sim::Task<void> initiator(Testbed& tb, llp::Endpoint& ep, Interrupt& irq,
+                          bool interrupts, double* latency) {
   auto& node = tb.node(0);
   const double t0 = node.core.virtual_now().to_ns();
   for (int i = 0; i < kIters; ++i) {
@@ -38,7 +73,7 @@ sim::Task<void> initiator(Testbed& tb, llp::Endpoint& ep, bool interrupts,
     const std::uint64_t seen = node.worker.rx_completions();
     while (node.worker.rx_completions() == seen) {
       if (interrupts && node.host.rx_cq().depth() == 0) {
-        co_await node.cq_interrupt.wait();
+        co_await irq.wait();
         node.core.consume(node.core.costs().interrupt_wakeup);
       }
       co_await node.worker.progress();
@@ -47,14 +82,15 @@ sim::Task<void> initiator(Testbed& tb, llp::Endpoint& ep, bool interrupts,
   *latency = (node.core.virtual_now().to_ns() - t0) / (2.0 * kIters);
 }
 
-sim::Task<void> responder(Testbed& tb, llp::Endpoint& ep, bool interrupts) {
+sim::Task<void> responder(Testbed& tb, llp::Endpoint& ep, Interrupt& irq,
+                          bool interrupts) {
   auto& node = tb.node(1);
   for (int i = 0; i < kIters; ++i) {
     const std::uint64_t seen = node.worker.rx_completions();
     while (node.worker.rx_completions() == seen) {
       if (interrupts && node.host.rx_cq().depth() == 0) {
         // Sleep until a DMA write lands, then pay the kernel wake-up.
-        co_await node.cq_interrupt.wait();
+        co_await irq.wait();
         node.core.consume(node.core.costs().interrupt_wakeup);
       }
       co_await node.worker.progress();
@@ -72,9 +108,11 @@ Result run(bool interrupts) {
   auto& ep1 = tb.add_endpoint(1);
   tb.node(0).nic.post_receives(kIters + 2);
   tb.node(1).nic.post_receives(kIters + 2);
+  Interrupt irq0(tb.sim(), tb.node(0).host);
+  Interrupt irq1(tb.sim(), tb.node(1).host);
   Result r{};
-  tb.sim().spawn(initiator(tb, ep0, interrupts, &r.latency_ns));
-  tb.sim().spawn(responder(tb, ep1, interrupts));
+  tb.sim().spawn(initiator(tb, ep0, irq0, interrupts, &r.latency_ns));
+  tb.sim().spawn(responder(tb, ep1, irq1, interrupts));
   tb.sim().run();
   r.rx_cpu_per_iter =
       tb.node(1).core.busy_time().to_ns() / static_cast<double>(kIters);
@@ -100,19 +138,21 @@ double sparse_rx_cpu_per_msg(bool interrupts) {
     }
   }(tb, ep));
 
-  tb.sim().spawn([](Testbed& t, bool intr) -> sim::Task<void> {
+  Interrupt irq(tb.sim(), tb.node(1).host);
+  tb.sim().spawn([](Testbed& t, Interrupt& rx_irq,
+                    bool intr) -> sim::Task<void> {
     auto& node = t.node(1);
     for (int i = 0; i < kMsgs; ++i) {
       const std::uint64_t seen = node.worker.rx_completions();
       while (node.worker.rx_completions() == seen) {
         if (intr && node.host.rx_cq().depth() == 0) {
-          co_await node.cq_interrupt.wait();
+          co_await rx_irq.wait();
           node.core.consume(node.core.costs().interrupt_wakeup);
         }
         co_await node.worker.progress();
       }
     }
-  }(tb, interrupts));
+  }(tb, irq, interrupts));
 
   tb.sim().run();
   return tb.node(1).core.busy_time().to_ns() / static_cast<double>(kMsgs);

@@ -26,7 +26,6 @@
 #include "llp/worker.hpp"
 #include "scenario/cluster.hpp"
 #include "scenario/testbed.hpp"
-#include "sim/channel.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -83,31 +82,6 @@ void BM_CoroutineDelayLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_CoroutineDelayLoop)->Arg(10000);
 
-void BM_ChannelPingPong(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    sim::Channel<int> a(sim), b(sim);
-    const int n = static_cast<int>(state.range(0));
-    sim.spawn([](sim::Channel<int>& rx, sim::Channel<int>& tx,
-                 int iters) -> sim::Task<void> {
-      for (int i = 0; i < iters; ++i) {
-        tx.send(i);
-        (void)co_await rx.receive();
-      }
-    }(a, b, n));
-    sim.spawn([](sim::Channel<int>& rx, sim::Channel<int>& tx,
-                 int iters) -> sim::Task<void> {
-      for (int i = 0; i < iters; ++i) {
-        const int v = co_await rx.receive();
-        tx.send(v);
-      }
-    }(b, a, n));
-    sim.run();
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) * 2);
-}
-BENCHMARK(BM_ChannelPingPong)->Arg(10000);
-
 // Steady-state variants: one warm simulator, allocation counting. These
 // isolate the dispatch hot path from first-use pool/queue growth; their
 // `allocs_per_item` counter is the zero-allocation regression guard.
@@ -134,45 +108,6 @@ void BM_EventDispatchSteady(benchmark::State& state) {
       static_cast<double>(state.iterations() * n);
 }
 BENCHMARK(BM_EventDispatchSteady)->Arg(1000);
-
-void BM_ChannelPingPongSteady(benchmark::State& state) {
-  sim::Simulator sim;
-  sim::Channel<int> a(sim), b(sim);
-  const int n = static_cast<int>(state.range(0));
-  auto pinger = [](sim::Channel<int>& rx, sim::Channel<int>& tx,
-                   int iters) -> sim::Task<void> {
-    for (int i = 0; i < iters; ++i) {
-      tx.send(i);
-      (void)co_await rx.receive();
-    }
-  };
-  auto ponger = [](sim::Channel<int>& rx, sim::Channel<int>& tx,
-                   int iters) -> sim::Task<void> {
-    for (int i = 0; i < iters; ++i) {
-      const int v = co_await rx.receive();
-      tx.send(v);
-    }
-  };
-  // Warm: channels, ring, and frame pool all reach steady capacity.
-  sim.spawn(pinger(a, b, 64));
-  sim.spawn(ponger(b, a, 64));
-  sim.run();
-  std::uint64_t measured_allocs = 0;
-  for (auto _ : state) {
-    state.PauseTiming();  // spawn bookkeeping is not the hot path
-    sim.spawn(pinger(a, b, n));
-    sim.spawn(ponger(b, a, n));
-    const std::uint64_t before = g_heap_allocs.load();
-    state.ResumeTiming();
-    sim.run();
-    measured_allocs += g_heap_allocs.load() - before;
-  }
-  state.SetItemsProcessed(state.iterations() * n * 2);
-  state.counters["allocs_per_item"] =
-      static_cast<double>(measured_allocs) /
-      static_cast<double>(state.iterations() * n * 2);
-}
-BENCHMARK(BM_ChannelPingPongSteady)->Arg(10000);
 
 // One jittered cost draw through Core::consume: the draw a parked loop
 // makes for each cost of each replayed pass, and so the replay's hot

@@ -58,25 +58,6 @@ double Samples::quantile(double q) const {
   return sorted[i] * (1.0 - frac) + sorted[i + 1] * frac;
 }
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 Histogram::Histogram(double lo_ns, double hi_ns, std::size_t bins)
     : lo_(lo_ns), hi_(hi_ns), counts_(bins, 0) {
   BB_ASSERT(hi_ns > lo_ns && bins > 0);

@@ -54,27 +54,6 @@ class Samples {
   std::vector<double> values_ns_;
 };
 
-/// Streaming mean/variance (Welford) for cases where raw samples are not
-/// retained, e.g. very long injection runs.
-class RunningStats {
- public:
-  void add(double x);
-  void add(TimePs v) { add(v.to_ns()); }
-  std::size_t count() const { return n_; }
-  double mean() const { return mean_; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Fixed-width histogram over [lo, hi); values outside are clamped into the
 /// first/last bin so heavy tails remain visible as mass in the last bin.
 class Histogram {

@@ -134,7 +134,6 @@ void Endpoint::on_tx_cqe(const nic::Cqe& cqe) {
   outstanding_ -= cqe.completes;
   if (cqe.status != Status::kOk) ++tx_errors_;
   if (cqe.status == Status::kFlushed) ++tx_flushed_;
-  if (tx_retire_) tx_retire_(cqe.completes);
 }
 
 bool Endpoint::qp_in_error() const {

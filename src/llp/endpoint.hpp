@@ -15,7 +15,6 @@
 // replaces, kept for the descriptor-path ablation.
 
 #include <cstdint>
-#include <functional>
 
 #include "llp/uct.hpp"
 #include "llp/worker.hpp"
@@ -94,12 +93,6 @@ class Endpoint {
   /// Subset of tx_errors that were QP-error flushes (kFlushed).
   std::uint64_t tx_flushed() const { return tx_flushed_; }
 
-  /// Invoked by the worker when a TX CQE retires `k` ops (upper layers
-  /// hook their send-progress accounting here).
-  void set_tx_retire_handler(std::function<void(std::uint32_t)> h) {
-    tx_retire_ = std::move(h);
-  }
-
   /// Worker-internal: CQE dequeued for this endpoint.
   void on_tx_cqe(const nic::Cqe& cqe);
 
@@ -122,7 +115,6 @@ class Endpoint {
   std::uint64_t tx_flushed_ = 0;
   std::uint64_t signal_counter_ = 0;
   std::uint64_t doorbell_counter_ = 0;
-  std::function<void(std::uint32_t)> tx_retire_;
 };
 
 }  // namespace bb::llp

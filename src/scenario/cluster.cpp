@@ -16,10 +16,8 @@ Cluster::Node::Node(sim::Simulator& sim, net::Fabric& fabric,
       link(sim, cfg.link, tap, cfg.fault.link_enabled() ? &injector : nullptr),
       rc(sim, link, cfg.rc),
       nic(sim, link, fabric, id, cfg.nic, host),
-      worker(core, host, profiler, cfg.llp_worker),
-      cq_interrupt(sim) {
+      worker(core, host, profiler, cfg.llp_worker) {
   if (cfg.fault.enabled()) nic.set_fault_stats(&injector.stats());
-  host.set_commit_hook([this] { cq_interrupt.fire(); });
   rc.set_write_notice([this] { host.note_write_scheduled(); });
   rc.set_memory_sink([this](const pcie::Tlp& tlp, TimePs visible_at) {
     if (tlp.poisoned) ++injector.stats().poisoned_delivered;

@@ -23,7 +23,6 @@
 #include "pcie/trace.hpp"
 #include "prof/profiler.hpp"
 #include "scenario/config.hpp"
-#include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 
 namespace bb::scenario {
@@ -59,9 +58,6 @@ class Cluster {
     pcie::RootComplex rc;
     nic::Nic nic;
     llp::Worker worker;
-    /// Fires whenever a DMA write (CQE or payload) becomes visible in this
-    /// node's memory -- the basis of interrupt-driven completion (§2).
-    sim::Signal cq_interrupt;
     /// Extra cores added by Cluster::add_core, sharing this node's NIC.
     std::deque<WorkerCore> extra_cores;
   };

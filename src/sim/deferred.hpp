@@ -8,12 +8,11 @@
 // needs their effect (settle), turns the rest into real events when
 // something starts to watch for them (promote), and the Simulator runs
 // whatever is left when its queue drains. Entries must be pushed in
-// (time, seq) order. Storage is a ring that grows to the largest backlog
-// and is reused: no allocation per entry once warm.
+// (time, seq) order. Storage is the engine's ring (detail::Ring), which
+// grows to the largest backlog and is reused: no allocation per entry
+// once warm.
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "common/assert.hpp"
 #include "common/units.hpp"
@@ -36,26 +35,22 @@ class Deferred final : public detail::ElidedSource {
   Deferred(const Deferred&) = delete;
   Deferred& operator=(const Deferred&) = delete;
 
-  bool empty() const { return size_ == 0; }
+  bool empty() const { return ring_.empty(); }
 
   /// Records an event at `t` (>= now) without queueing it. Entries whose
   /// place has already passed run first, so the FIFO only ever holds
   /// entries still ahead of the current event.
   void push(TimePs t, const T& value) {
     settle();
-    if (size_ == ring_.size()) grow();
-    Entry& e = ring_[(head_ + size_) & (ring_.size() - 1)];
-    e.t_ps = t.ps();
-    e.seq = sim_->reserve_seq();
-    e.value = value;
-    ++size_;
+    ring_.push({t.ps(), sim_->reserve_seq(), value});
     sim_->note_elided(t);
   }
 
   /// Runs, in order, every entry that precedes the current event.
   void settle() {
-    while (size_ != 0 && sim_->precedes_current(TimePs(front().t_ps),
-                                                front().seq)) {
+    while (!ring_.empty()) {
+      const Entry& e = ring_.front();
+      if (!sim_->precedes_current(TimePs(e.t_ps), e.seq)) break;
       run_head();
     }
   }
@@ -63,9 +58,8 @@ class Deferred final : public detail::ElidedSource {
   /// Queues every entry as a real event at its reserved (time, seq).
   /// Call settle() first: entries already past cannot be queued.
   void promote() {
-    while (size_ != 0) {
-      const Entry e = front();
-      pop();
+    while (!ring_.empty()) {
+      const Entry e = ring_.pop();
       sim_->call_at_reserved(TimePs(e.t_ps), e.seq,
                              [fn = fn_, ctx = ctx_, e] {
                                fn(ctx, TimePs(e.t_ps), e.value);
@@ -80,38 +74,20 @@ class Deferred final : public detail::ElidedSource {
     T value{};
   };
 
-  const Entry& front() const { return ring_[head_]; }
-  void pop() {
-    head_ = (head_ + 1) & (ring_.size() - 1);
-    --size_;
-  }
-
   bool head(std::int64_t& t_ps, std::uint64_t& seq) const override {
-    if (size_ == 0) return false;
-    t_ps = front().t_ps;
-    seq = front().seq;
+    if (ring_.empty()) return false;
+    t_ps = ring_.front().t_ps;
+    seq = ring_.front().seq;
     return true;
   }
   void run_head() override {
-    const Entry e = front();
-    pop();
+    const Entry e = ring_.pop();
     fn_(ctx_, TimePs(e.t_ps), e.value);
-  }
-
-  void grow() {
-    std::vector<Entry> bigger(ring_.empty() ? 8 : 2 * ring_.size());
-    for (std::size_t i = 0; i < size_; ++i) {
-      bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
-    }
-    ring_ = std::move(bigger);
-    head_ = 0;
   }
 
   Fn fn_;
   void* ctx_;
-  std::vector<Entry> ring_;  // power-of-two capacity
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
+  detail::Ring<Entry, 8> ring_;
 };
 
 }  // namespace bb::sim

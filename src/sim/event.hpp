@@ -4,9 +4,9 @@
 // Dispatch cost is the tax every simulated nanosecond pays, so the event
 // representation is built for zero steady-state heap traffic:
 //
-//  * An event is a 16-byte tagged `EventItem`: either a raw coroutine
-//    handle (the dominant case -- delays, channel wake-ups, signal fires)
-//    or a pointer to an `EventNode` holding a callback. Coroutine events
+//  * An event is a one-word tagged `EventItem`: either a raw coroutine
+//    handle (the dominant case -- delays and parked resumes) or a
+//    pointer to an `EventNode` holding a callback. Coroutine events
 //    therefore touch no pool and no allocator at all.
 //  * `EventNode` is a fixed-size, pool-recycled node for callbacks. The
 //    callable is constructed in place in the node's inline storage (no
@@ -15,8 +15,9 @@
 //    heap box, counted so benchmarks can flag them.
 //  * `EventPool` hands nodes out of bump-allocated slabs with an intrusive
 //    free list; steady-state acquire/release never allocates.
-//  * `ReadyRing` is the FIFO for events at the current simulated time: an
-//    index-masked circular buffer of (seq, item) slots with O(1) push/pop.
+//  * `ReadyRing` is the FIFO for events at the current simulated time and
+//    `MonotoneRun` the FIFO for future events scheduled in time order.
+//    Both are the one power-of-two `Ring` template, with O(1) push/pop.
 //  * `EventHeap` orders future timestamps. It is a 4-ary implicit heap
 //    whose 24-byte entries carry the (time, seq) key inline, so sift
 //    compares never chase pointers and pops never copy a callable.
@@ -226,56 +227,59 @@ EventItem make_callback_item(EventPool& pool, F&& fn) {
   return node_item(n);
 }
 
-/// FIFO of events at the current simulated time: a power-of-two circular
-/// buffer of 16-byte slots. All entries share one timestamp (`now`);
-/// sequence numbers are monotone along the ring by construction.
-class ReadyRing {
- public:
-  struct Slot {
-    std::uint64_t seq;
-    EventItem item;
-  };
+/// A FIFO over a power-of-two circular buffer: the one ring behind the
+/// ready ring, the monotone run and every elided-event ledger
+/// (sim/deferred.hpp). It starts at `kInitialSlots` and doubles when
+/// full. A retired buffer parks in a thread-local cache, one per ring
+/// type, so the next ring of that type starts at its predecessor's
+/// high-water capacity, pre-faulted: short-lived simulators (the
+/// benchmark harness builds one per measurement) skip the growth ramp.
+template <typename Slot, std::size_t kInitialSlots>
+class Ring {
+  static_assert(kInitialSlots > 0 &&
+                    (kInitialSlots & (kInitialSlots - 1)) == 0,
+                "ring capacity must be a power of two");
 
-  ReadyRing() {
+ public:
+  Ring() {
     v_.swap(buffer_cache());
     mask_ = v_.empty() ? 0 : v_.size() - 1;
   }
-  ~ReadyRing() {
+  ~Ring() {
     if (v_.size() > buffer_cache().size()) v_.swap(buffer_cache());
   }
-  ReadyRing(const ReadyRing&) = delete;
-  ReadyRing& operator=(const ReadyRing&) = delete;
+  Ring(const Ring&) = delete;
+  Ring& operator=(const Ring&) = delete;
 
   bool empty() const { return count_ == 0; }
-  std::size_t size() const { return count_; }
-  const Slot& head() const { return v_[head_ & mask_]; }
+  /// front(), back() and pop() require !empty().
+  const Slot& front() const { return v_[head_]; }
+  const Slot& back() const { return v_[(head_ + count_ - 1) & mask_]; }
 
-  void push(std::uint64_t seq, EventItem item) {
+  void push(const Slot& s) {
     if (count_ == v_.size()) grow();
-    v_[(head_ + count_) & mask_] = Slot{seq, item};
+    v_[(head_ + count_) & mask_] = s;
     ++count_;
   }
 
   Slot pop() noexcept {
-    const Slot s = v_[head_ & mask_];
+    Slot s = std::move(v_[head_]);
     head_ = (head_ + 1) & mask_;
     --count_;
     return s;
   }
 
  private:
-  // Retired backing buffers park in a thread-local cache so a fresh ring
-  // starts at the high-water capacity of its predecessor, pre-faulted.
   static std::vector<Slot>& buffer_cache() {
     thread_local std::vector<Slot> cache;
     return cache;
   }
 
   void grow() {
-    const std::size_t cap = v_.empty() ? 64 : v_.size() * 2;
+    const std::size_t cap = v_.empty() ? kInitialSlots : 2 * v_.size();
     std::vector<Slot> bigger(cap);
     for (std::size_t i = 0; i < count_; ++i) {
-      bigger[i] = v_[(head_ + i) & mask_];
+      bigger[i] = std::move(v_[(head_ + i) & mask_]);
     }
     v_ = std::move(bigger);
     head_ = 0;
@@ -287,75 +291,33 @@ class ReadyRing {
   std::size_t count_ = 0;
   std::size_t mask_ = 0;
 };
+
+/// An event at the current simulated time: every ready-ring entry shares
+/// `now`, so the slot carries only the schedule seq.
+struct ReadySlot {
+  std::uint64_t seq;
+  EventItem item;
+};
+
+/// A future event on the monotone run.
+struct TimedSlot {
+  std::int64_t t_ps;
+  std::uint64_t seq;
+  EventItem item;
+};
+
+/// FIFO of events at the current simulated time; sequence numbers are
+/// monotone along the ring by construction.
+using ReadyRing = Ring<ReadySlot, 64>;
 
 /// FIFO of future events whose timestamps were scheduled in nondecreasing
 /// order -- the dominant pattern (fixed link/processing latencies yield
 /// monotone wakeups). Entries are strictly ordered by (time, seq) along
 /// the ring by construction, so push and pop are O(1); out-of-order
 /// timestamps fall back to the `EventHeap` and the two are merged by
-/// (time, seq) at pop.
-class MonotoneRun {
- public:
-  struct Slot {
-    std::int64_t t_ps;
-    std::uint64_t seq;
-    EventItem item;
-  };
-
-  MonotoneRun() {
-    v_.swap(buffer_cache());
-    mask_ = v_.empty() ? 0 : v_.size() - 1;
-  }
-  ~MonotoneRun() {
-    if (v_.size() > buffer_cache().size()) v_.swap(buffer_cache());
-  }
-  MonotoneRun(const MonotoneRun&) = delete;
-  MonotoneRun& operator=(const MonotoneRun&) = delete;
-
-  bool empty() const { return count_ == 0; }
-  std::size_t size() const { return count_; }
-  std::int64_t front_time() const { return v_[head_ & mask_].t_ps; }
-  std::uint64_t front_seq() const { return v_[head_ & mask_].seq; }
-  std::int64_t back_time() const {
-    return v_[(head_ + count_ - 1) & mask_].t_ps;
-  }
-
-  /// Precondition: empty() or t_ps >= back_time().
-  void push(std::int64_t t_ps, std::uint64_t seq, EventItem item) {
-    if (count_ == v_.size()) grow();
-    v_[(head_ + count_) & mask_] = Slot{t_ps, seq, item};
-    ++count_;
-  }
-
-  EventItem pop() noexcept {
-    const EventItem item = v_[head_ & mask_].item;
-    head_ = (head_ + 1) & mask_;
-    --count_;
-    return item;
-  }
-
- private:
-  static std::vector<Slot>& buffer_cache() {
-    thread_local std::vector<Slot> cache;
-    return cache;
-  }
-
-  void grow() {
-    const std::size_t cap = v_.empty() ? 64 : v_.size() * 2;
-    std::vector<Slot> bigger(cap);
-    for (std::size_t i = 0; i < count_; ++i) {
-      bigger[i] = v_[(head_ + i) & mask_];
-    }
-    v_ = std::move(bigger);
-    head_ = 0;
-    mask_ = cap - 1;
-  }
-
-  std::vector<Slot> v_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-  std::size_t mask_ = 0;
-};
+/// (time, seq) at pop. Precondition of push: empty() or
+/// t_ps >= back().t_ps.
+using MonotoneRun = Ring<TimedSlot, 64>;
 
 /// 4-ary implicit min-heap over (time, seq) for events in the future.
 /// Keys live in the heap entries, so a sift touches one contiguous array;

@@ -22,7 +22,7 @@ Simulator::~Simulator() {
   for (Timer* tm : timers_) tm->index_ = Timer::kNotQueued;
   for (detail::ElidedSource* src : elided_) src->sim_ = nullptr;
   // Destroy any still-suspended root frames. Nothing may be resumed after
-  // this, so dangling waiter entries inside channels are harmless.
+  // this, so handles still queued or parked are never touched again.
   for (auto& r : roots_) {
     if (r.handle) r.handle.destroy();
   }
@@ -42,7 +42,7 @@ void Simulator::drop_pending() noexcept {
     }
   };
   while (!ring_.empty()) drop_item(ring_.pop().item);
-  while (!run_.empty()) drop_item(run_.pop());
+  while (!run_.empty()) drop_item(run_.pop().item);
   while (!heap_.empty()) drop_item(heap_.pop());
 }
 
@@ -121,8 +121,8 @@ bool Simulator::pick_next(TimePs& t, std::uint64_t& seq,
   std::int64_t ft = 0;
   std::uint64_t fseq = 0;
   if (!run_.empty()) {
-    ft = run_.front_time();
-    fseq = run_.front_seq();
+    ft = run_.front().t_ps;
+    fseq = run_.front().seq;
     src = 1;
   }
   if (!heap_.empty()) {
@@ -135,7 +135,7 @@ bool Simulator::pick_next(TimePs& t, std::uint64_t& seq,
     }
   }
   if (!ring_.empty()) {
-    if (src == 0 || ft > now_.ps() || fseq > ring_.head().seq) {
+    if (src == 0 || ft > now_.ps() || fseq > ring_.front().seq) {
       t = now_;
       const auto slot = ring_.pop();
       seq = slot.seq;
@@ -147,14 +147,14 @@ bool Simulator::pick_next(TimePs& t, std::uint64_t& seq,
   }
   t = TimePs(ft);
   seq = fseq;
-  item = (src == 1) ? run_.pop() : heap_.pop();
+  item = (src == 1) ? run_.pop().item : heap_.pop();
   return true;
 }
 
 bool Simulator::has_event_at_or_before(TimePs t) const {
   if (!timers_.empty() && TimePs(timers_.front()->t_ps_) <= t) return true;
   if (!ring_.empty()) return now_ <= t;
-  if (!run_.empty() && TimePs(run_.front_time()) <= t) return true;
+  if (!run_.empty() && TimePs(run_.front().t_ps) <= t) return true;
   if (!heap_.empty() && heap_.top_time() <= t) return true;
   return false;
 }
@@ -234,8 +234,8 @@ bool Simulator::timer_runs_next() const {
   const auto precedes = [&tm](std::int64_t t, std::uint64_t seq) {
     return tm.t_ps_ != t ? tm.t_ps_ < t : tm.seq_ < seq;
   };
-  if (!ring_.empty() && !precedes(now_.ps(), ring_.head().seq)) return false;
-  if (!run_.empty() && !precedes(run_.front_time(), run_.front_seq())) {
+  if (!ring_.empty() && !precedes(now_.ps(), ring_.front().seq)) return false;
+  if (!run_.empty() && !precedes(run_.front().t_ps, run_.front().seq)) {
     return false;
   }
   if (!heap_.empty() && !precedes(heap_.top_time().ps(), heap_.top_seq())) {
@@ -333,13 +333,6 @@ void Simulator::run_until(TimePs t) {
     cur_seq_ = next_seq_;
     settle_elided();
   }
-}
-
-bool Simulator::run_while_pending(const std::function<bool()>& pred) {
-  while (!pred()) {
-    if (!step()) return false;
-  }
-  return true;
 }
 
 }  // namespace bb::sim

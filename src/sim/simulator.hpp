@@ -3,10 +3,12 @@
 //
 // A `Simulator` advances a timeline of suspended coroutines and plain
 // callbacks. Processes are `Task<void>` coroutines spawned as roots; they
-// advance simulated time only by `co_await sim.delay(d)` or by blocking on
-// synchronization primitives (`Channel`, `Signal`). Events with equal
-// timestamps run in FIFO spawn order (a monotonically increasing sequence
-// number breaks ties), which makes runs deterministic.
+// advance simulated time only by `co_await sim.delay(d)`, or sleep parked
+// on the component whose state they poll (`Parked`) until it wakes them.
+// Hardware models react to transactions through `call_at` events and
+// withdrawable `Timer`s. Events with equal timestamps run in FIFO
+// schedule order (a monotonically increasing sequence number breaks
+// ties), which makes runs deterministic.
 //
 // The dispatch loop is built for near-zero per-event overhead (see
 // docs/SIM_ENGINE.md for the full design):
@@ -16,13 +18,13 @@
 //  * events at the current time -- the dominant case -- go through an O(1)
 //    FIFO ready ring; future timestamps scheduled in nondecreasing order
 //    (fixed latencies) ride an O(1) monotone run queue; only out-of-order
-//    timestamps pay the (4-ary) heap;
+//    timestamps pay the (4-ary) heap. The ready ring, the monotone run and
+//    every `Deferred` ledger share one ring template (`detail::Ring`);
 //  * root-process failures set a flag via a promise hook instead of being
 //    discovered by a per-event scan over all roots.
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -152,16 +154,11 @@ class Simulator {
 
   /// Schedules a raw coroutine resume at absolute time `t` (>= now).
   /// Coroutine events are a bare tagged pointer in the queue: no event
-  /// node, no pool, no allocation.
+  /// node, no pool, no allocation. A resume at now() goes onto the ready
+  /// ring behind every event already queued at now().
   void schedule_at(TimePs t, std::coroutine_handle<> h) {
     BB_ASSERT_MSG(t >= now_, "cannot schedule into the past");
     enqueue(t, detail::coro_item(h));
-  }
-
-  /// Fast path for wake-ups at the current time (Channel sends, Signal
-  /// fires): straight onto the ready ring, no heap involved.
-  void schedule_now(std::coroutine_handle<> h) {
-    ring_.push(next_seq_++, detail::coro_item(h));
   }
 
   /// Schedules a callback at absolute time `t` (>= now). Stateless
@@ -243,9 +240,6 @@ class Simulator {
   /// Runs while events exist and now() <= t, then runs the elided
   /// events up to t.
   void run_until(TimePs t);
-  /// Runs until `pred()` becomes true (checked after each event) or the
-  /// queue drains. Returns whether the predicate held.
-  bool run_while_pending(const std::function<bool()>& pred);
 
   std::uint64_t events_processed() const { return events_processed_; }
   bool idle() const {
@@ -287,9 +281,9 @@ class Simulator {
   void enqueue(TimePs t, detail::EventItem item) {
     const std::uint64_t seq = next_seq_++;
     if (t == now_) {
-      ring_.push(seq, item);
-    } else if (run_.empty() || t.ps() >= run_.back_time()) {
-      run_.push(t.ps(), seq, item);
+      ring_.push({seq, item});
+    } else if (run_.empty() || t.ps() >= run_.back().t_ps) {
+      run_.push({t.ps(), seq, item});
     } else {
       heap_.push(t, seq, item);
     }

@@ -43,23 +43,6 @@ TEST(Samples, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(s.quantile(0.5), 25.0);
 }
 
-TEST(RunningStats, MatchesBatchStats) {
-  Rng r(3);
-  Samples s;
-  RunningStats rs;
-  for (int i = 0; i < 5000; ++i) {
-    const double v = r.normal(100, 15);
-    s.add_ns(v);
-    rs.add(v);
-  }
-  const Summary sum = s.summarize();
-  EXPECT_NEAR(rs.mean(), sum.mean, 1e-9);
-  EXPECT_NEAR(rs.stddev(), sum.stddev, 1e-6);
-  EXPECT_DOUBLE_EQ(rs.min(), sum.min);
-  EXPECT_DOUBLE_EQ(rs.max(), sum.max);
-  EXPECT_EQ(rs.count(), sum.count);
-}
-
 TEST(Histogram, BinsAndClamping) {
   Histogram h(0.0, 100.0, 10);
   h.add_ns(5.0);    // bin 0

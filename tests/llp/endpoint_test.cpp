@@ -103,19 +103,18 @@ TEST(Endpoint, SignalPolicyMarksEveryNth) {
   EXPECT_EQ(tb.node(0).nic.cqes_written(), 2u);
 }
 
-TEST(Endpoint, TxRetireHandlerObservesCounts) {
+TEST(Endpoint, OneTxCqeRetiresSignaledBatch) {
   auto cfg = scenario::presets::deterministic();
   cfg.endpoint.signal.period = 4;
   Testbed tb(cfg);
   auto& ep = tb.add_endpoint(0);
-  std::vector<std::uint32_t> retires;
-  ep.set_tx_retire_handler([&](std::uint32_t k) { retires.push_back(k); });
   tb.sim().spawn([](Testbed::Node& n, Endpoint& e) -> sim::Task<void> {
     for (int i = 0; i < 4; ++i) (void)co_await e.put_short(8);
     while (e.outstanding() > 0) co_await n.worker.progress();
   }(tb.node(0), ep));
   tb.sim().run();
-  EXPECT_EQ(retires, (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(tb.node(0).worker.tx_cqes_polled(), 1u);
+  EXPECT_EQ(tb.node(0).worker.tx_ops_retired(), 4u);
 }
 
 TEST(Endpoint, FlushRetiresUnsignaledTail) {

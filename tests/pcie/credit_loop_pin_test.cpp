@@ -2,8 +2,8 @@
 // with a tiny posted-credit budget posting MMIO writes through a Link with
 // no analyzer, while the B side returns one UpdateFC per TLP and answers
 // every 4th TLP with an upstream MWr. Acks, UpdateFCs and TLPs contend on
-// the upstream transmitter and every credit return gates the downstream
-// pump, so any change to how DLLPs are delivered on this path shows up in
+// the upstream transmitter and every credit return gates the next
+// downstream post, so any change to how DLLPs are delivered on this path shows up in
 // the arrival times, the stall count or the drained end time.
 
 #include <gtest/gtest.h>

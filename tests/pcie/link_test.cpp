@@ -74,9 +74,9 @@ TEST(Link, UpstreamPostWaitsForReleasedCredits) {
 }
 
 TEST(Link, DestroyedWhileAPostWaitsForCredits) {
-  // Nothing returns credits: the upstream pump stays suspended on them,
-  // with a third write still queued, when the Link and then the
-  // Simulator (which owns the pump's frame) are torn down.
+  // Nothing returns credits: the second and third writes still wait in
+  // the upstream post queue for an UpdateFC that never comes when the
+  // Link and then the Simulator are torn down.
   sim::Simulator sim;
   Link link(sim, LinkParams{}, nullptr, nullptr,
             CreditState::default_endpoint(),

@@ -140,7 +140,7 @@ TEST(RootComplex, StallsWhenCreditsExhaustedAndResumesOnUpdateFC) {
 TEST(RootComplex, PumpThatStallsOnAnInFlightCreditReturnWakesAtItsArrival) {
   // The NIC side returns each write's credits the moment the write lands.
   // The second write is posted while the first write's UpdateFC is still
-  // on the wire: the pump stalls once and resumes exactly when it lands.
+  // on the wire: it stalls once and leaves inside that UpdateFC's arrival.
   // The third is posted after its predecessor's UpdateFC landed and does
   // not stall.
   sim::Simulator sim;

@@ -16,7 +16,6 @@
 #include <new>
 #include <vector>
 
-#include "sim/channel.hpp"
 #include "sim/deferred.hpp"
 #include "sim/pool.hpp"
 #include "sim/simulator.hpp"
@@ -89,38 +88,28 @@ TEST(EngineAlloc, ElidedEventLedgerIsHeapAllocationFreeOnceWarm) {
   EXPECT_EQ(g_heap_allocs.load(), allocs) << "elided-event ledger allocated";
 }
 
-TEST(EngineAlloc, ChannelPingPongSteadyStateIsHeapAllocationFree) {
+TEST(EngineAlloc, ReadyRingResumeIsHeapAllocationFree) {
   Simulator sim;
-  Channel<int> a(sim), b(sim);
-  auto pinger = [](Channel<int>& rx, Channel<int>& tx,
-                   int iters) -> Task<void> {
-    for (int i = 0; i < iters; ++i) {
-      tx.send(i);
-      (void)co_await rx.receive();
-    }
+  // Every zero delay resumes the process through the ready ring.
+  auto spinner = [](Simulator& s, int iters) -> Task<void> {
+    for (int i = 0; i < iters; ++i) co_await s.delay(TimePs::zero());
   };
-  auto ponger = [](Channel<int>& rx, Channel<int>& tx,
-                   int iters) -> Task<void> {
-    for (int i = 0; i < iters; ++i) {
-      const int v = co_await rx.receive();
-      tx.send(v);
-    }
-  };
-  // Warm-up pair grows the waiter queues, ready ring, and frame pool.
-  sim.spawn(pinger(a, b, 64));
-  sim.spawn(ponger(b, a, 64));
+  // Warm-up grows the ready ring and the frame pool.
+  sim.spawn(spinner(sim, 64));
   sim.run();
   const std::uint64_t allocs = g_heap_allocs.load();
-  // Steady state: only the two spawn bookkeeping entries may allocate
-  // (roots vector + name), so measure from after the spawns.
-  sim.spawn(pinger(a, b, 4096));
-  sim.spawn(ponger(b, a, 4096));
+  // Steady state: only the spawn bookkeeping may allocate (roots vector
+  // + name), so measure from after the spawn.
+  sim.spawn(spinner(sim, 4096));
   const std::uint64_t after_spawn = g_heap_allocs.load();
+  const std::uint64_t events = sim.events_processed();
   sim.run();
+  EXPECT_EQ(sim.events_processed() - events, 4096u + 1u);
+  EXPECT_EQ(sim.now(), TimePs::zero());
   EXPECT_EQ(g_heap_allocs.load(), after_spawn)
-      << "channel send/receive hot path allocated";
-  // And the spawns themselves must not have paid for fresh frames.
-  EXPECT_LE(after_spawn - allocs, 4u);
+      << "ready-ring resume hot path allocated";
+  // And the spawn itself must not have paid for a fresh frame.
+  EXPECT_LE(after_spawn - allocs, 2u);
 }
 
 TEST(EngineAlloc, CoroutineFramesAreRecycledAcrossSimulators) {

@@ -136,25 +136,6 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
   EXPECT_EQ(count, 10);
 }
 
-TEST(Simulator, RunWhilePendingStopsOnPredicate) {
-  Simulator sim;
-  int count = 0;
-  sim.spawn([](Simulator& s, int& c) -> Task<void> {
-    for (;;) {
-      co_await s.delay(10_ns);
-      ++c;
-    }
-  }(sim, count));
-  EXPECT_TRUE(sim.run_while_pending([&] { return count >= 5; }));
-  EXPECT_EQ(count, 5);
-}
-
-TEST(Simulator, RunWhilePendingReturnsFalseWhenDrained) {
-  Simulator sim;
-  sim.call_at(1_ns, [] {});
-  EXPECT_FALSE(sim.run_while_pending([] { return false; }));
-}
-
 TEST(Simulator, RootProcessExceptionPropagates) {
   Simulator sim;
   sim.spawn([](Simulator& s) -> Task<void> {
