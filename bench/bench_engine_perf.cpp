@@ -228,17 +228,22 @@ void BM_ParkedWaitSteady(benchmark::State& state) {
 BENCHMARK(BM_ParkedWaitSteady)->Arg(1000);
 
 void BM_PutBwSimulationThroughput(benchmark::State& state) {
+  constexpr std::uint64_t kWarmup = 100;
+  const auto messages = static_cast<std::uint64_t>(state.range(0));
+  std::uint64_t events = 0;
   for (auto _ : state) {
     scenario::Testbed tb(scenario::presets::thunderx2_cx4());
     bench::PutBwBenchmark bench(
-        tb, {.messages = static_cast<std::uint64_t>(state.range(0)),
-             .warmup = 100,
-             .capture_trace = false});
+        tb, {.messages = messages, .warmup = kWarmup, .capture_trace = false});
     const auto res = bench.run();
     benchmark::DoNotOptimize(res.cpu_per_msg_ns);
+    events = tb.sim().events_processed();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
   state.SetLabel("simulated messages");
+  // Events per simulated message, warm-up included (one run's count).
+  state.counters["events_per_op"] =
+      static_cast<double>(events) / static_cast<double>(messages + kWarmup);
 }
 BENCHMARK(BM_PutBwSimulationThroughput)->Arg(2000);
 
@@ -246,17 +251,23 @@ BENCHMARK(BM_PutBwSimulationThroughput)->Arg(2000);
 // peer endpoints, and the coroutine schedules in bb::coll -- the densest
 // event mix the repo produces. Items = simulated collective operations.
 void BM_CollAllreduceThroughput(benchmark::State& state) {
+  constexpr std::uint64_t kWarmup = 2;
   const auto iters = static_cast<std::uint64_t>(state.range(0));
+  std::uint64_t events = 0;
   for (auto _ : state) {
     scenario::Cluster cl(scenario::presets::deterministic(), 8);
     coll::World world(cl);
     bench::OsuColl bench(world, bench::OsuColl::Kind::kAllreduce,
-                         {.iterations = iters, .warmup = 2, .bytes = 256});
+                         {.iterations = iters, .warmup = kWarmup, .bytes = 256});
     const auto res = bench.run();
     benchmark::DoNotOptimize(res.iterations);
+    events = cl.sim().events_processed();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(iters));
   state.SetLabel("simulated allreduces");
+  // Events per simulated allreduce, warm-up included (one run's count).
+  state.counters["events_per_op"] =
+      static_cast<double>(events) / static_cast<double>(iters + kWarmup);
 }
 BENCHMARK(BM_CollAllreduceThroughput)->Arg(20);
 

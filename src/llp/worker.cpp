@@ -19,11 +19,7 @@ Worker::Worker(cpu::Core& core, nic::HostMemory& host,
                 this) {}
 
 Worker::~Worker() {
-  if (parked_) {
-    host_.unpark(this);
-    core_.set_parked(nullptr);
-    core_.simulator().note_unparked();
-  }
+  if (parked_) unpark();
 }
 
 sim::Task<std::uint32_t> Worker::progress(std::uint32_t max_completions,
@@ -119,17 +115,52 @@ void Worker::wake(sim::Tie tie) {
   sim::Simulator& sim = core_.simulator();
   // Replay the skipped passes that cannot have seen the wake: those that
   // start before it, and with kPassFirst one that starts exactly at it
-  // (a write noticed now commits RC-to-MEM later; a deadline stops only
-  // passes that start after it). A pass that starts exactly at a commit
-  // runs after it and sees the write. Resume at the first pass left.
+  // (a deadline stops only passes that start after it). A pass that
+  // starts exactly at a commit runs after it and sees the write. Resume
+  // at the first pass left.
+  bool inclusive = tie == sim::Tie::kPassFirst;
+  if (std::exchange(noticed_, false)) {
+    if (!sim.precedes_current(next_pass_, pass_seq_)) {
+      // The pass after the last notice has not run: resume there, at the
+      // place its resume took at the notice.
+      unpark();
+      sim.schedule_at_reserved(next_pass_, pass_seq_,
+                               std::exchange(parked_, {}));
+      return;
+    }
+    // That pass ran before this wake, came up empty and parked the loop
+    // again: it is replayed, also when it starts at the wake.
+    inclusive = inclusive || next_pass_ == sim.now();
+  }
   next_pass_ = core_.replay_until(loop_->pass_costs, next_pass_, sim.now(),
-                                  tie == sim::Tie::kPassFirst,
-                                  replayed_passes_);
+                                  inclusive, replayed_passes_);
+  unpark();
+  sim.schedule_at(next_pass_, std::exchange(parked_, {}));
+}
+
+std::optional<sim::PassPlace> Worker::notice() {
+  sim::Simulator& sim = core_.simulator();
+  // A write noticed now commits RC-to-MEM later: passes that start up to
+  // and at the notice miss it, and so does the next. That pass takes the
+  // seq its resume would have taken here.
+  noticed_ = false;
+  next_pass_ = core_.replay_until(loop_->pass_costs, next_pass_, sim.now(),
+                                  /*inclusive=*/true, replayed_passes_);
+  if (next_pass_ > loop_->deadline) {
+    // That pass times the loop out: resume there.
+    wake(sim::Tie::kPassFirst);
+    return std::nullopt;
+  }
+  noticed_ = true;
+  pass_seq_ = sim.reserve_seq();
+  return sim::PassPlace{&sim, next_pass_, pass_seq_};
+}
+
+void Worker::unpark() {
   deadline_.cancel();
   host_.unpark(this);
   core_.set_parked(nullptr);
-  sim.note_unparked();
-  sim.schedule_at(next_pass_, std::exchange(parked_, {}));
+  core_.simulator().note_unparked();
 }
 
 }  // namespace bb::llp

@@ -13,12 +13,15 @@
 // A blocking wait loop may pass an IdleLoop to progress(): an empty pass
 // then parks the loop instead of scheduling its next poll, and the
 // skipped passes are replayed arithmetically when a write into the node
-// (its notice or its commit), other use of the core, or the loop's
-// deadline wakes it -- docs/SIM_ENGINE.md "Parked waiters".
+// (its commit), other use of the core, or the loop's deadline wakes it.
+// A write's notice only replays the passes up to it: the loop stays
+// parked through the next pass, which cannot see the write yet
+// (docs/SIM_ENGINE.md "Parked waiters").
 
 #include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -116,9 +119,15 @@ class Worker final : private sim::Parked {
   };
   bool can_park(const IdleLoop& loop) const;
   void park(std::coroutine_handle<> h, const IdleLoop& loop);
-  /// sim::Parked: a write was scheduled into or committed to the node,
-  /// another process used the core, or the deadline passed.
+  /// sim::Parked: a write was committed to the node, another process
+  /// used the core, or the deadline passed.
   void wake(sim::Tie tie) override;
+  /// sim::Parked: a write into the node was scheduled. Replays the
+  /// passes up to it and stays parked through the next one, which finds
+  /// nothing the write could change.
+  std::optional<sim::PassPlace> notice() override;
+  /// Leaves the parked state (no resume is scheduled).
+  void unpark();
 
   cpu::Core& core_;
   nic::HostMemory& host_;
@@ -132,10 +141,13 @@ class Worker final : private sim::Parked {
   std::uint64_t error_completions_ = 0;
   std::uint64_t flushed_completions_ = 0;
   // Parking state: the suspended pass, its loop, and the start of the
-  // first pass not yet replayed.
+  // first pass not yet replayed. After a notice that pass holds the seq
+  // its resume would have taken (`noticed_`).
   std::coroutine_handle<> parked_;
   const IdleLoop* loop_ = nullptr;
   TimePs next_pass_;
+  bool noticed_ = false;
+  std::uint64_t pass_seq_ = 0;
   sim::Timer deadline_;
   std::uint64_t parks_ = 0;
   std::uint64_t replayed_passes_ = 0;

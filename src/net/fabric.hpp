@@ -14,6 +14,15 @@
 // occupies the wire and the receiver port. With the injector absent or
 // disabled the delivery path is untouched and runs are bit-identical to a
 // fabric built without one.
+//
+// Elided ACKs (docs/SIM_ENGINE.md "Elided events"): on a fabric with no
+// wire injector, an unsignalled RC ACK is observed by nothing between
+// the responder's ACK generation and the requester's ACK handling. Its
+// departure is a ledger entry at the place its event would have had;
+// send() settles the ledger first, so the transmitter and in-order
+// state see every ACK in (time, seq) order, and the entry hands the
+// ACK's arrival to the destination's sink instead of queueing a
+// delivery.
 
 #include <cstdint>
 #include <functional>
@@ -24,6 +33,7 @@
 #include "common/units.hpp"
 #include "fault/fault.hpp"
 #include "net/packet.hpp"
+#include "sim/deferred.hpp"
 #include "sim/simulator.hpp"
 
 namespace bb::net {
@@ -121,11 +131,19 @@ inline constexpr std::pair<const char*, std::uint64_t TransportStats::*>
 class Fabric {
  public:
   using Handler = std::function<void(const NetPacket&)>;
+  /// Takes an elided ACK for `qp` (cumulative `psn`) that arrives at
+  /// `arrive`, in place of its delivery event.
+  using AckSink = void (*)(void* ctx, TimePs arrive, std::uint32_t qp,
+                           std::uint64_t psn);
 
   Fabric(sim::Simulator& sim, NetParams params, int node_count = 2,
          fault::WireInjector* wire = nullptr);
 
   void attach(int node, Handler h);
+  /// Lets ACKs to `node` be elided; they reach `sink` instead of the
+  /// handler. A node whose ACK handling something else observes (a
+  /// faulty PCIe link) does not attach one.
+  void attach_ack_sink(int node, AckSink sink, void* ctx);
   const NetParams& params() const { return params_; }
   int node_count() const { return static_cast<int>(handlers_.size()); }
 
@@ -137,12 +155,42 @@ class Fabric {
 
   /// Transmits a packet from `pkt.src_node` to `pkt.dst_node`.
   void send(NetPacket pkt);
+  /// Sends an ACK from `src` to `dst` at `t` (>= now) as an elided event,
+  /// at the place a send queued now for `t` would run. False when it must
+  /// be a real one: a wire injector, no sink at `dst`, or a departure
+  /// earlier than one already in the ledger.
+  bool defer_ack(TimePs t, std::uint32_t qp, std::uint64_t psn, int src,
+                 int dst);
+  /// Runs the elided ACK departures whose place has passed.
+  void settle() { acks_.settle(); }
 
+  /// Counts. An elided ACK counts as sent and delivered when its
+  /// departure runs, so mid-run they may run ahead of the wire; at the
+  /// end of a run they are exact.
   std::uint64_t packets_delivered() const { return stats_.packets_delivered; }
   const TransportStats& stats() const { return stats_; }
 
  private:
+  /// An elided ACK's departure.
+  struct ElidedAck {
+    int src = 0;
+    int dst = 0;
+    std::uint32_t qp = 0;
+    std::uint64_t psn = 0;
+  };
+  struct Sink {
+    AckSink fn = nullptr;
+    void* ctx = nullptr;
+  };
+
   void deliver(std::size_t dst, TimePs arrive, NetPacket pkt, bool corrupt);
+  /// Reserves `src`'s transmitter for a packet ready at `ready`; returns
+  /// its arrival before any ordering.
+  TimePs occupy(std::size_t src, std::uint32_t payload_bytes, TimePs ready);
+  /// The receiver-port queue (model_incast only).
+  TimePs through_port(std::size_t dst, std::uint32_t payload_bytes,
+                      TimePs arrive);
+  static void depart_elided_ack(void* fabric, TimePs t, const ElidedAck& a);
 
   sim::Simulator& sim_;
   NetParams params_;
@@ -154,6 +202,10 @@ class Fabric {
   // Per-receiver port occupancy (only advanced when model_incast is on).
   std::vector<TimePs> rx_next_free_;
   TransportStats stats_;
+  std::vector<Sink> sinks_;
+  /// Elided ACK departures, and the latest one pushed.
+  sim::Deferred<ElidedAck> acks_;
+  TimePs acks_tail_ = TimePs::zero();
 };
 
 }  // namespace bb::net

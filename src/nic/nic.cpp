@@ -53,11 +53,18 @@ Nic::Nic(sim::Simulator& sim, pcie::Link& link, net::Fabric& fabric,
       fabric_(fabric),
       node_id_(node_id),
       params_(params),
-      host_(host) {
+      host_(host),
+      acks_(sim, *this) {
   link_.set_b_tlp_handler([this](const pcie::Tlp& t) { on_downstream_tlp(t); });
   fabric_.attach(node_id_, [this](const net::NetPacket& p) {
     on_fabric_packet(p);
   });
+  // A faulty link can retire ops with error CQEs at any picosecond, and
+  // each reads the flow's unsignalled count: ACKs to this node then keep
+  // their events.
+  if (link_.injector() == nullptr) {
+    fabric_.attach_ack_sink(node_id_, &take_elided_ack, this);
+  }
 }
 
 void Nic::on_downstream_tlp(const pcie::Tlp& tlp) {
@@ -197,6 +204,7 @@ Nic::PendingRead Nic::take_read(std::uint64_t tag) {
 
 void Nic::complete_with_error(std::uint32_t qp, std::uint64_t msg_id,
                               common::Status status) {
+  settle_acks();
   ++error_cqes_;
   if (fault_stats_) ++fault_stats_->error_cqes;
   // Retires the failed op plus every unsignalled predecessor on the QP
@@ -220,6 +228,7 @@ void Nic::write_cqe(TxFlow& f, std::uint64_t msg_id, common::Status status) {
 }
 
 void Nic::inject(const pcie::WireMd& md) {
+  settle_acks();
   TxFlow& f = tx_flow(md.qp);
   if (f.state != QpState::kRts) {
     // Posts against a non-RTS QP are flushed immediately with an error
@@ -230,7 +239,7 @@ void Nic::inject(const pcie::WireMd& md) {
   }
   f.peer = md.dst_node;
   const std::uint64_t psn = f.next_psn++;
-  f.unacked.push_back(TxEntry{psn, md});
+  f.unacked.push(TxEntry{psn, md});
   ++messages_injected_;
   fabric_.send(net::NetPacket::data(md, node_id_, md.dst_node, psn));
   arm_retry_timer(f);
@@ -328,10 +337,16 @@ void Nic::on_data_packet(const net::NetPacket& pkt) {
                  link_.post(pcie::Direction::kUpstream, std::move(tlp));
                });
   // §2 step 4: acknowledge to the initiator NIC. The ACK does not wait
-  // for the payload's RC-to-MEM commit.
+  // for the payload's RC-to-MEM commit. Nothing observes an unsignalled
+  // op's ACK on its way: the fabric keeps it out of the event queue.
   ++tstats_.acks_sent;
-  send_ctrl(net::NetPacket::Kind::kAck, pkt.qp, pkt.psn, pkt.src_node,
-            params_.rx_proc_ns + params_.ack_gen_ns);
+  const double ack_ns = params_.rx_proc_ns + params_.ack_gen_ns;
+  if (md.signaled ||
+      !fabric_.defer_ack(sim_.now() + TimePs::from_ns(ack_ns), pkt.qp,
+                         pkt.psn, node_id_, pkt.src_node)) {
+    send_ctrl(net::NetPacket::Kind::kAck, pkt.qp, pkt.psn, pkt.src_node,
+              ack_ns);
+  }
 }
 
 void Nic::complete_message(TxFlow& f, const pcie::WireMd& md) {
@@ -348,8 +363,7 @@ void Nic::complete_message(TxFlow& f, const pcie::WireMd& md) {
 bool Nic::retire_through(TxFlow& f, std::uint64_t psn) {
   bool progress = false;
   while (!f.unacked.empty() && f.unacked.front().psn <= psn) {
-    const pcie::WireMd md = f.unacked.front().md;
-    f.unacked.pop_front();
+    const pcie::WireMd md = f.unacked.pop().md;
     progress = true;
     complete_message(f, md);
   }
@@ -357,7 +371,52 @@ bool Nic::retire_through(TxFlow& f, std::uint64_t psn) {
 }
 
 void Nic::on_rc_ack(std::uint32_t qp, std::uint64_t psn) {
-  TxFlow& f = tx_flow(qp);
+  settle_acks();
+  handle_ack(tx_flow(qp), psn);
+}
+
+void Nic::take_elided_ack(void* nic, TimePs arrive, std::uint32_t qp,
+                          std::uint64_t psn) {
+  Nic& n = *static_cast<Nic*>(nic);
+  n.acks_.push(arrive + TimePs::from_ns(n.params_.ack_handle_ns),
+               &n.tx_flow(qp), psn);
+}
+
+void Nic::settle_acks() {
+  // An ACK handled by now left its responder earlier: its departure
+  // runs first, if the fabric has not run it yet.
+  fabric_.settle();
+  acks_.settle(sim_.now());
+}
+
+void Nic::AckLedger::push(TimePs t, TxFlow* flow, std::uint64_t psn) {
+  heap_.push_back(Entry{t.ps(), sim_->reserve_seq(), flow, psn});
+  std::push_heap(heap_.begin(), heap_.end(),
+                 [](const Entry& a, const Entry& b) { return a.after(b); });
+  sim_->note_elided(t);
+}
+
+bool Nic::AckLedger::head(std::int64_t& t_ps, std::uint64_t& seq) const {
+  if (heap_.empty()) return false;
+  t_ps = heap_.front().t_ps;
+  seq = heap_.front().seq;
+  return true;
+}
+
+void Nic::AckLedger::run_head() {
+  std::pop_heap(heap_.begin(), heap_.end(),
+                [](const Entry& a, const Entry& b) { return a.after(b); });
+  const Entry e = heap_.back();
+  heap_.pop_back();
+  // An unsignalled ACK on a fault-free fabric only retires its own op
+  // and resets counters, which commutes with whatever else runs at its
+  // picosecond; a CQE written here would leave at the wrong time.
+  const std::uint64_t cqes = nic_.cqes_written_;
+  nic_.handle_ack(*e.flow, e.psn);
+  BB_ASSERT_MSG(nic_.cqes_written_ == cqes, "an elided ACK wrote a CQE");
+}
+
+void Nic::handle_ack(TxFlow& f, std::uint64_t psn) {
   ++tstats_.acks_received;
   if (f.state != QpState::kRts) return;  // stale ACK after error/reset
   if (!retire_through(f, psn)) return;   // duplicate cumulative ACK
@@ -372,6 +431,7 @@ void Nic::on_rc_ack(std::uint32_t qp, std::uint64_t psn) {
 }
 
 void Nic::on_rc_nak(std::uint32_t qp, std::uint64_t psn) {
+  settle_acks();
   TxFlow& f = tx_flow(qp);
   ++tstats_.naks_received;
   if (f.state != QpState::kRts) return;
@@ -384,6 +444,7 @@ void Nic::on_rc_nak(std::uint32_t qp, std::uint64_t psn) {
 }
 
 void Nic::on_rnr_nak(std::uint32_t qp, std::uint64_t psn) {
+  settle_acks();
   TxFlow& f = tx_flow(qp);
   ++tstats_.rnr_naks_received;
   if (f.state != QpState::kRts) return;
@@ -418,7 +479,8 @@ Nic::TxFlow& Nic::tx_flow(std::uint32_t qp) {
 }
 
 void Nic::retransmit_flow(TxFlow& f) {
-  for (const TxEntry& e : f.unacked) {
+  for (std::size_t i = 0; i < f.unacked.size(); ++i) {
+    const TxEntry& e = f.unacked[i];
     ++tstats_.retransmits;
     fabric_.send(net::NetPacket::data(e.md, node_id_, f.peer, e.psn));
   }
@@ -435,6 +497,7 @@ void Nic::arm_retry_timer(TxFlow& f) {
 }
 
 void Nic::on_flow_timer(TxFlow& f) {
+  settle_acks();
   // qp_reset and qp_error cancel the timer: the flow is in RTS or
   // kConnecting.
   if (f.rnr_wait) {
@@ -487,8 +550,7 @@ void Nic::qp_error(TxFlow& f) {
 void Nic::flush_unacked(TxFlow& f, common::Status head) {
   common::Status st = head;
   while (!f.unacked.empty()) {
-    const std::uint64_t msg_id = f.unacked.front().md.msg_id;
-    f.unacked.pop_front();
+    const std::uint64_t msg_id = f.unacked.pop().md.msg_id;
     ++tstats_.flushed_wqes;
     complete_with_error(f.qp, msg_id, st);
     st = common::Status::kFlushed;
@@ -500,13 +562,15 @@ QpState Nic::qp_state(std::uint32_t qp) const {
   return it == tx_flows_.end() ? QpState::kRts : it->second.state;
 }
 
-std::size_t Nic::tx_unacked() const {
+std::size_t Nic::tx_unacked() {
+  settle_acks();
   std::size_t n = 0;
   for (const auto& [qp, f] : tx_flows_) n += f.unacked.size();
   return n;
 }
 
 void Nic::qp_reset(std::uint32_t qp) {
+  settle_acks();
   TxFlow& f = tx_flow(qp);
   f.timer.cancel();
   flush_unacked(f, common::Status::kFlushed);
@@ -521,6 +585,7 @@ void Nic::qp_reset(std::uint32_t qp) {
 }
 
 void Nic::qp_connect(std::uint32_t qp, int peer_node) {
+  settle_acks();
   TxFlow& f = tx_flow(qp);
   BB_ASSERT_MSG(f.state == QpState::kReset,
                 "qp_connect requires a RESET QP (call qp_reset first)");
@@ -544,6 +609,7 @@ void Nic::on_connect(const net::NetPacket& pkt) {
 }
 
 void Nic::on_connect_ack(std::uint32_t qp) {
+  settle_acks();
   TxFlow& f = tx_flow(qp);
   if (f.state != QpState::kConnecting) return;  // duplicate connect-ack
   f.state = QpState::kRts;

@@ -36,16 +36,17 @@
 // events are scheduled, so error-free runs stay bit-identical.
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/units.hpp"
 #include "fault/fault.hpp"
 #include "net/fabric.hpp"
 #include "nic/queues.hpp"
 #include "pcie/link.hpp"
+#include "sim/event.hpp"
 #include "sim/simulator.hpp"
 
 namespace bb::nic {
@@ -106,11 +107,14 @@ class Nic {
   /// the connect-ack the QP returns to RTS, sending to `peer_node`.
   void qp_connect(std::uint32_t qp, int peer_node);
   /// Data packets posted but not yet cumulatively ACKed, all QPs.
-  std::size_t tx_unacked() const;
+  std::size_t tx_unacked();
 
   // Statistics.
   std::uint64_t messages_injected() const { return messages_injected_; }
-  std::uint64_t acks_received() const { return acks_received_; }
+  std::uint64_t acks_received() {
+    settle_acks();
+    return acks_received_;
+  }
   std::uint64_t cqes_written() const { return cqes_written_; }
   std::uint64_t dma_reads_issued() const { return dma_reads_issued_; }
   std::uint64_t credit_stalls() const {
@@ -118,7 +122,10 @@ class Nic {
   }
   std::uint64_t error_cqes() const { return error_cqes_; }
   /// RC-transport counters (protocol side; the fabric holds the wire side).
-  const net::TransportStats& transport_stats() const { return tstats_; }
+  const net::TransportStats& transport_stats() {
+    settle_acks();
+    return tstats_;
+  }
 
   /// Shared fault-stat accumulator (the link's injector owns it); error
   /// completions and DMA-read retries are counted there when set.
@@ -169,6 +176,14 @@ class Nic {
   /// any was.
   bool retire_through(TxFlow& f, std::uint64_t psn);
   void on_rc_ack(std::uint32_t qp, std::uint64_t psn);
+  /// ACK handling proper: retires what `psn` acknowledges on `f`.
+  void handle_ack(TxFlow& f, std::uint64_t psn);
+  /// Fabric::AckSink: an elided ACK arrives.
+  static void take_elided_ack(void* nic, TimePs arrive, std::uint32_t qp,
+                              std::uint64_t psn);
+  /// Handles every elided ACK due by now (docs/SIM_ENGINE.md "Elided
+  /// events"). Called before anything reads or changes TX-flow state.
+  void settle_acks();
   void on_rc_nak(std::uint32_t qp, std::uint64_t psn);
   void on_rnr_nak(std::uint32_t qp, std::uint64_t psn);
   void on_connect(const net::NetPacket& pkt);
@@ -219,7 +234,7 @@ class Nic {
     std::uint64_t next_psn = 1;
     /// Sent-but-not-cumulatively-ACKed packets, PSN order (go-back-N
     /// window).
-    std::deque<TxEntry> unacked;
+    sim::detail::Ring<TxEntry, 16> unacked;
     /// Retired-but-unsignalled ops awaiting the next CQE (unsignalled
     /// completion moderation); kept across qp_reset.
     std::uint32_t unsignalled = 0;
@@ -245,6 +260,42 @@ class Nic {
   std::map<std::uint32_t, TxFlow> tx_flows_;
   std::map<std::pair<int, std::uint32_t>, RxFlow> rx_flows_;
   net::TransportStats tstats_;
+
+  /// Elided ACKs that arrived, each waiting for its handling time: a
+  /// min-heap by (time, seq), so FIFO per flow, whose arrivals are
+  /// strictly ordered. The Simulator runs them when its queue drains.
+  class AckLedger final : public sim::detail::ElidedSource {
+   public:
+    AckLedger(sim::Simulator& sim, Nic& nic) : nic_(nic) { sim.attach(this); }
+    ~AckLedger() override {
+      if (sim_) sim_->detach(this);
+    }
+    AckLedger(const AckLedger&) = delete;
+    AckLedger& operator=(const AckLedger&) = delete;
+
+    void push(TimePs t, TxFlow* flow, std::uint64_t psn);
+    /// Handles the entries due at or before `now`.
+    void settle(TimePs now) {
+      while (!heap_.empty() && heap_.front().t_ps <= now.ps()) run_head();
+    }
+
+   private:
+    struct Entry {
+      std::int64_t t_ps;
+      std::uint64_t seq;
+      TxFlow* flow;
+      std::uint64_t psn;
+      bool after(const Entry& o) const {
+        return t_ps != o.t_ps ? t_ps > o.t_ps : seq > o.seq;
+      }
+    };
+    bool head(std::int64_t& t_ps, std::uint64_t& seq) const override;
+    void run_head() override;
+
+    Nic& nic_;
+    std::vector<Entry> heap_;
+  };
+  AckLedger acks_;
 
   std::map<std::uint64_t, PendingRead> pending_reads_;
   std::uint64_t next_tag_ = 1;

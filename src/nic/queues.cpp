@@ -36,20 +36,61 @@ std::optional<pcie::WireMd> HostMemory::take_staged(std::uint32_t qp) {
   return md;
 }
 
+void HostMemory::note_write_scheduled() {
+  settle_noticed();
+  // Last parked first, as wake_parked() goes: each takes the seq of the
+  // resume it would queue in that order.
+  while (!parked_.empty()) {
+    sim::Parked* p = parked_.back();
+    const std::size_t before = parked_.size();
+    if (const auto at = p->notice()) {
+      BB_ASSERT_MSG(parked_.size() == before, "noticed poller unparked");
+      parked_.pop_back();
+      auto it = noticed_.end();
+      while (it != noticed_.begin() && at->before((it - 1)->at)) --it;
+      noticed_.insert(it, Noticed{p, *at});
+    } else {
+      BB_ASSERT_MSG(parked_.size() < before, "woken poller stayed parked");
+    }
+  }
+}
+
+void HostMemory::settle_noticed() {
+  std::size_t n = 0;
+  while (n < noticed_.size() && noticed_[n].at.ran()) {
+    parked_.push_back(noticed_[n++].p);
+  }
+  noticed_.erase(noticed_.begin(), noticed_.begin() + n);
+}
+
 void HostMemory::wake_parked(sim::Tie tie) {
+  settle_noticed();
   // Each wake() unparks its poller, which removes it from the list.
   while (!parked_.empty()) {
     const std::size_t before = parked_.size();
     parked_.back()->wake(tie);
     BB_ASSERT_MSG(parked_.size() < before, "woken poller stayed parked");
   }
+  // Noticed pollers whose pass has not run yet resume there.
+  while (!noticed_.empty()) {
+    const std::size_t before = noticed_.size();
+    noticed_.back().p->wake(tie);
+    BB_ASSERT_MSG(noticed_.size() < before, "woken poller stayed parked");
+  }
 }
 
 void HostMemory::unpark(sim::Parked* p) {
+  settle_noticed();
   for (auto& q : parked_) {
     if (q == p) {
       q = parked_.back();
       parked_.pop_back();
+      return;
+    }
+  }
+  for (auto it = noticed_.begin(); it != noticed_.end(); ++it) {
+    if (it->p == p) {
+      noticed_.erase(it);
       return;
     }
   }

@@ -40,7 +40,10 @@ struct Cqe {
   common::Status status = common::Status::kOk;
 };
 
-/// A CQ ring in host memory.
+/// A CQ ring in host memory. A deque, not the engine's sim::detail::Ring:
+/// a CQ nobody polls (the RX CQ of a node that only receives puts into
+/// it for a whole run) would double a ring to its backlog, and the ring
+/// type's thread-local cache would keep that buffer for the next run.
 class CqRing {
  public:
   void push(Cqe e) {
@@ -71,7 +74,10 @@ class CqRing {
 /// the RC's memory sink and DMA-read provider.
 class HostMemory {
  public:
-  HostMemory() { parked_.reserve(4); }
+  HostMemory() {
+    parked_.reserve(4);
+    noticed_.reserve(4);
+  }
   HostMemory(const HostMemory&) = delete;
   HostMemory& operator=(const HostMemory&) = delete;
 
@@ -88,15 +94,20 @@ class HostMemory {
   std::size_t tx_cqes_present() const { return tx_cqes_present_; }
 
   /// Root Complex notice, given when a DMA write into this memory is
-  /// scheduled (at TLP arrival, before its commit is queued). It wakes
-  /// every parked poller, as commit_write() does again once the write
-  /// lands. Only the commit changes what an idle poller finds; the notice
-  /// makes every pass still parked at the commit one queued after the
-  /// write arrived (docs/SIM_ENGINE.md "Parked waiters").
-  void note_write_scheduled() { wake_parked(sim::Tie::kPassFirst); }
+  /// scheduled (at TLP arrival, before its commit is queued). Every
+  /// parked poller replays the passes that cannot see the write and may
+  /// stay parked through the first pass after the notice, which comes
+  /// up empty (sim::Parked::notice); it rejoins the waiters at that
+  /// pass's place. Only the commit changes what an idle poller finds;
+  /// the notice makes every pass still parked at the commit one queued
+  /// after the write arrived (docs/SIM_ENGINE.md "Parked waiters").
+  void note_write_scheduled();
   /// Registers / removes a poller parked until the next write notice or
   /// commit.
-  void park(sim::Parked* p) { parked_.push_back(p); }
+  void park(sim::Parked* p) {
+    settle_noticed();
+    parked_.push_back(p);
+  }
   void unpark(sim::Parked* p);
 
   /// Node-wide unique message ids (several workers/cores on one node
@@ -133,12 +144,23 @@ class HostMemory {
   std::uint64_t payload_writes() const { return payload_writes_; }
 
  private:
+  /// A poller that stayed parked through a notice, until its pass.
+  struct Noticed {
+    sim::Parked* p;
+    sim::PassPlace at;
+  };
   void wake_parked(sim::Tie tie);
+  /// Noticed pollers whose pass has run rejoin `parked_`, in the order
+  /// of their passes: that pass came up empty and parked them again.
+  void settle_noticed();
 
   std::map<std::uint32_t, CqRing> tx_cqs_;
   std::size_t tx_cqes_present_ = 0;
   CqRing rx_cq_;
+  /// Parked pollers in the order they parked (woken last first).
   std::vector<sim::Parked*> parked_;
+  /// Noticed pollers in the order of their passes' places.
+  std::vector<Noticed> noticed_;
   std::map<std::uint32_t, std::deque<pcie::WireMd>> staged_;
   std::uint64_t next_msg_id_ = 1;
   std::function<void()> commit_hook_;

@@ -31,7 +31,7 @@ void Link::send_upstream(Tlp tlp) {
 void Link::post(Direction dir, Tlp tlp) {
   tlp.dir = dir;
   DirState& st = dir_state(dir);
-  st.posted.push_back(std::move(tlp));
+  st.posted.push(std::move(tlp));
   if (!st.credit_waiter) issue(dir);
 }
 
@@ -47,12 +47,12 @@ void Link::issue(Direction dir) {
   // Cleared first: settling an UpdateFC below must not re-enter.
   st.credit_waiter = false;
   while (!st.posted.empty()) {
-    const Tlp& tlp = st.posted.front();
     // §2: a transaction may be issued only with sufficient credits;
     // otherwise wait for an UpdateFC from the receiver. Elided UpdateFCs
     // that have arrived are applied first; while a post waits, they are
     // events.
     back.updates.settle();
+    const Tlp& tlp = st.posted.front();
     if (!st.credits.can_send(tlp)) {
       BB_ASSERT_MSG(st.credits.fits(tlp),
                     "TLP needs more credits than its class's budget");
@@ -63,8 +63,7 @@ void Link::issue(Direction dir) {
     }
     st.credits.consume(tlp);
     ++st.issued;
-    transmit_tlp(dir, std::move(st.posted.front()));
-    st.posted.pop_front();
+    transmit_tlp(dir, st.posted.pop());
   }
 }
 

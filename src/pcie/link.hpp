@@ -169,7 +169,7 @@ class Link {
 
     // Transmitter state for TLPs sent *in* this direction.
     CreditState credits;                  // the sender's credits
-    std::deque<Tlp> posted;               // posted, waiting for credits
+    sim::detail::Ring<Tlp, 8> posted;     // posted, waiting for credits
     bool credit_waiter = false;           // `posted` waits for an UpdateFC
     std::uint64_t credit_stalls = 0;
     std::uint64_t issued = 0;

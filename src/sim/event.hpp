@@ -228,9 +228,10 @@ EventItem make_callback_item(EventPool& pool, F&& fn) {
 }
 
 /// A FIFO over a power-of-two circular buffer: the one ring behind the
-/// ready ring, the monotone run and every elided-event ledger
-/// (sim/deferred.hpp). It starts at `kInitialSlots` and doubles when
-/// full. A retired buffer parks in a thread-local cache, one per ring
+/// ready ring, the monotone run, every elided-event ledger
+/// (sim/deferred.hpp) and the models' message FIFOs (a PCIe link's
+/// posted queue, a NIC flow's go-back-N window). It starts at
+/// `kInitialSlots` and doubles when full. A retired buffer parks in a thread-local cache, one per ring
 /// type, so the next ring of that type starts at its predecessor's
 /// high-water capacity, pre-faulted: short-lived simulators (the
 /// benchmark harness builds one per measurement) skip the growth ramp.
@@ -252,13 +253,18 @@ class Ring {
   Ring& operator=(const Ring&) = delete;
 
   bool empty() const { return count_ == 0; }
+  std::size_t size() const { return count_; }
   /// front(), back() and pop() require !empty().
   const Slot& front() const { return v_[head_]; }
   const Slot& back() const { return v_[(head_ + count_ - 1) & mask_]; }
+  /// The entry `i` places behind the front (i < size()).
+  const Slot& operator[](std::size_t i) const {
+    return v_[(head_ + i) & mask_];
+  }
 
-  void push(const Slot& s) {
+  void push(Slot s) {
     if (count_ == v_.size()) grow();
-    v_[(head_ + count_) & mask_] = s;
+    v_[(head_ + count_) & mask_] = std::move(s);
     ++count_;
   }
 

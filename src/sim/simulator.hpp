@@ -25,6 +25,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -90,6 +91,21 @@ enum class Tie : std::uint8_t {
   kWakeFirst,
 };
 
+/// The place on `sim`'s timeline of a pass a parked process would have
+/// run: the (time, seq) of the resume a wake at a write notice would
+/// have queued.
+struct PassPlace {
+  const Simulator* sim = nullptr;
+  TimePs t;
+  std::uint64_t seq = 0;
+
+  /// Whether that pass would have run before the current event.
+  bool ran() const;
+  bool before(const PassPlace& o) const {
+    return t != o.t ? t < o.t : seq < o.seq;
+  }
+};
+
 /// A process suspended on no queue by the component that parked it
 /// (docs/SIM_ENGINE.md "Parked waiters"). Whatever could change what the
 /// process does next calls wake(); the parker then replays the time the
@@ -97,6 +113,14 @@ enum class Tie : std::uint8_t {
 class Parked {
  public:
   virtual void wake(Tie tie) = 0;
+  /// A write into the polled memory was scheduled; it lands later, so
+  /// the first pass after now still comes up empty. Returns that pass's
+  /// place if the process stays parked through it, or nothing if it was
+  /// woken instead (which is all a process that only wakes does).
+  virtual std::optional<PassPlace> notice() {
+    wake(Tie::kPassFirst);
+    return std::nullopt;
+  }
 
  protected:
   ~Parked() = default;
@@ -196,6 +220,13 @@ class Simulator {
   void call_at_reserved(TimePs t, std::uint64_t seq, F&& fn) {
     BB_ASSERT_MSG(!precedes_current(t, seq), "reserved event already past");
     heap_.push(t, seq, detail::make_callback_item(pool_, std::forward<F>(fn)));
+  }
+  /// Queues a coroutine resume at a seq from reserve_seq(); the same
+  /// precondition.
+  void schedule_at_reserved(TimePs t, std::uint64_t seq,
+                            std::coroutine_handle<> h) {
+    BB_ASSERT_MSG(!precedes_current(t, seq), "reserved event already past");
+    heap_.push(t, seq, detail::coro_item(h));
   }
   /// Records an elided event at `t`: a drained run ends no earlier.
   void note_elided(TimePs t) {
@@ -333,5 +364,7 @@ class Simulator {
   std::thread::id owner_ = std::this_thread::get_id();
 #endif
 };
+
+inline bool PassPlace::ran() const { return sim->precedes_current(t, seq); }
 
 }  // namespace bb::sim

@@ -87,7 +87,7 @@ Fingerprint run_allreduce() {
 // self-consistent one.
 const Fingerprint kPutBwGolden{37281u, 623024806, 0x4b310291a8770261ull};
 const Fingerprint kAmLatGolden{145947u, 1319178710, 0x99a7aa2d313a960eull};
-const Fingerprint kAllreduceGolden{18508u, 25006013113, 0x1c3fe29c0a532d44ull};
+const Fingerprint kAllreduceGolden{13708u, 25006013113, 0x1c3fe29c0a532d44ull};
 
 Fingerprint run_kind(std::size_t kind) {
   switch (kind) {

@@ -87,7 +87,7 @@ TEST(DeterminismGolden, AllreduceOnThunderx2Cx4) {
   cfg.warmup = 5;
   bench::OsuColl b(world, bench::OsuColl::Kind::kAllreduce, cfg);
   (void)b.run();
-  EXPECT_EQ(cl.sim().events_processed(), 18508u);
+  EXPECT_EQ(cl.sim().events_processed(), 13708u);
   EXPECT_EQ(cl.sim().now().ps(), 25006013113);
   EXPECT_EQ(cl.analyzer().trace().size(), 1275u);
   EXPECT_EQ(trace_checksum(cl.analyzer().trace()), 0x1c3fe29c0a532d44ull);
@@ -106,7 +106,7 @@ TEST(DeterminismGolden, RendezvousAllreduceOnThunderx2Cx4) {
   cfg.warmup = 5;
   bench::OsuColl b(world, bench::OsuColl::Kind::kAllreduce, cfg);
   (void)b.run();
-  EXPECT_EQ(cl.sim().events_processed(), 14536u);
+  EXPECT_EQ(cl.sim().events_processed(), 10758u);
   EXPECT_EQ(cl.sim().now().ps(), 25008547534);
   EXPECT_EQ(cl.analyzer().trace().size(), 1756u);
   EXPECT_EQ(trace_checksum(cl.analyzer().trace()), 0x8b7705c4692cb94eull);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+#include <vector>
+
 #include "llp/endpoint.hpp"
 #include "scenario/testbed.hpp"
 
@@ -92,6 +96,120 @@ TEST(Worker, MsgIdsAreUniqueAndMonotonic) {
   const auto a = w.alloc_msg_id();
   const auto b = w.alloc_msg_id();
   EXPECT_LT(a, b);
+}
+
+// --- Parked wait loops on one node, driven directly: jitter-free passes
+// of ucp_progress_iter + llp_empty_progress back to back from t = 0, and
+// writes into the node's RX CQ given as the Root Complex gives them, a
+// notice at MWr arrival and the commit later (docs/SIM_ENGINE.md "Parked
+// waiters").
+
+cpu::CpuCostModel jitter_free() {
+  cpu::CpuCostModel m;
+  m.strip_jitter();
+  return m;
+}
+
+struct Rank {
+  Rank(sim::Simulator& sim, nic::HostMemory& host)
+      : core(sim, jitter_free()), profiler(core), worker(core, host, profiler) {}
+  cpu::Core core;
+  prof::Profiler profiler;
+  Worker worker;
+  TimePs seen_at;
+};
+
+// Waits, parked (or spinning, one event per pass), for one receive.
+sim::Task<void> wait_one(Rank& r, bool park, std::string& winners, char id) {
+  const cpu::CostSpec* const costs[] = {&r.core.costs().ucp_progress_iter,
+                                        &r.core.costs().llp_empty_progress};
+  const auto spinning = [&r] { return r.worker.rx_completions() == 0; };
+  const IdleLoop idle = IdleLoop::of(costs, TimePs::max(), spinning);
+  while (r.worker.rx_completions() == 0) {
+    r.core.consume(r.core.costs().ucp_progress_iter);
+    (void)co_await r.worker.progress(0, park ? &idle : nullptr);
+  }
+  r.seen_at = r.core.virtual_now();
+  winners += id;
+}
+
+void write_at(sim::Simulator& sim, nic::HostMemory& host,
+              std::initializer_list<TimePs> notices, TimePs visible) {
+  for (const TimePs n : notices) {
+    sim.call_at(n, [&host] { host.note_write_scheduled(); });
+  }
+  sim.call_at(visible, [&host, visible] {
+    pcie::Tlp tlp;
+    tlp.type = pcie::TlpType::kMemWrite;
+    tlp.content = pcie::PayloadWrite{.bytes = 8, .op = pcie::WireOp::kSend};
+    host.commit_write(tlp, visible);
+  });
+}
+
+TimePs pass_of(const Rank& r) {
+  return r.core.costs().ucp_progress_iter.mean() +
+         r.core.costs().llp_empty_progress.mean();
+}
+
+TEST(Worker, NoticedWriteCostsOneParkAndResumesWhereTheSpinningLoopSeesIt) {
+  // The notice leaves the loop parked through the pass after it: one
+  // park for the whole wait, and the pass that sees the commit is the
+  // spinning loop's.
+  std::vector<TimePs> seen;
+  for (const bool park : {false, true}) {
+    sim::Simulator sim{3};
+    nic::HostMemory host;
+    Rank r(sim, host);
+    std::string winners;
+    const TimePs pass = pass_of(r);
+    sim.spawn(wait_one(r, park, winners, 'a'), "waiter");
+    write_at(sim, host, {pass * 100 + pass / 3}, pass * 130 + pass / 2);
+    sim.run();
+    EXPECT_EQ(winners, "a");
+    EXPECT_EQ(r.worker.parks(), park ? 1u : 0u);
+    if (park) {
+      // The start, the notice, the commit, the resume at the pass that
+      // sees the write and that pass's flush.
+      EXPECT_EQ(sim.events_processed(), 5u);
+    }
+    seen.push_back(r.seen_at);
+  }
+  EXPECT_EQ(seen[0], seen[1]);
+}
+
+// Two loops parked on one node's memory are woken last-parked first, and
+// a notice's pass parks its loop again at that pass's place: whichever
+// loop that makes first to resume at a commit takes the write. Expected
+// orders are those of loops that resume at every notice.
+std::string first_to_see(std::initializer_list<double> notices_in_passes) {
+  sim::Simulator sim{3};
+  nic::HostMemory host;
+  Rank a(sim, host), b(sim, host);
+  std::string winners;
+  const TimePs pass = pass_of(a);
+  sim.spawn(wait_one(a, true, winners, 'a'), "a");
+  sim.spawn(wait_one(b, true, winners, 'b'), "b");
+  for (const double n : notices_in_passes) {
+    sim.call_at(pass.scaled(n), [&host] { host.note_write_scheduled(); });
+  }
+  write_at(sim, host, {}, pass * 30 + pass / 2);
+  write_at(sim, host, {}, pass * 40 + pass / 2);
+  sim.run();
+  EXPECT_EQ(sim.parked(), 0u);
+  EXPECT_EQ(a.seen_at.ps() % pass.ps(), b.seen_at.ps() % pass.ps());
+  return winners;
+}
+
+TEST(Worker, PollersOnOneNodeResumeInTheOrderTheyParkedAgain) {
+  // No notice: b parked last and resumes first.
+  EXPECT_EQ(first_to_see({}), "ba");
+  // A notice: b's pass after it runs first, so a parks again last.
+  EXPECT_EQ(first_to_see({10.3}), "ab");
+  // A second notice before those passes changes nothing: neither loop
+  // was parked at it.
+  EXPECT_EQ(first_to_see({10.3, 10.6}), "ab");
+  // A second notice after them flips the order again.
+  EXPECT_EQ(first_to_see({10.3, 20.3}), "ba");
 }
 
 }  // namespace

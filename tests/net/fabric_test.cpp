@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace bb::net {
@@ -158,6 +159,60 @@ TEST(Fabric, IncastOnLeavesDisjointDestinationsAlone) {
 }
 
 // --- wire faults (docs/TRANSPORT.md) ---------------------------------------
+
+// --- Elided ACKs (docs/SIM_ENGINE.md "Elided events").
+
+TEST(Fabric, ElidedAckDepartsAtItsPlaceAmongSameNodeSends) {
+  // At 100 ns node 1 sends a data packet, an ACK and another data packet,
+  // queued in that order. The ACK is no event, yet it takes the
+  // transmitter between the two.
+  sim::Simulator sim;
+  NetParams p;
+  Fabric f(sim, p);
+  std::vector<std::pair<std::uint64_t, TimePs>> data;
+  std::vector<std::pair<std::uint64_t, TimePs>> acks;
+  f.attach(0, [&](const NetPacket& pkt) {
+    data.emplace_back(pkt.msg_id, sim.now());
+  });
+  f.attach(1, [](const NetPacket&) {});
+  f.attach_ack_sink(
+      0,
+      [](void* v, TimePs arrive, std::uint32_t, std::uint64_t psn) {
+        static_cast<decltype(acks)*>(v)->emplace_back(psn, arrive);
+      },
+      &acks);
+  const TimePs t = 100_ns;
+  sim.call_at(t, [&] { f.send(data8(1, 1)); });
+  ASSERT_TRUE(f.defer_ack(t, /*qp=*/3, /*psn=*/7, 1, 0));
+  sim.call_at(t, [&] { f.send(data8(2, 1)); });
+  sim.run();
+
+  const TimePs lat = p.network_latency();
+  const TimePs ack_depart = t + p.serialize(8);
+  const TimePs second_depart = ack_depart + p.serialize(0);
+  ASSERT_EQ(data.size(), 2u);
+  EXPECT_EQ(data[0], std::pair(std::uint64_t{1}, t + lat));
+  EXPECT_EQ(data[1], std::pair(std::uint64_t{2}, second_depart + lat));
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0], std::pair(std::uint64_t{7}, ack_depart + lat));
+  // Two deliveries and their sends; the ACK counts sent and delivered.
+  EXPECT_EQ(sim.events_processed(), 4u);
+  EXPECT_EQ(f.stats().packets_sent, 3u);
+  EXPECT_EQ(f.stats().packets_delivered, 3u);
+  EXPECT_EQ(sim.now(), second_depart + lat);
+}
+
+TEST(Fabric, AckIsAnEventWithoutASinkOrWithAWireInjector) {
+  sim::Simulator sim;
+  Fabric bare(sim, NetParams{});
+  EXPECT_FALSE(bare.defer_ack(10_ns, 0, 1, 1, 0));
+  fault::WireInjector off;
+  Fabric wired(sim, NetParams{}, 2, &off);
+  wired.attach_ack_sink(
+      0, [](void*, TimePs, std::uint32_t, std::uint64_t) {}, nullptr);
+  EXPECT_FALSE(wired.defer_ack(10_ns, 0, 1, 1, 0));
+}
+
 
 TEST(FabricFaults, ScheduledDropNeverArrivesAndIsCounted) {
   sim::Simulator sim;

@@ -154,6 +154,70 @@ TEST(Nic, UnsignaledModerationOneCqePerPeriod) {
   EXPECT_EQ(tb.node(0).worker.tx_ops_retired(), 8u);
 }
 
+// Unsignalled ACKs cost no event (docs/SIM_ENGINE.md "Elided events"):
+// the responder's ACK generation, its delivery and its handling at the
+// requester are kept out of the event queue, and applied where the
+// requester next touches the flow.
+
+TEST(Nic, SignalledCqeCountsEveryElidedUnsignalledAck) {
+  auto cfg = scenario::presets::deterministic();
+  cfg.endpoint.signal.period = 4;
+  cfg.endpoint.txq_depth = 64;
+  Testbed tb(cfg);
+  auto& ep = tb.add_endpoint(0);
+  tb.sim().spawn([](llp::Endpoint& e) -> sim::Task<void> {
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(co_await e.put_short(8), llp::Status::kOk);
+    }
+  }(ep));
+  tb.sim().run();
+
+  // Nothing polled: both CQEs are still in the ring, each retiring its
+  // signalled op and the three unsignalled ones before it.
+  CqRing& cq = tb.node(0).host.tx_cq(ep.qp());
+  ASSERT_EQ(cq.depth(), 2u);
+  for (int i = 0; i < 2; ++i) {
+    const Cqe c = *cq.poll(tb.sim().now());
+    EXPECT_EQ(c.completes, 4u);
+    EXPECT_EQ(c.status, common::Status::kOk);
+  }
+  EXPECT_EQ(tb.node(0).nic.acks_received(), 8u);
+  EXPECT_EQ(tb.node(0).nic.transport_stats().acks_received, 8u);
+  EXPECT_EQ(tb.node(1).nic.transport_stats().acks_sent, 8u);
+  EXPECT_EQ(tb.node(0).nic.tx_unacked(), 0u);
+  // Each of the six unsignalled ACKs would cost three events: its
+  // departure, its delivery and its handling (99 events when they did).
+  EXPECT_EQ(tb.sim().events_processed(), 99u - 6 * 3);
+}
+
+TEST(Nic, RunEndsWhenTheLastElidedAckIsHandled) {
+  auto cfg = scenario::presets::deterministic();
+  cfg.endpoint.signal.period = 2;  // the one put is unsignalled
+  Testbed tb(cfg);
+  auto& ep = tb.add_endpoint(0);
+  tb.sim().spawn([](llp::Endpoint& e) -> sim::Task<void> {
+    EXPECT_EQ(co_await e.put_short(8), llp::Status::kOk);
+  }(ep));
+
+  const auto& C = tb.config();
+  const double t_inject = C.cpu.llp_post_mean_ns() +
+                          C.link.tlp_latency(64).to_ns() + C.nic.tx_proc_ns;
+  const double t_target = t_inject + C.net.network_latency().to_ns();
+  const double t_ack_arr = t_target + C.nic.rx_proc_ns + C.nic.ack_gen_ns +
+                           C.net.network_latency().to_ns();
+  const double t_handled = t_ack_arr + C.nic.ack_handle_ns;
+
+  tb.sim().run_until(TimePs::from_ns(t_handled - 0.5));
+  EXPECT_EQ(tb.node(0).nic.tx_unacked(), 1u);
+  EXPECT_EQ(tb.node(0).nic.acks_received(), 0u);
+  tb.sim().run();
+  EXPECT_NEAR(tb.sim().now().to_ns(), t_handled, 0.01);
+  EXPECT_EQ(tb.node(0).nic.tx_unacked(), 0u);
+  EXPECT_EQ(tb.node(0).nic.acks_received(), 1u);
+  EXPECT_EQ(tb.node(0).nic.cqes_written(), 0u);
+  EXPECT_EQ(tb.net_stats().packets_delivered, 2u);
+}
+
 TEST(Nic, InterleavedBidirectionalTraffic) {
   Testbed tb(scenario::presets::deterministic());
   auto& ep0 = tb.add_endpoint(0);
